@@ -1,6 +1,6 @@
 """The repo benchmark: one workload, one seed, one measured run.
 
-    python3 bench/run.py --workload classical --seed 1 --seconds 35 --trace 0
+    python3 bench/run.py --workload classical --seed 1 --seconds 30 --trace 0
 
 Run from the root of a checkout. With `--trace 0` it prints the end-to-end
 metrics; with `--trace 1` it makes an untraced and a traced run and prints
@@ -22,16 +22,22 @@ import sys
 import time
 from importlib import metadata
 
+from phase import at_reference
+
 BENCH = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(BENCH)
 SRC = os.path.join(ROOT, "src")
 WORKLOADS = ("classical", "quantum", "requests")
-SETUP_PROBES = 7
-RUN_DEADLINE_S = 170.0
+SETUP_PROBES = 8  # before the measured run, and as many after it: setup_s is their median
+SETUP_PROBE_LIMIT_S = 5.0
+WORKER_MARGIN_S = 40.0  # worker start, preparing inputs, finishing the last cycle
 BLAS_THREADS = {name: "1" for name in (
     "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
     "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")}
-PROBE = "import markovext, markovext.cli; print(markovext.__file__, flush=True)"
+# Runs the phase probe twice (the first warms it up), then imports the program.
+PROBE = ("import sys; sys.path.insert(0, sys.argv[1]); from phase import phase_probe; "
+         "phase_probe(); probe = phase_probe(); import markovext, markovext.cli; "
+         "print(probe, markovext.__file__, flush=True)")
 
 
 def child_env() -> dict:
@@ -42,34 +48,29 @@ def child_env() -> dict:
     return env
 
 
-def setup_seconds(env) -> float:
-    """Median wall time from interpreter start until markovext and markovext.cli are imported.
-
-    One discarded probe first, so every measured probe finds the same
-    bytecode cache a repeated `xtract` invocation finds."""
-    samples = []
-    for i in range(SETUP_PROBES + 1):
-        t0 = time.perf_counter()
-        with subprocess.Popen([sys.executable, "-c", PROBE], cwd=ROOT, env=env,
-                              stdout=subprocess.PIPE, text=True) as proc:
-            line = proc.stdout.readline()
-            elapsed = time.perf_counter() - t0
-            proc.stdout.read()
-            if proc.wait(timeout=60) != 0 or not line.startswith(SRC + os.sep):
-                raise RuntimeError(f"setup probe failed: {line.strip()!r}")
-        if i:
-            samples.append(elapsed)
-    return statistics.median(samples)
+def setup_probe(env) -> float:
+    """Wall time from interpreter start until markovext and markovext.cli are
+    imported, at the reference speed of the phase probe run just before."""
+    t0 = time.perf_counter()
+    with subprocess.Popen([sys.executable, "-c", PROBE, BENCH], cwd=ROOT, env=env,
+                          stdout=subprocess.PIPE, text=True) as proc:
+        line = proc.stdout.readline()
+        elapsed = time.perf_counter() - t0
+        proc.stdout.read()
+        probe, _, path = line.strip().partition(" ")
+        if proc.wait(timeout=SETUP_PROBE_LIMIT_S) != 0 or not path.startswith(SRC + os.sep):
+            raise RuntimeError(f"setup probe failed: {line.strip()!r}")
+    return at_reference(elapsed, float(probe))
 
 
-def run_worker(env, args, trace: int, deadline: float) -> dict:
+def run_worker(env, args, trace: int) -> dict:
     cmd = [sys.executable, os.path.join(BENCH, "worker.py"), "--workload", args.workload,
            "--seed", str(args.seed), "--seconds", str(args.seconds), "--trace", str(trace)]
     if trace:
         cmd += ["--spans", os.path.join(ROOT, ".bench_run",
                                         f"spans-{args.workload}-seed{args.seed}.jsonl")]
     proc = subprocess.run(cmd, cwd=ROOT, env=env, capture_output=True, text=True,
-                          timeout=max(1.0, deadline - time.monotonic()))
+                          timeout=args.seconds + WORKER_MARGIN_S)
     if proc.returncode != 0:
         raise RuntimeError(f"worker exited {proc.returncode}: {proc.stderr.strip()[-2000:]}")
     return json.loads(proc.stdout.strip().splitlines()[-1])
@@ -135,24 +136,26 @@ def main(argv=None) -> int:
     p.add_argument("--seconds", type=float, required=True)
     p.add_argument("--trace", type=int, choices=[0, 1], required=True)
     args = p.parse_args(argv)
-    deadline = time.monotonic() + RUN_DEADLINE_S
 
     if not os.path.isfile(os.path.join(SRC, "markovext", "__init__.py")):
         print(f"error: no program at {SRC}/markovext; run from a full checkout", file=sys.stderr)
         return 2
     os.makedirs(os.path.join(ROOT, ".bench_run"), exist_ok=True)
     env = child_env()
+    samples = []  # set-up probes, in seconds at the reference speed
     try:
         if args.trace:
-            untraced = run_worker(env, args, 0, deadline)
-            run = run_worker(env, args, 1, deadline)
+            untraced = run_worker(env, args, 0)
+            run = run_worker(env, args, 1)
             metrics = run["layers"]
             metrics["trace.overhead_ratio"] = (run["ops_per_s"] / untraced["ops_per_s"], "ratio")
             runs = [untraced, run]
         else:
-            setup_s = setup_seconds(env)
-            run = run_worker(env, args, 0, deadline)
-            metrics = end_to_end(run, setup_s)
+            setup_probe(env)  # fills the bytecode cache, as a repeated `xtract` finds it
+            samples += [setup_probe(env) for _ in range(SETUP_PROBES)]
+            run = run_worker(env, args, 0)
+            samples += [setup_probe(env) for _ in range(SETUP_PROBES)]
+            metrics = end_to_end(run, statistics.median(samples))
             runs = [run]
     except (RuntimeError, OSError, ValueError, subprocess.TimeoutExpired) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -163,7 +166,9 @@ def main(argv=None) -> int:
         "trace": args.trace, **source_record(), **machine_record(env),
         "schedule": run["schedule"], "schedule_order": run["schedule_order"],
         "digest": run["digest"], "cycles": run["cycles"], "cycle_ops": run["cycle_ops"],
-        "ops_kept": run["ops_kept"],
+        **{key: run[key] for key in ("ops_kept", "kept_probe_ms", "raw_ops_per_s",
+                                     "raw_op_p50_ms", "raw_op_p90_ms", "slot_median_ms")},
+        "setup_samples_s": samples,
         "failed_by_slot": run["failed_by_slot"], "failure_examples": run["failure_examples"],
     }
     with open(os.path.join(ROOT, ".bench_run",

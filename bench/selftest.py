@@ -17,6 +17,7 @@ BENCH = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(BENCH)
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
+import phase  # noqa: E402
 import worker  # noqa: E402
 from workloads import WORKLOADS, Op  # noqa: E402
 
@@ -84,7 +85,7 @@ def wrong(out):
 
 
 def check_failure_accounting(scratch):
-    cases = [("classical", "strong_n4"), ("quantum", "contract2"),
+    cases = [("classical", "strong_n4_m1"), ("quantum", "contract2_b1_m1_k1"),
              ("requests", "extract_deor64"), ("requests", "plan_quantum_markov"),
              ("requests", "report"), ("requests", "malformed_budget_0")]
     for name, slot in cases:
@@ -94,6 +95,22 @@ def check_failure_accounting(scratch):
             count = workload.cycle[slot]
             expect(res["failed_by_slot"].get(slot) == count and slot in res["unexpected_failures"],
                    f"{name}: a {mode} {slot} output counts as a failure")
+
+
+def check_estimator():
+    # Ops ranked by their phase probe, never by their own time: the fast-probe
+    # ops here are the costly ones, and they are the ones kept.
+    timings = [["a", 0.1, 0.009], ["a", 0.2, 0.001], ["a", 0.1, 0.011], ["a", 0.2, 0.001],
+               ["b", 0.1, 0.002], ["b", 0.3, 0.002]]
+    res = worker.summarize(timings, ["a", "a", "a", "b"], share=0.5)
+    expect(abs(res["raw_ops_per_s"] - 4 / (3 * 0.010 + 0.002)) < 1e-9,
+           "estimator: each slot counts with its cycle share of its kept ops")
+    expect(abs(res["raw_op_p50_ms"] - 9.0) < 1e-9 and abs(res["raw_op_p90_ms"] - 11.0) < 1e-9,
+           "estimator: kept ops are chosen by probe, not by their own latency")
+    scale = 0.1 / phase.REFERENCE_S  # the kept ops' median probe took 0.1 s
+    expect(abs(res["ops_per_s"] / (res["raw_ops_per_s"] * scale) - 1) < 1e-12
+           and abs(res["op_p90_ms"] * scale / res["raw_op_p90_ms"] - 1) < 1e-12,
+           "estimator: times are reported at the reference speed of the kept probes")
 
 
 def run_bench(*args, cwd=ROOT):
@@ -142,6 +159,7 @@ def check_refuses_without_program(scratch):
 def main() -> int:
     scratch = os.path.join(ROOT, ".bench_run", f"selftest-{os.getpid()}")
     try:
+        check_estimator()
         check_determinism(scratch)
         check_failure_accounting(scratch)
         check_refuses_without_program(scratch)

@@ -5,12 +5,13 @@ cycles of the workload's schedule as a closed loop with one client until
 `--seconds` have passed and at least MIN_OPS ops are done, then prints a
 JSON summary as its last line.
 
-The machine this was tuned on (2 vCPUs shared with other tenants) runs the
-same code at speeds up to 2x apart, in phases of seconds to minutes. A median
-over a whole run mixes the phases in a different share on every run, so
-latency and throughput come from the fastest FAST_SHARE of each slot's ops
-(and at least MIN_OPS ops in all), as `timeit` reports its best repeats.
-Keeping the same share of every slot keeps the mix of op kinds.
+Between ops the worker runs the phase probe (phase.py). The timing metrics
+come from the FAST_SHARE of each slot's ops whose probes were fastest: ops
+run while the host was fast. An op is ranked by the slower of the probes just
+before and just after it, never by its own time, so the kept ops of a slot
+are a fair sample of its inputs, cheap and costly alike. Each slot then
+counts with its share of the cycle, and the times are reported at the
+reference speed of the kept ops' median probe.
 """
 from __future__ import annotations
 
@@ -28,9 +29,11 @@ from collections import Counter
 
 import numpy as np
 
+from phase import at_reference, phase_probe
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 MIN_OPS = 100  # so that at least ten samples lie beyond p90
-FAST_SHARE = 0.05
+FAST_SHARE = 0.5
 
 
 def _import_program():
@@ -47,7 +50,7 @@ def run(workload, seed: int, seconds: float, tracer=None, min_ops: int = MIN_OPS
         scratch: str | None = None) -> dict:
     slots = workload.schedule(seed)
     scratch = scratch or os.path.join(ROOT, ".bench_run", f"work-{os.getpid()}")
-    latencies = []  # per cycle, the latency of each op
+    timings = []  # per op in run order: [slot, phase probe, latency]
     failed, failure_examples = Counter(), {}
     digest = hashlib.sha256()
     ops = cycle = 0
@@ -60,8 +63,8 @@ def run(workload, seed: int, seconds: float, tracer=None, min_ops: int = MIN_OPS
             batch = [workload.prepare(slot, np.random.default_rng([seed, cycle, i]),
                                       os.path.join(workdir, str(i)))
                      for i, slot in enumerate(slots)]
-            cycle_lat = []
             for op in batch:
+                probe = phase_probe()
                 t0 = time.perf_counter()
                 try:
                     out = op.run() if tracer is None else tracer.run_op(ops, op.run)
@@ -69,7 +72,7 @@ def run(workload, seed: int, seconds: float, tracer=None, min_ops: int = MIN_OPS
                 except (Exception, SystemExit) as exc:  # a crash is a failed op, never a crashed run
                     out, error = None, f"{type(exc).__name__}: {exc}"
                     outcome = type(exc).__name__.encode()  # the message may hold a scratch path
-                cycle_lat.append(time.perf_counter() - t0)
+                timings.append([op.slot, probe, time.perf_counter() - t0])
                 if out is not None:
                     error = op.check(out)
                     outcome = op.digest(out) if error is None else error.encode()
@@ -79,7 +82,6 @@ def run(workload, seed: int, seconds: float, tracer=None, min_ops: int = MIN_OPS
                     failed[op.slot] += 1
                     failure_examples.setdefault(op.slot, error)
                 ops += 1
-            latencies.append(cycle_lat)
             shutil.rmtree(workdir)
             cycle += 1
             if cycle * len(slots) >= min_ops and rss_mb is None:
@@ -88,18 +90,10 @@ def run(workload, seed: int, seconds: float, tracer=None, min_ops: int = MIN_OPS
                 break
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
+    probes = [probe for _, probe, _ in timings[1:]] + [phase_probe()]
+    for timing, after in zip(timings, probes):  # rank each op by its slower probe
+        timing[1] = max(timing[1], after)
 
-    by_slot = {}
-    for cycle_lat in latencies:
-        for slot, dt in zip(slots, cycle_lat):
-            by_slot.setdefault(slot, []).append(dt)
-    share = max(FAST_SHARE, min_ops / ops)
-    kept, cycle_time = [], 0.0
-    for slot, values in by_slot.items():
-        fastest = sorted(values)[:math.ceil(share * len(values))]
-        kept += fastest
-        cycle_time += slots.count(slot) * statistics.fmean(fastest)
-    deciles = statistics.quantiles(kept, n=10, method="inclusive")
     return {
         "workload": workload.name,
         "seed": seed,
@@ -110,15 +104,59 @@ def run(workload, seed: int, seconds: float, tracer=None, min_ops: int = MIN_OPS
         "unexpected_failures": sorted(set(failed) - workload.known_defects),
         "cycles": cycle,
         "cycle_ops": len(slots),
-        "ops_kept": len(kept),
-        "ops_per_s": len(slots) / cycle_time,
-        "op_p50_ms": 1e3 * deciles[4],
-        "op_p90_ms": 1e3 * deciles[8],
+        **summarize(timings, slots, max(FAST_SHARE, min_ops / ops)),
         "peak_rss_mb": rss_mb,
         "schedule": {slot: slots.count(slot) for slot in workload.cycle},
         "schedule_order": slots,
         "digest": digest.hexdigest(),
     }
+
+
+def summarize(timings, slots, share: float) -> dict:
+    """Throughput and latency quantiles of one cycle, from the kept ops of each slot.
+
+    A slot keeps the `share` of its ops with the fastest phase probes. It
+    adds count times the median of its kept ops to the cycle's time, and each
+    of its kept ops stands for count / kept ops in the latency quantiles,
+    where count is how often the slot appears in the cycle. The `raw_` figures
+    are as timed; the others are at the reference speed of the median probe
+    of the kept ops."""
+    by_slot = {}
+    for slot, probe, latency in timings:
+        by_slot.setdefault(slot, []).append((probe, latency))
+    weighted, cycle_time, kept_probes, slot_s = [], 0.0, [], {}
+    for slot, ops in by_slot.items():
+        kept = sorted(ops)[:math.ceil(share * len(ops))]
+        fast = [latency for _, latency in kept]
+        weight = slots.count(slot) / len(fast)
+        weighted += [(latency, weight) for latency in fast]
+        slot_s[slot] = statistics.median(fast)
+        cycle_time += slots.count(slot) * slot_s[slot]
+        kept_probes += [probe for probe, _ in kept]
+    probe = statistics.median(kept_probes)
+    raw = {"raw_ops_per_s": len(slots) / cycle_time,
+           "raw_op_p50_ms": 1e3 * weighted_quantile(weighted, 0.5),
+           "raw_op_p90_ms": 1e3 * weighted_quantile(weighted, 0.9)}
+    return {
+        "ops_kept": len(kept_probes),
+        "kept_probe_ms": 1e3 * probe,
+        "ops_per_s": len(slots) / at_reference(cycle_time, probe),
+        "op_p50_ms": at_reference(raw["raw_op_p50_ms"], probe),
+        "op_p90_ms": at_reference(raw["raw_op_p90_ms"], probe),
+        **raw,
+        "slot_median_ms": {slot: at_reference(1e3 * t, probe) for slot, t in sorted(slot_s.items())},
+    }
+
+
+def weighted_quantile(pairs, q: float) -> float:
+    """The smallest value whose (value, weight) pairs at or below it hold a share q of the weight."""
+    pairs = sorted(pairs)
+    goal, acc = q * sum(weight for _, weight in pairs), 0.0
+    for value, weight in pairs:
+        acc += weight
+        if acc >= goal:
+            return value
+    return pairs[-1][0]
 
 
 def main(argv=None) -> int:

@@ -51,22 +51,31 @@ def _bounded_op(slot, run):
 # classical: exact enumeration (criteria 1-3 and 9)
 # ---------------------------------------------------------------------------
 
-# Each op builds its own descriptor, so it builds its own output table. The
-# wide8 ops are 1 in 32, not 1 in 16: p90 must not sit next to the boundary
-# of their mode, and at 1 in 16 it sat a few kept ops below it. Now p50 lies
-# inside the n = 6 ops and p90 in the upper part of markov_n6.
+# Each op builds its own descriptor, so it builds its own output table. A
+# slot's name carries every parameter that sets an op's cost (n, m, |Z|);
+# only the seeds are drawn per op, so each parameter set keeps its share of
+# the cycle. The wide8 ops are 1 in 32, not 1 in 16: p90 must not sit next to
+# the boundary of their mode.
 CLASSICAL_CYCLE = {
-    "strong_n4": 10, "markov_n4": 10, "strong_n6": 21, "markov_n6": 21,
+    **{f"strong_n4_m{m}": 5 for m in (1, 2)},
+    **{f"markov_n4_m{m}_z{z}": 3 for m in (1, 2) for z in (2, 4)},
+    **{f"strong_n6_m{m}": 10 for m in (1, 2)},
+    **{f"markov_n6_m{m}_z{z}": 5 for m in (1, 2) for z in (2, 4)},
     "wide8_deor": 1, "wide8_composed": 1,
 }
 
 
+def slot_params(slot) -> dict:
+    """The integer parameters in a slot name: `markov_n6_m2_z4` -> {n: 6, m: 2, z: 4}."""
+    return {part[0]: int(part[1:]) for part in slot.split("_")[1:] if part[1:].isdigit()}
+
+
 def _classical(slot, rng, tag):
-    kind, variant = slot.rsplit("_", 1)
+    kind = slot.split("_", 1)[0]
+    params = slot_params(slot)
     seed = int(rng.integers(1 << 31))
     if kind == "markov":
-        n = int(variant[1:])
-        m, z_card = int(rng.integers(1, 3)), int(rng.choice([2, 4]))
+        n, m, z_card = params["n"], params["m"], params["z"]
         target = float(rng.uniform(n - 2, n))
 
         def run():
@@ -80,9 +89,8 @@ def _classical(slot, rng, tag):
 
         return _bounded_op(slot, run)
 
-    composed = variant == "composed"
-    n = 8 if kind == "wide8" else int(variant[1:])
-    m = int(rng.integers(1, 3)) if kind == "strong" else 2
+    composed = slot == "wide8_composed"
+    n, m = (8, 2) if kind == "wide8" else (params["n"], params["m"])
     conds = [()] if composed else [(), ("X1",), ("X2",)]
 
     def run():
@@ -108,21 +116,31 @@ def _classical(slot, rng, tag):
 # quantum: the qsim oracles (criteria 5 and 6)
 # ---------------------------------------------------------------------------
 
-# wide4 is 1 op in 32, not 1 in 16, for the same reason as wide8. p50 lies
-# inside the contract2 and small3_b1 ops and p90 inside small3_b3.
-QUANTUM_CYCLE = {"small3_b1": 5, "small3_b2": 5, "small3_b3": 6, "contract2": 15, "wide4": 1}
+# As in classical, a slot's name carries its parameters: blocks, m and, for
+# contract2, the number of Kraus operators. The dimensions of each block's C
+# part are drawn inside `random_ccq_markov_state` from the op's seed, so they
+# vary within a slot. wide4 is 2 ops in 53, not 1 in 16, for the same reason
+# as wide8.
+QUANTUM_CYCLE = {
+    **{f"small3_b{b}_m{m}": 3 for b in (1, 2, 3) for m in (1, 2, 3)},
+    **{f"contract2_b{b}_m{m}_k{k}": 2 for b in (1, 2) for m in (1, 2) for k in (1, 2, 3)},
+    "wide4_m1": 1, "wide4_m2": 1,
+}
 
 
 def _quantum(slot, rng, tag):
+    kind = slot.split("_", 1)[0]
+    params = slot_params(slot)
+    m = params["m"]
     seed = int(rng.integers(1 << 31))
-    if slot == "contract2":
-        m = int(rng.integers(1, 3))
+    if kind == "contract2":
+        blocks, n_kraus = params["b"], params["k"]
 
         def run():
             gen = np.random.default_rng(seed)
-            state = qsim.random_ccq_markov_state(2, 2, int(gen.integers(1, 3)), 2, gen)
+            state = qsim.random_ccq_markov_state(2, 2, blocks, 2, gen)
             ext = extractors.deor_descriptor(2, m)
-            kraus = qsim.random_channel(state.c_dim, int(gen.integers(1, 4)), gen)
+            kraus = qsim.random_channel(state.c_dim, n_kraus, gen)
             chk = qsim.channel_monotonicity_check(state, ext, kraus)
             dims = (4, 4, state.c_dim)
             rho = qsim.assemble(state)
@@ -137,10 +155,10 @@ def _quantum(slot, rng, tag):
 
         return _bounded_op(slot, run)
 
-    if slot == "wide4":
-        n, blocks, max_c_dim, m = 4, 16, 3, int(rng.integers(1, 3))
+    if kind == "wide4":
+        n, blocks, max_c_dim = 4, 16, 3
     else:
-        n, blocks, max_c_dim, m = 3, int(slot[-1]), 4, int(rng.integers(1, 4))
+        n, blocks, max_c_dim = 3, params["b"], 4
 
     def run():
         gen = np.random.default_rng(seed)
@@ -157,13 +175,13 @@ def _quantum(slot, rng, tag):
 # requests: in-process `xtract` calls
 # ---------------------------------------------------------------------------
 
-# 1 request in 20 is malformed. Extract and report requests cost about the
-# same (mostly building the parser) and fill ranks ~4-94 of the 160, so p50
-# (rank 80) lies inside them; the solver-bound plans fill ranks ~131-160, so
-# p90 (rank 144) lies inside those.
+# 1 request in 20 is malformed. The extract and verify requests fill ranks
+# ~34-131 of the 160 by latency, so p50 (rank 80) lies inside them; the
+# solver-bound plans fill ranks ~132-160, so p90 (rank 144) lies inside those.
 REQUESTS_CYCLE = {
     "extract_deor64": 16, "extract_deor16": 16, "extract_ip64": 16,
-    "extract_composed8": 16, "extract_descriptor": 16, "extract_trevisan8": 8,
+    "extract_composed8": 16, "extract_descriptor16": 8,
+    "extract_descriptor64": 8, "extract_trevisan8": 8,
     "plan_quantum_markov": 12, "plan_smooth_markov": 8, "plan_subnormalized": 8,
     "plan_classical_markov": 4, "plan_plain": 4, "plan_raz": 4,
     "plan_trevisan_composition": 4, "report": 10, "verify": 10,
@@ -232,11 +250,11 @@ def _extract_op(slot, rng, tag):
         ext = extractors.inner_product_descriptor(64)
         flags = ["--family", "inner-product", "--n1", "64"]
     else:
-        n = {"deor64": 64, "deor16": 16, "descriptor": int(rng.choice([16, 64]))}[family]
+        n = int(family.removeprefix("deor").removeprefix("descriptor"))
         m = int(rng.integers(1, n + 1))
         ext = extractors.deor_descriptor(n, m)
         flags = ["--family", "deor", "--n1", str(n), "--m", str(m)]
-        if family == "descriptor":
+        if family.startswith("descriptor"):
             with open(tag + ".json", "w") as fh:
                 json.dump(ext.to_dict(), fh)
             flags = ["--descriptor", tag + ".json"]
