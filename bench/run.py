@@ -34,10 +34,12 @@ WORKER_MARGIN_S = 40.0  # worker start, preparing inputs, finishing the last cyc
 BLAS_THREADS = {name: "1" for name in (
     "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
     "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")}
-# Runs the phase probe twice (the first warms it up), then imports the program.
-PROBE = ("import sys; sys.path.insert(0, sys.argv[1]); from phase import phase_probe; "
-         "phase_probe(); probe = phase_probe(); import markovext, markovext.cli; "
-         "print(probe, markovext.__file__, flush=True)")
+# Imports the program, reports that it has, then runs the phase probe once to
+# warm it up and reports the median of five more.
+PROBE = ("import sys; sys.path.insert(0, sys.argv[1]); import markovext, markovext.cli; "
+         "print(markovext.__file__, flush=True); import statistics; "
+         "from phase import phase_probe; phase_probe(); "
+         "print(statistics.median(phase_probe() for _ in range(5)), flush=True)")
 
 
 def child_env() -> dict:
@@ -50,16 +52,15 @@ def child_env() -> dict:
 
 def setup_probe(env) -> float:
     """Wall time from interpreter start until markovext and markovext.cli are
-    imported, at the reference speed of the phase probe run just before."""
+    imported, at the reference speed of the phase probes run just after."""
     t0 = time.perf_counter()
     with subprocess.Popen([sys.executable, "-c", PROBE, BENCH], cwd=ROOT, env=env,
                           stdout=subprocess.PIPE, text=True) as proc:
-        line = proc.stdout.readline()
+        path = proc.stdout.readline().strip()
         elapsed = time.perf_counter() - t0
-        proc.stdout.read()
-        probe, _, path = line.strip().partition(" ")
+        probe = proc.stdout.read().strip()
         if proc.wait(timeout=SETUP_PROBE_LIMIT_S) != 0 or not path.startswith(SRC + os.sep):
-            raise RuntimeError(f"setup probe failed: {line.strip()!r}")
+            raise RuntimeError(f"setup probe failed: {path!r}")
     return at_reference(elapsed, float(probe))
 
 
@@ -166,7 +167,7 @@ def main(argv=None) -> int:
         "trace": args.trace, **source_record(), **machine_record(env),
         "schedule": run["schedule"], "schedule_order": run["schedule_order"],
         "digest": run["digest"], "cycles": run["cycles"], "cycle_ops": run["cycle_ops"],
-        **{key: run[key] for key in ("ops_kept", "kept_probe_ms", "raw_ops_per_s",
+        **{key: run[key] for key in ("probe_ms", "raw_ops_per_s",
                                      "raw_op_p50_ms", "raw_op_p90_ms", "slot_median_ms")},
         "setup_samples_s": samples,
         "failed_by_slot": run["failed_by_slot"], "failure_examples": run["failure_examples"],

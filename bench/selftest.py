@@ -98,19 +98,17 @@ def check_failure_accounting(scratch):
 
 
 def check_estimator():
-    # Ops ranked by their phase probe, never by their own time: the fast-probe
-    # ops here are the costly ones, and they are the ones kept.
-    timings = [["a", 0.1, 0.009], ["a", 0.2, 0.001], ["a", 0.1, 0.011], ["a", 0.2, 0.001],
-               ["b", 0.1, 0.002], ["b", 0.3, 0.002]]
-    res = worker.summarize(timings, ["a", "a", "a", "b"], share=0.5)
-    expect(abs(res["raw_ops_per_s"] - 4 / (3 * 0.010 + 0.002)) < 1e-9,
-           "estimator: each slot counts with its cycle share of its kept ops")
-    expect(abs(res["raw_op_p50_ms"] - 9.0) < 1e-9 and abs(res["raw_op_p90_ms"] - 11.0) < 1e-9,
-           "estimator: kept ops are chosen by probe, not by their own latency")
-    scale = 0.1 / phase.REFERENCE_S  # the kept ops' median probe took 0.1 s
-    expect(abs(res["ops_per_s"] / (res["raw_ops_per_s"] * scale) - 1) < 1e-12
-           and abs(res["op_p90_ms"] * scale / res["raw_op_p90_ms"] - 1) < 1e-12,
-           "estimator: times are reported at the reference speed of the kept probes")
+    # Two cycles of ["a", "a", "b"]; every "a" op takes 5 ms and every "b" op
+    # 2 ms at the reference speed, while the host ran at speeds 4x apart.
+    ref = phase.REFERENCE_S
+    timings = [["a", 2 * ref, 10e-3], ["a", ref, 5e-3], ["b", ref, 2e-3],
+               ["a", ref / 2, 2.5e-3], ["a", 4 * ref, 20e-3], ["b", 2 * ref, 4e-3]]
+    res = worker.summarize(timings, ["a", "a", "b"])
+    expect(abs(res["ops_per_s"] - 3 / (2 * 5e-3 + 2e-3)) < 1e-9,
+           "estimator: each op at the reference speed of its probe, each slot with its cycle share")
+    expect(abs(res["op_p50_ms"] - 5.0) < 1e-9 and abs(res["op_p90_ms"] - 5.0) < 1e-9,
+           "estimator: latency quantiles of the ops at the reference speed")
+    expect(abs(res["raw_op_p90_ms"] - 20.0) < 1e-9, "estimator: raw figures as timed")
 
 
 def run_bench(*args, cwd=ROOT):

@@ -5,20 +5,17 @@ cycles of the workload's schedule as a closed loop with one client until
 `--seconds` have passed and at least MIN_OPS ops are done, then prints a
 JSON summary as its last line.
 
-Between ops the worker runs the phase probe (phase.py). The timing metrics
-come from the FAST_SHARE of each slot's ops whose probes were fastest: ops
-run while the host was fast. An op is ranked by the slower of the probes just
-before and just after it, never by its own time, so the kept ops of a slot
-are a fair sample of its inputs, cheap and costly alike. Each slot then
-counts with its share of the cycle, and the times are reported at the
-reference speed of the kept ops' median probe.
+Before every op the worker runs the phase probe (phase.py), and once more
+after the last. Each op's time is scaled to the reference speed by the mean
+of the probes just before and just after it, so an op that ran while the
+host was slow counts at the speed of a fast host. Every op counts; a run is
+whole cycles, so each slot keeps its share of the cycle.
 """
 from __future__ import annotations
 
 import argparse
 import hashlib
 import json
-import math
 import os
 import resource
 import shutil
@@ -33,7 +30,6 @@ from phase import at_reference, phase_probe
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 MIN_OPS = 100  # so that at least ten samples lie beyond p90
-FAST_SHARE = 0.5
 
 
 def _import_program():
@@ -56,12 +52,15 @@ def run(workload, seed: int, seconds: float, tracer=None, min_ops: int = MIN_OPS
     ops = cycle = 0
     rss_mb = None  # after a fixed amount of work, so it does not grow with speed
     started = time.perf_counter()
+    os.makedirs(scratch, exist_ok=True)
     try:
         while True:
-            workdir = os.path.join(scratch, str(cycle))
-            os.makedirs(workdir)
+            # Each place in the cycle keeps its file names from cycle to cycle:
+            # creating a file on the tuning machine's disk took ~0.7 ms, and
+            # more the more files had been created and deleted before, while
+            # rewriting one took ~0.1 ms.
             batch = [workload.prepare(slot, np.random.default_rng([seed, cycle, i]),
-                                      os.path.join(workdir, str(i)))
+                                      os.path.join(scratch, str(i)))
                      for i, slot in enumerate(slots)]
             for op in batch:
                 probe = phase_probe()
@@ -82,7 +81,6 @@ def run(workload, seed: int, seconds: float, tracer=None, min_ops: int = MIN_OPS
                     failed[op.slot] += 1
                     failure_examples.setdefault(op.slot, error)
                 ops += 1
-            shutil.rmtree(workdir)
             cycle += 1
             if cycle * len(slots) >= min_ops and rss_mb is None:
                 rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
@@ -91,8 +89,8 @@ def run(workload, seed: int, seconds: float, tracer=None, min_ops: int = MIN_OPS
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
     probes = [probe for _, probe, _ in timings[1:]] + [phase_probe()]
-    for timing, after in zip(timings, probes):  # rank each op by its slower probe
-        timing[1] = max(timing[1], after)
+    for timing, after in zip(timings, probes):  # the probes on either side of the op
+        timing[1] = (timing[1] + after) / 2
 
     return {
         "workload": workload.name,
@@ -104,7 +102,7 @@ def run(workload, seed: int, seconds: float, tracer=None, min_ops: int = MIN_OPS
         "unexpected_failures": sorted(set(failed) - workload.known_defects),
         "cycles": cycle,
         "cycle_ops": len(slots),
-        **summarize(timings, slots, max(FAST_SHARE, min_ops / ops)),
+        **summarize(timings, slots),
         "peak_rss_mb": rss_mb,
         "schedule": {slot: slots.count(slot) for slot in workload.cycle},
         "schedule_order": slots,
@@ -112,51 +110,40 @@ def run(workload, seed: int, seconds: float, tracer=None, min_ops: int = MIN_OPS
     }
 
 
-def summarize(timings, slots, share: float) -> dict:
-    """Throughput and latency quantiles of one cycle, from the kept ops of each slot.
+def summarize(timings, slots) -> dict:
+    """Throughput and latency quantiles of a run of whole cycles.
 
-    A slot keeps the `share` of its ops with the fastest phase probes. It
-    adds count times the median of its kept ops to the cycle's time, and each
-    of its kept ops stands for count / kept ops in the latency quantiles,
-    where count is how often the slot appears in the cycle. The `raw_` figures
-    are as timed; the others are at the reference speed of the median probe
-    of the kept ops."""
-    by_slot = {}
-    for slot, probe, latency in timings:
-        by_slot.setdefault(slot, []).append((probe, latency))
-    weighted, cycle_time, kept_probes, slot_s = [], 0.0, [], {}
-    for slot, ops in by_slot.items():
-        kept = sorted(ops)[:math.ceil(share * len(ops))]
-        fast = [latency for _, latency in kept]
-        weight = slots.count(slot) / len(fast)
-        weighted += [(latency, weight) for latency in fast]
-        slot_s[slot] = statistics.median(fast)
-        cycle_time += slots.count(slot) * slot_s[slot]
-        kept_probes += [probe for probe, _ in kept]
-    probe = statistics.median(kept_probes)
-    raw = {"raw_ops_per_s": len(slots) / cycle_time,
-           "raw_op_p50_ms": 1e3 * weighted_quantile(weighted, 0.5),
-           "raw_op_p90_ms": 1e3 * weighted_quantile(weighted, 0.9)}
+    `timings` holds [slot, probe, latency] per op, where probe is the mean of
+    the probes on either side of the op. Each latency is taken at the
+    reference speed of its own probe. A slot adds its count in the cycle times
+    the median of its ops to the cycle's time. The `raw_` figures are as
+    timed."""
+    scaled = [at_reference(latency, probe) for _, probe, latency in timings]
+    raw = [latency for _, _, latency in timings]
+
+    def per_cycle(latencies):
+        by_slot = {}
+        for (slot, _, _), latency in zip(timings, latencies):
+            by_slot.setdefault(slot, []).append(latency)
+        medians = {slot: statistics.median(v) for slot, v in sorted(by_slot.items())}
+        return len(slots) / sum(slots.count(slot) * t for slot, t in medians.items()), medians
+
+    ops_per_s, slot_s = per_cycle(scaled)
     return {
-        "ops_kept": len(kept_probes),
-        "kept_probe_ms": 1e3 * probe,
-        "ops_per_s": len(slots) / at_reference(cycle_time, probe),
-        "op_p50_ms": at_reference(raw["raw_op_p50_ms"], probe),
-        "op_p90_ms": at_reference(raw["raw_op_p90_ms"], probe),
-        **raw,
-        "slot_median_ms": {slot: at_reference(1e3 * t, probe) for slot, t in sorted(slot_s.items())},
+        "probe_ms": 1e3 * statistics.median(probe for _, probe, _ in timings),
+        "ops_per_s": ops_per_s,
+        "op_p50_ms": 1e3 * quantile(scaled, 0.5),
+        "op_p90_ms": 1e3 * quantile(scaled, 0.9),
+        "raw_ops_per_s": per_cycle(raw)[0],
+        "raw_op_p50_ms": 1e3 * quantile(raw, 0.5),
+        "raw_op_p90_ms": 1e3 * quantile(raw, 0.9),
+        "slot_median_ms": {slot: 1e3 * t for slot, t in slot_s.items()},
     }
 
 
-def weighted_quantile(pairs, q: float) -> float:
-    """The smallest value whose (value, weight) pairs at or below it hold a share q of the weight."""
-    pairs = sorted(pairs)
-    goal, acc = q * sum(weight for _, weight in pairs), 0.0
-    for value, weight in pairs:
-        acc += weight
-        if acc >= goal:
-            return value
-    return pairs[-1][0]
+def quantile(values, q: float) -> float:
+    """The smallest value with at least a share q of the values at or below it."""
+    return float(np.quantile(values, q, method="inverted_cdf"))
 
 
 def main(argv=None) -> int:

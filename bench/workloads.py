@@ -262,6 +262,7 @@ def _extract_op(slot, rng, tag):
     x2 = _write_bits(tag + ".x2", rng, ext.n2)
     expected = ext.extract(x1, x2).to_bytes()
     out_path = tag + ".y"
+    open(out_path, "wb").close()  # the request rewrites its output file, as a repeated run does
     argv = ["extract", tag + ".x1", tag + ".x2", out_path, *flags]
 
     def run():
