@@ -4,9 +4,10 @@ Subcommands: ``plan`` (security-parameter calculus), ``extract`` (run an
 extractor over raw-bit files), ``verify`` (seeded numeric verification
 suites), ``report`` (re-render a report as json or csv).
 
-Exit codes: 0 success, 2 usage, 3 domain, 4 resource budget, 5 verification
-failure. All output is deterministic given flags and seed; reports carry an
-explicit schema version and a null timing field.
+Exit codes: 0 success, 2 usage (also a file that cannot be read or written),
+3 domain, 4 resource budget, 5 verification failure. All output is
+deterministic given flags and seed; reports carry an explicit schema version
+and a null timing field.
 
 Raw-bit files are packed little-endian: bit i of the string is bit (i % 8)
 of byte (i // 8). CSV reports have two columns, ``key`` (dotted path, list
@@ -26,14 +27,7 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .errors import (
-    CertificationError,
-    CompositionError,
-    ConstructionError,
-    DomainError,
-    InvalidArgumentError,
-    ResourceBudgetError,
-)
+from .errors import DomainError, MarkovExtError, ResourceBudgetError
 from .bitfield import BitString
 from . import extractors, paramcalc, qsim, sources
 
@@ -79,45 +73,16 @@ def build_descriptor(family: str, n1: int, n2: int, m: int, eps: Optional[float]
 def descriptor_from_file(path: str):
     with open(path) as fh:
         d = json.load(fh)
-    fam = {
-        "DEOR": "deor",
-        "InnerProduct": "inner-product",
-        "ParitySeeded": "parity",
-        "TrevisanSeeded": "trevisan",
-        "Composed": "composed",
-    }.get(d.get("family"))
-    if fam is None:
-        raise DomainError(f"descriptor file names unknown family {d.get('family')!r}")
-    eps = d.get("params", {}).get("eps")
-    if fam == "composed":
-        return build_descriptor("composed", d["n1"], d["n1"], d["params"]["inner"]["m"])
-    if fam == "parity":
-        return build_descriptor("parity", d["n1"], d["n2"], 1)
-    return build_descriptor(fam, d["n1"], d["n2"], d["m"], eps)
-
-
-def design_to_dict(design: extractors.WeakDesign) -> dict:
-    return {
-        "m": design.m,
-        "t": design.t,
-        "d_universe": design.d_universe,
-        "sets": [sorted(s) for s in design.sets],
-    }
+    return extractors.ExtractorDescriptor.from_dict(d)
 
 
 # ---------------------------------------------------------------------------
 # plan
 # ---------------------------------------------------------------------------
 
-def _two_source_law(family: str, n: int, m: int):
-    if family == "deor":
-        return lambda k1, k2: extractors.deor_error(n, k1, k2, m)
-    if family == "inner-product":
-        return lambda k1, k2: extractors.deor_error(n, k1, k2, 1)
-    raise DomainError(f"family {family!r} has no two-source error law for planning")
-
-
 def _plan_assessment(args) -> dict:
+    if not (0 <= args.k1 <= args.n1 and 0 <= args.k2 <= args.n2):
+        raise DomainError(f"need 0 <= k1 <= n1 and 0 <= k2 <= n2, got k1={args.k1}, k2={args.k2}")
     if args.family == "raz":
         if args.delta_prime is None:
             raise DomainError("raz planning requires --delta-prime")
@@ -152,7 +117,7 @@ def _plan_assessment(args) -> dict:
             "required_k": list(plan.required_k),
         }
 
-    law = _two_source_law(args.family, args.n1, args.m)
+    law = build_descriptor(args.family, args.n1, args.n2, args.m).error_law
     k1, k2, m, l = args.k1, args.k2, args.m, args.l
     model = args.model
     if model == "plain":
@@ -444,6 +409,17 @@ def cmd_report(args) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
+def _finite_float(text: str) -> float:
+    """argparse type for the real-valued flags: any float except nan and +-inf."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="xtract",
@@ -460,18 +436,18 @@ def build_parser() -> argparse.ArgumentParser:
     plan.add_argument("--n1", type=int, required=True)
     plan.add_argument("--n2", type=int, required=True)
     plan.add_argument("--m", type=int, required=True)
-    plan.add_argument("--k1", type=float, required=True)
-    plan.add_argument("--k2", type=float, required=True)
+    plan.add_argument("--k1", type=_finite_float, required=True)
+    plan.add_argument("--k2", type=_finite_float, required=True)
     plan.add_argument("--l", type=int, default=2, help="source count (calculus only for l > 2)")
-    plan.add_argument("--eps", type=float, default=None,
+    plan.add_argument("--eps", type=_finite_float, default=None,
                       help="base extractor error; solved self-consistently when omitted")
-    plan.add_argument("--delta1", type=float, default=0.0)
-    plan.add_argument("--delta2", type=float, default=0.0)
-    plan.add_argument("--eps1", type=float, default=0.0)
-    plan.add_argument("--eps2", type=float, default=0.0)
-    plan.add_argument("--delta-prime", type=float, default=None)
+    plan.add_argument("--delta1", type=_finite_float, default=0.0)
+    plan.add_argument("--delta2", type=_finite_float, default=0.0)
+    plan.add_argument("--eps1", type=_finite_float, default=0.0)
+    plan.add_argument("--eps2", type=_finite_float, default=0.0)
+    plan.add_argument("--delta-prime", type=_finite_float, default=None)
     plan.add_argument("--outer-m", type=int, default=None)
-    plan.add_argument("--outer-eps", type=float, default=None)
+    plan.add_argument("--outer-eps", type=_finite_float, default=None)
     plan.add_argument("--out", default=None, help="write the report here instead of stdout")
     plan.set_defaults(func=cmd_plan)
 
@@ -485,7 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
     ext.add_argument("--n1", type=int, default=None)
     ext.add_argument("--n2", type=int, default=None)
     ext.add_argument("--m", type=int, default=None)
-    ext.add_argument("--eps", type=float, default=None)
+    ext.add_argument("--eps", type=_finite_float, default=None)
     ext.set_defaults(func=cmd_extract)
 
     ver = sub.add_parser("verify", help="run a seeded verification suite")
@@ -507,16 +483,13 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except OSError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_USAGE
     except ResourceBudgetError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_RESOURCE
-    except (
-        DomainError,
-        InvalidArgumentError,
-        ConstructionError,
-        CompositionError,
-        CertificationError,
-    ) as e:
+    except (MarkovExtError, json.JSONDecodeError) as e:  # any other malformed request
         print(f"error: {e}", file=sys.stderr)
         return EXIT_DOMAIN
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Optional, Sequence
+from typing import Optional
 
 from mpmath import mp
 
@@ -38,11 +38,12 @@ class ExtractorFamily(str, Enum):
 
 @dataclass(frozen=True)
 class ExtractorDescriptor:
-    """Identity, dimensions and error law of a concrete extractor.
+    """A concrete extractor as a value: family, dimensions and parameters.
 
-    ``error_law`` maps (k1, k2) -> epsilon for two-source families and
-    k -> epsilon for seeded ones. ``strong_in`` lists the inputs in which the
-    extractor is strong (1 and/or 2); input 2 of a seeded extractor is its seed.
+    Equal descriptors compute the same function with the same error law, so
+    they serve as cache keys; ``params`` counts for equality but not the hash.
+    ``strong_in`` lists the inputs in which the extractor is strong (1 and/or
+    2); input 2 of a seeded extractor is its seed.
     """
 
     family: ExtractorFamily
@@ -50,18 +51,37 @@ class ExtractorDescriptor:
     n2: int
     m: int
     strong_in: frozenset = frozenset()
-    error_law: Optional[Callable] = None
-    fn: Optional[Callable] = field(default=None, compare=False)
-    params: dict = field(default_factory=dict)
+    params: dict = field(default_factory=dict, hash=False)
+    # Trevisan only: (TrevisanParams, WeakDesign), built once by trevisan_descriptor.
+    trevisan: Optional[tuple] = field(default=None, compare=False, repr=False)
 
     def extract(self, x1: BitString, x2: BitString) -> BitString:
         if x1.length != self.n1 or x2.length != self.n2:
             raise InvalidArgumentError(
                 f"input lengths ({x1.length}, {x2.length}) do not match ({self.n1}, {self.n2})"
             )
-        if self.fn is None:
-            raise InvalidArgumentError(f"{self.family} descriptor is not executable")
-        return self.fn(x1, x2)
+        family = self.family
+        if family is ExtractorFamily.DEOR:
+            return deor_extract(x1, x2, self.m)
+        if family in (ExtractorFamily.INNER_PRODUCT, ExtractorFamily.PARITY_SEEDED):
+            # <low n2 bits of x1, x2>; for the inner product n2 = n1
+            return BitString(inner_product_mod2(x1.truncate(self.n2), x2), 1)
+        if family is ExtractorFamily.TREVISAN_SEEDED:
+            return trevisan_extract(x1, x2, *self.trevisan)
+        outer, inner = self.params["outer"], self.params["inner"]
+        return outer.extract(x1, inner.extract(x1, x2))
+
+    def error_law(self, k1: float, k2: Optional[float] = None) -> float:
+        """Error at min-entropies (k1, k2) for two-source families, at k1 for seeded ones."""
+        family = self.family
+        if family in (ExtractorFamily.DEOR, ExtractorFamily.INNER_PRODUCT):
+            return deor_error(self.n1, k1, k2, self.m)
+        if family is ExtractorFamily.PARITY_SEEDED:
+            return _parity_flat_error(self.n1, self.n2, k1)
+        if family is ExtractorFamily.TREVISAN_SEEDED:
+            return self.params["eps"] if k1 >= self.trevisan[0].k else 1.0
+        outer, inner = self.params["outer"], self.params["inner"]
+        return min(1.0, inner.error_law(k1, k2) + outer.error_law(k1))
 
     def to_dict(self) -> dict:
         return {
@@ -70,8 +90,42 @@ class ExtractorDescriptor:
             "n2": self.n2,
             "m": self.m,
             "strong_in": sorted(self.strong_in),
-            "params": dict(self.params),
+            "params": {k: v.to_dict() if isinstance(v, ExtractorDescriptor) else v
+                       for k, v in self.params.items()},
         }
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "ExtractorDescriptor":
+        """Rebuild a descriptor through its family's constructor; the inverse of to_dict.
+
+        Fields the constructor does not need may be left out. Raises DomainError
+        when a field is missing or disagrees with what the constructor builds.
+        """
+        try:
+            family, params = ExtractorFamily(d["family"]), dict(d.get("params", {}))
+        except (KeyError, TypeError, ValueError):
+            raise DomainError(f"malformed descriptor {d!r}") from None
+        try:
+            if family is ExtractorFamily.DEOR:
+                ext = deor_descriptor(d["n1"], d["m"])
+            elif family is ExtractorFamily.INNER_PRODUCT:
+                ext = inner_product_descriptor(d["n1"])
+            elif family is ExtractorFamily.PARITY_SEEDED:
+                ext = parity_seeded_descriptor(d["n1"], d["n2"])
+            elif family is ExtractorFamily.TREVISAN_SEEDED:
+                ext = trevisan_descriptor(d["n1"], d["m"], params["eps"])
+            else:
+                ext = compose(cls.from_dict(params["outer"]), cls.from_dict(params["inner"]))
+        except (KeyError, TypeError) as e:
+            raise DomainError(f"{family.value} descriptor lacks or mistypes {e}") from None
+        built = ext.to_dict()
+        # nested descriptors were checked by their own from_dict
+        scalars = {k: v for k, v in params.items() if not isinstance(v, dict)}
+        given = {**built, **d, "params": {**built["params"], **scalars}}
+        wrong = [k for k in built if given[k] != built[k]]
+        if wrong:
+            raise DomainError(f"{family.value} fields {wrong} disagree with its constructor")
+        return ext
 
 
 # ---------------------------------------------------------------------------
@@ -107,8 +161,6 @@ def deor_descriptor(n: int, m: int) -> ExtractorDescriptor:
         n2=n,
         m=m,
         strong_in=frozenset({1, 2}),
-        error_law=lambda k1, k2: deor_error(n, k1, k2, m),
-        fn=lambda x1, x2: deor_extract(x1, x2, m),
         params={"n": n, "m": m},
     )
 
@@ -121,8 +173,6 @@ def inner_product_descriptor(n: int) -> ExtractorDescriptor:
         n2=n,
         m=1,
         strong_in=frozenset({1, 2}),
-        error_law=lambda k1, k2: deor_error(n, k1, k2, 1),
-        fn=lambda x1, x2: BitString(inner_product_mod2(x1, x2), 1),
         params={"n": n},
     )
 
@@ -308,19 +358,20 @@ def trevisan_extract(
 
 
 def trevisan_descriptor(n: int, m: int, eps: float) -> ExtractorDescriptor:
-    """Seeded descriptor with a design whose universe covers params.d."""
+    """Seeded descriptor with a design whose universe covers params.d; needs GF(t), GF(2^{t/2})."""
     params = trevisan_params(n, m, eps)
     blocks = -(-params.d // (params.t * params.t))
     design = weak_design_build(m, params.t, universe_blocks=blocks)
+    if params.t // 2 not in IRREDUCIBLE_POLY:
+        raise ConstructionError(f"no GF(2^{params.t // 2}) modulus available for t={params.t}")
     return ExtractorDescriptor(
         family=ExtractorFamily.TREVISAN_SEEDED,
         n1=n,
         n2=design.d_universe,
         m=m,
         strong_in=frozenset({2}),
-        error_law=lambda k: eps if k >= params.k else 1.0,
-        fn=lambda x, seed: trevisan_extract(x, seed, params, design),
         params={"n": n, "m": m, "eps": eps, "t": params.t, "d": params.d},
+        trevisan=(params, design),
     )
 
 
@@ -377,8 +428,6 @@ def parity_seeded_descriptor(n: int, d: int) -> ExtractorDescriptor:
         n2=d,
         m=1,
         strong_in=frozenset({2}),
-        error_law=lambda k: _parity_flat_error(n, d, k),
-        fn=lambda x, seed: BitString(inner_product_mod2(x.truncate(d), seed), 1),
         params={"n": n, "d": d},
     )
 
@@ -401,23 +450,11 @@ def compose(
         raise CompositionError(
             f"outer source length {outer_seeded.n1} != inner n1 {inner_two_source.n1}"
         )
-
-    def fn(x1: BitString, x2: BitString) -> BitString:
-        return outer_seeded.extract(x1, inner_two_source.extract(x1, x2))
-
-    def law(k1, k2):
-        return min(1.0, inner_two_source.error_law(k1, k2) + outer_seeded.error_law(k1))
-
     return ExtractorDescriptor(
         family=ExtractorFamily.COMPOSED,
         n1=inner_two_source.n1,
         n2=inner_two_source.n2,
         m=outer_seeded.m,
         strong_in=frozenset(),
-        error_law=law if (inner_two_source.error_law and outer_seeded.error_law) else None,
-        fn=fn,
-        params={
-            "outer": outer_seeded.to_dict(),
-            "inner": inner_two_source.to_dict(),
-        },
+        params={"outer": outer_seeded, "inner": inner_two_source},
     )

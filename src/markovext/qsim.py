@@ -13,7 +13,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .bitfield import BitString
+from . import sources
 from .errors import CertificationError, InvalidArgumentError
 from .extractors import ExtractorDescriptor
 from .paramcalc import quantum_markov_transfer, solve_self_consistent_error
@@ -196,13 +196,11 @@ def from_markov_table(table) -> CcqMarkovState:
         comp1 = tuple(table.px1_given_z[z, x] * one for x in range(1 << table.n1))
         comp2 = tuple(table.px2_given_z[z, x] * one for x in range(1 << table.n2))
         blocks.append(CcqBlock(weight=float(table.pz[z]), comp1=comp1, comp2=comp2))
-    from .sources import hmin_conditional  # local import avoids a cycle
-
     return CcqMarkovState(
         n1=table.n1,
         n2=table.n2,
         blocks=tuple(blocks),
-        certified_k=(hmin_conditional(table, 1), hmin_conditional(table, 2)),
+        certified_k=(sources.hmin_conditional(table, 1), sources.hmin_conditional(table, 2)),
     )
 
 
@@ -232,19 +230,17 @@ def markov_cmi(state: CcqMarkovState) -> float:
 # Extractor channel
 # ---------------------------------------------------------------------------
 
+def _sum_by_output(ext: ExtractorDescriptor, n1: int, n2: int, dc: int, block) -> np.ndarray:
+    """Array of shape (M, dc, dc): block(x1, x2) summed over each output value y = Ext(x1, x2)."""
+    out = np.zeros((1 << ext.m, dc, dc), dtype=complex)
+    for (x1, x2), y in np.ndenumerate(sources.extractor_output_table(ext, n1, n2)):
+        out[y] += block(x1, x2)
+    return out
+
+
 def _output_blocks(state: CcqMarkovState, ext: ExtractorDescriptor) -> np.ndarray:
     """Array of shape (M, dC, dC): rho_C grouped by extractor output value."""
-    if ext.n1 != state.n1 or ext.n2 != state.n2:
-        raise InvalidArgumentError("extractor dimensions do not match the state")
-    M = 1 << ext.m
-    dc = state.c_dim
-    out = np.zeros((M, dc, dc), dtype=complex)
-    for x1 in range(1 << state.n1):
-        b1 = BitString(x1, state.n1)
-        for x2 in range(1 << state.n2):
-            y = ext.extract(b1, BitString(x2, state.n2)).value
-            out[y] += state.conditional_side_information(x1, x2)
-    return out
+    return _sum_by_output(ext, state.n1, state.n2, state.c_dim, state.conditional_side_information)
 
 
 def _distance_to_uniform(out_blocks: np.ndarray) -> float:
@@ -272,20 +268,13 @@ def apply_extractor_channel(
     if d1 * d2 * dc != rho.dim:
         raise InvalidArgumentError("dims do not multiply to the state dimension")
     t = rho.matrix.reshape(d1 * d2, dc, d1 * d2, dc)
-    off_diag = 0.0
-    for i in range(d1 * d2):
-        for j in range(d1 * d2):
-            if i != j:
-                off_diag = max(off_diag, float(np.abs(t[i, :, j, :]).max(initial=0.0)))
-    if off_diag > HERMITIAN_TOL:
+    block_max = np.abs(t).max(axis=(1, 3), initial=0.0)
+    np.fill_diagonal(block_max, 0.0)
+    if block_max.max() > HERMITIAN_TOL:
         raise InvalidArgumentError("input registers are not classical within tolerance")
+    diag = lambda x1, x2: t[x1 * d2 + x2, :, x1 * d2 + x2, :]
+    out = _sum_by_output(ext, ext.n1, ext.n2, dc, diag)
     M = 1 << ext.m
-    out = np.zeros((M, dc, dc), dtype=complex)
-    for x1 in range(d1):
-        for x2 in range(d2):
-            y = ext.extract(BitString(x1, ext.n1), BitString(x2, ext.n2)).value
-            i = x1 * d2 + x2
-            out[y] += t[i, :, i, :]
     full = np.zeros((M * dc, M * dc), dtype=complex)
     for y in range(M):
         full[y * dc : (y + 1) * dc, y * dc : (y + 1) * dc] = out[y]
@@ -370,8 +359,6 @@ def verify_quantum_bound(
         raise CertificationError(
             f"asserted entropies ({k1}, {k2}) exceed certified ({cert1:.6f}, {cert2:.6f})"
         )
-    if ext.error_law is None:
-        raise CertificationError("extractor has no error law")
     distance = _distance_to_uniform(_output_blocks(state, ext))
     eps = solve_self_consistent_error(ext.error_law, k1, k2)
     if eps >= 1.0:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Optional
 
 import numpy as np
@@ -101,25 +102,22 @@ def hmin_conditional(table: MarkovSourceTable, source: int) -> float:
     return -math.log2(p_guess)
 
 
-_output_table_cache: dict = {}
+OUTPUT_TABLE_CACHE_SIZE = 32
 
 
+@lru_cache(maxsize=OUTPUT_TABLE_CACHE_SIZE)
 def extractor_output_table(ext: ExtractorDescriptor, n1: int, n2: int) -> np.ndarray:
-    """Dense table T[x1, x2] = Ext(x1, x2) as integers; cached per descriptor."""
+    """Dense read-only table T[x1, x2] = Ext(x1, x2); the last few are kept, keyed by value."""
     if ext.n1 != n1 or ext.n2 != n2:
         raise InvalidArgumentError("extractor dimensions do not match the table")
     if n1 + n2 > ENUMERATION_BUDGET_BITS:
         raise ResourceBudgetError(f"output table of {n1}+{n2} bits exceeds the budget")
-    key = (id(ext), n1, n2)
-    cached = _output_table_cache.get(key)
-    if cached is not None and cached[0] is ext:
-        return cached[1]
     T = np.empty((1 << n1, 1 << n2), dtype=np.int64)
     for x1 in range(1 << n1):
         b1 = BitString(x1, n1)
         for x2 in range(1 << n2):
             T[x1, x2] = ext.extract(b1, BitString(x2, n2)).value
-    _output_table_cache[key] = (ext, T)
+    T.flags.writeable = False
     return T
 
 
@@ -170,12 +168,12 @@ def statistical_distance_from_uniform(
 
 def distinguishing_event_statistic(ext: ExtractorDescriptor, joint: np.ndarray) -> float:
     """sum over {Ext(x1,x2) = Ext(z1,z2)} of p(x1,x2,z1,z2), minus 1/M."""
-    joint = np.asarray(joint, dtype=float)
     n1, n2 = ext.n1, ext.n2
-    if joint.shape != (1 << n1, 1 << n2, 1 << n1, 1 << n2):
-        raise InvalidArgumentError("joint shape must be (2^n1, 2^n2, 2^n1, 2^n2)")
     if 2 * (n1 + n2) > ENUMERATION_BUDGET_BITS:
         raise ResourceBudgetError("joint exceeds the enumeration budget")
+    joint = np.asarray(joint, dtype=float)
+    if joint.shape != (1 << n1, 1 << n2, 1 << n1, 1 << n2):
+        raise InvalidArgumentError("joint shape must be (2^n1, 2^n2, 2^n1, 2^n2)")
     if abs(joint.sum() - 1.0) > ROW_SUM_TOL:
         raise InvalidArgumentError("joint must sum to 1")
     T = extractor_output_table(ext, n1, n2)
@@ -186,8 +184,10 @@ def distinguishing_event_statistic(ext: ExtractorDescriptor, joint: np.ndarray) 
 
 def conditional_distance_given_guess(ext: ExtractorDescriptor, joint: np.ndarray) -> float:
     """(1/2)||Ext(X1,X2) Z1 Z2 - U_m o Z1 Z2|| for an arbitrary enumerable joint."""
-    joint = np.asarray(joint, dtype=float)
     n1, n2 = ext.n1, ext.n2
+    if 2 * (n1 + n2) > ENUMERATION_BUDGET_BITS:
+        raise ResourceBudgetError("joint exceeds the enumeration budget")
+    joint = np.asarray(joint, dtype=float)
     if joint.shape != (1 << n1, 1 << n2, 1 << n1, 1 << n2):
         raise InvalidArgumentError("joint shape must be (2^n1, 2^n2, 2^n1, 2^n2)")
     T = extractor_output_table(ext, n1, n2)

@@ -6,7 +6,7 @@ import pytest
 
 from markovext.bitfield import BitString
 from markovext.cli import csv_to_report, main, report_to_csv
-from markovext.extractors import deor_extract
+from markovext.extractors import compose, deor_descriptor, deor_extract, parity_seeded_descriptor
 from markovext.paramcalc import deor_quantum_corollary
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
@@ -116,6 +116,74 @@ def test_extract_descriptor_file(tmp_path):
     rc = main(["extract", str(in1), str(in2), str(out), "--descriptor", str(desc)])
     assert rc == 0
     assert out.read_bytes() == deor_extract(BitString(0x2A, 8), BitString(0x0F, 8), 4).to_bytes()
+
+
+@pytest.mark.parametrize("fields", [
+    {"family": "DEOR", "n1": 8, "n2": 16, "m": 4, "params": {}},
+    {"family": "ParitySeeded", "n1": 8, "n2": 3, "m": 3, "params": {}},
+    {"family": "InnerProduct", "n1": 8, "n2": 8, "m": 1, "params": {"n": 16}},
+])
+def test_extract_descriptor_file_disagreeing_with_its_family_is_exit_3(tmp_path, fields):
+    in1, in2, out = tmp_path / "a", tmp_path / "b", tmp_path / "y"
+    in1.write_bytes(bytes([0x2A]))
+    in2.write_bytes(bytes([0x0F, 0x00]))
+    desc = tmp_path / "d.json"
+    desc.write_text(json.dumps(fields))
+    assert main(["extract", str(in1), str(in2), str(out), "--descriptor", str(desc)]) == 3
+    assert not out.exists()
+
+
+def test_extract_composed_descriptor_file_roundtrip(tmp_path):
+    ext = compose(parity_seeded_descriptor(8, 2), deor_descriptor(8, 2))
+    desc = tmp_path / "d.json"
+    desc.write_text(json.dumps(ext.to_dict()))
+    for v1, v2 in [(0x2A, 0x0F), (0xC7, 0x81), (0x01, 0xFF)]:
+        in1, in2, out = tmp_path / "a", tmp_path / "b", tmp_path / "y"
+        in1.write_bytes(bytes([v1]))
+        in2.write_bytes(bytes([v2]))
+        assert main(["extract", str(in1), str(in2), str(out), "--descriptor", str(desc)]) == 0
+        assert out.read_bytes() == ext.extract(BitString(v1, 8), BitString(v2, 8)).to_bytes()
+
+
+# ---------------------------------------------------------------------------
+# malformed requests: each exits with its documented code, never a traceback
+# ---------------------------------------------------------------------------
+
+_PLAN = ["plan", "--model", "quantum-markov", "--family", "deor"]
+
+
+@pytest.mark.parametrize("argv,code", [
+    ([*_PLAN, "--n1", "64", "--n2", "64", "--m", "4", "--k1", "nan", "--k2", "50"], 2),
+    ([*_PLAN, "--n1", "64", "--n2", "64", "--m", "4", "--k1", "50", "--k2", "inf"], 2),
+    ([*_PLAN, "--n1", "64", "--n2", "64", "--m", "4", "--k1", "50", "--k2", "50",
+      "--eps", "nan"], 2),
+    ([*_PLAN, "--n1", "7", "--n2", "64", "--m", "4", "--k1", "60", "--k2", "50"], 3),
+    ([*_PLAN, "--n1", "64", "--n2", "64", "--m", "4", "--k1", "-1", "--k2", "50"], 3),
+    ([*_PLAN, "--n1", "16", "--n2", "64", "--m", "4", "--k1", "10", "--k2", "50"], 3),
+    ([*_PLAN, "--n1", "7", "--n2", "7", "--m", "4", "--k1", "6", "--k2", "6"], 3),
+    ([*_PLAN, "--n1", "64", "--n2", "64", "--m", "100", "--k1", "50", "--k2", "50"], 3),
+    (["extract", "{tmp}/absent", "{tmp}/absent", "{tmp}/y", "--n1", "8", "--m", "4"], 2),
+    (["extract", "{tmp}/a", "{tmp}/a", "{tmp}/y", "--descriptor", "{tmp}/absent.json"], 2),
+    (["extract", "{tmp}/a", "{tmp}/a", "{tmp}/no/y", "--n1", "8", "--m", "4"], 2),
+    (["extract", "{tmp}/a", "{tmp}/a", "{tmp}/y", "--descriptor", "{tmp}/a"], 3),
+    (["report", "{tmp}/absent.json", "--format", "csv"], 2),
+    (["verify", "--suite", "distinguishing", "--budget", "1", "--out", "{tmp}/no/r.json"], 2),
+    (["extract", "{tmp}/a", "{tmp}/a", "{tmp}/y", "--family", "trevisan", "--n1", "32",
+      "--m", "8", "--eps", "1e-3"], 3),
+], ids=["k1_nan", "k2_inf", "eps_nan", "k1_gt_n1", "k1_negative", "deor_n1_ne_n2",
+        "deor_no_modulus", "m_gt_n", "missing_input", "missing_descriptor", "unwritable_output",
+        "descriptor_not_json", "missing_report", "unwritable_report", "trevisan_no_modulus"])
+def test_malformed_request_exit_code(tmp_path, capsys, argv, code):
+    (tmp_path / "a").write_bytes(bytes(64))
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    try:
+        rc = main(argv)
+    except SystemExit as exc:
+        rc = exc.code
+    assert rc == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err and "error" in captured.err
 
 
 # ---------------------------------------------------------------------------

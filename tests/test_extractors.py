@@ -1,4 +1,5 @@
 import math
+import pickle
 import random
 
 import pytest
@@ -8,6 +9,7 @@ from markovext.bitfield import BitString, FieldElement, gf_pow, gf_mul, inner_pr
 from markovext.errors import CompositionError, ConstructionError, DomainError, InvalidArgumentError
 from markovext.extractors import (
     WEAK_DESIGN_OVERLAP,
+    ExtractorDescriptor,
     TrevisanParams,
     compose,
     deor_descriptor,
@@ -275,3 +277,105 @@ def test_compose_error_law_is_additive():
     assert c.error_law(7, 7) == pytest.approx(
         inner.error_law(7, 7) + outer.error_law(7), rel=1e-12
     )
+
+
+# ---------------------------------------------------------------------------
+# Descriptors as values
+# ---------------------------------------------------------------------------
+
+def _deor_dict(n, m):
+    return {"family": "DEOR", "n1": n, "n2": n, "m": m, "strong_in": [1, 2],
+            "params": {"n": n, "m": m}}
+
+
+_PARITY_8_3 = {"family": "ParitySeeded", "n1": 8, "n2": 3, "m": 1, "strong_in": [2],
+               "params": {"n": 8, "d": 3}}
+
+# to_dict output of every family, written out as the descriptor files hold it
+_FAMILY_DICTS = [
+    *[(lambda n=n: deor_descriptor(n, 2), _deor_dict(n, 2)) for n in (2, 3, 4, 6, 8, 16, 64)],
+    (lambda: inner_product_descriptor(8),
+     {"family": "InnerProduct", "n1": 8, "n2": 8, "m": 1, "strong_in": [1, 2],
+      "params": {"n": 8}}),
+    (lambda: parity_seeded_descriptor(8, 3), _PARITY_8_3),
+    (lambda: trevisan_descriptor(8, 3, 0.9),
+     {"family": "TrevisanSeeded", "n1": 8, "n2": 256, "m": 3, "strong_in": [2],
+      "params": {"n": 8, "m": 3, "eps": 0.9, "t": 16, "d": 256}}),
+    (lambda: compose(parity_seeded_descriptor(8, 3), deor_descriptor(8, 3)),
+     {"family": "Composed", "n1": 8, "n2": 8, "m": 1, "strong_in": [],
+      "params": {"outer": _PARITY_8_3, "inner": _deor_dict(8, 3)}}),
+]
+
+
+@pytest.mark.parametrize("build,expected", _FAMILY_DICTS,
+                         ids=[d["family"] + str(d["n1"]) for _, d in _FAMILY_DICTS])
+def test_descriptor_is_a_value(build, expected):
+    d = build()
+    assert d.to_dict() == expected
+    rebuilt = ExtractorDescriptor.from_dict(d.to_dict())
+    unpickled = pickle.loads(pickle.dumps(d))
+    assert rebuilt == d == build() == unpickled
+    assert hash(rebuilt) == hash(d) == hash(build()) == hash(unpickled)
+    rnd = random.Random(d.n1)
+    for _ in range(10):
+        x1 = BitString(rnd.getrandbits(d.n1), d.n1)
+        x2 = BitString(rnd.getrandbits(d.n2), d.n2)
+        assert rebuilt.extract(x1, x2) == unpickled.extract(x1, x2) == d.extract(x1, x2)
+
+
+def test_descriptor_values_differ_by_parameters():
+    assert deor_descriptor(8, 2) != deor_descriptor(8, 3)
+    assert trevisan_descriptor(8, 3, 0.9) != trevisan_descriptor(8, 3, 0.75)
+    assert compose(parity_seeded_descriptor(8, 3), deor_descriptor(8, 3)) != compose(
+        parity_seeded_descriptor(8, 2), deor_descriptor(8, 2))
+
+
+def test_from_dict_takes_only_the_constructor_fields():
+    assert ExtractorDescriptor.from_dict(
+        {"family": "DEOR", "n1": 8, "m": 4, "params": {}}) == deor_descriptor(8, 4)
+    assert ExtractorDescriptor.from_dict(
+        {"family": "TrevisanSeeded", "n1": 8, "m": 3, "params": {"eps": 0.9}}
+    ) == trevisan_descriptor(8, 3, 0.9)
+
+
+@pytest.mark.parametrize("d", [
+    {"family": "DEOR", "n1": 8, "n2": 16, "m": 4},
+    {"family": "DEOR", "n1": 8, "n2": 8, "m": 4, "strong_in": [1]},
+    {"family": "DEOR", "n1": 8, "n2": 8, "m": 4, "params": {"m": 5}},
+    {"family": "InnerProduct", "n1": 8, "n2": 8, "m": 2},
+    {"family": "TrevisanSeeded", "n1": 8, "m": 3, "params": {"eps": 0.9, "t": 32}},
+    {"family": "Composed", "n1": 8, "n2": 8, "m": 2,
+     "params": {"outer": _PARITY_8_3, "inner": _deor_dict(8, 3)}},
+    {"family": "DEOR", "n1": 8},
+    {"family": "TrevisanSeeded", "n1": 8, "m": 3, "params": {}},
+    {"family": "NoSuchFamily", "n1": 8},
+    [1, 2],
+])
+def test_from_dict_refuses_what_its_constructor_does_not_build(d):
+    with pytest.raises(DomainError):
+        ExtractorDescriptor.from_dict(d)
+
+
+def test_trevisan_without_a_field_modulus_is_refused_at_build():
+    # t = 64 needs GF(2^32) for the one-bit extractor
+    with pytest.raises(ConstructionError):
+        trevisan_descriptor(32, 8, 1e-3)
+
+
+def test_every_trevisan_descriptor_that_builds_extracts():
+    rnd = random.Random(4)
+    built = 0
+    for n in (8, 16, 32, 64):
+        for m in (3, 4, 8):
+            for eps in (0.99, 0.9, 0.75, 0.5, 0.1, 1e-3):
+                if m > n:
+                    continue
+                try:
+                    d = trevisan_descriptor(n, m, eps)
+                except (ConstructionError, DomainError):
+                    continue
+                built += 1
+                x = BitString(rnd.getrandbits(n), n)
+                seed = BitString(rnd.getrandbits(d.n2), d.n2)
+                assert d.extract(x, seed).length == m
+    assert built >= 3

@@ -198,9 +198,11 @@ def test_apply_extractor_channel_rejects_coherences():
 
 
 def test_apply_extractor_channel_constant_extractor():
-    const = ExtractorDescriptor(
-        family=ExtractorFamily.DEOR, n1=2, n2=2, m=1, fn=lambda a, b: BitString(0, 1)
-    )
+    class Constant(ExtractorDescriptor):
+        def extract(self, x1, x2):
+            return BitString(0, self.m)
+
+    const = Constant(family=ExtractorFamily.DEOR, n1=2, n2=2, m=1)
     rho = DensityOperator(np.eye(16) / 16)
     out = apply_extractor_channel(rho, const, (4, 4, 1))
     assert out.matrix[0, 0] == pytest.approx(1.0)

@@ -5,13 +5,21 @@ import pytest
 
 from markovext.bitfield import BitString
 from markovext.errors import ConstructionError, InvalidArgumentError, ResourceBudgetError
-from markovext.extractors import ExtractorDescriptor, ExtractorFamily, deor_descriptor
+from markovext.extractors import (
+    ExtractorDescriptor,
+    ExtractorFamily,
+    deor_descriptor,
+    inner_product_descriptor,
+    parity_seeded_descriptor,
+)
 from markovext.sources import (
+    OUTPUT_TABLE_CACHE_SIZE,
     FlatSource,
     MarkovSourceTable,
     build_markov_table,
     conditional_distance_given_guess,
     distinguishing_event_statistic,
+    extractor_output_table,
     hmin_conditional,
     random_flat_source,
     random_joint,
@@ -19,14 +27,15 @@ from markovext.sources import (
 )
 
 
+class _ConstantExtractor(ExtractorDescriptor):
+    """DEOR's fields, but every input maps to 0^m."""
+
+    def extract(self, x1: BitString, x2: BitString) -> BitString:
+        return BitString(0, self.m)
+
+
 def _constant_extractor(n: int, m: int) -> ExtractorDescriptor:
-    return ExtractorDescriptor(
-        family=ExtractorFamily.DEOR,
-        n1=n,
-        n2=n,
-        m=m,
-        fn=lambda x1, x2: BitString(0, m),
-    )
+    return _ConstantExtractor(family=ExtractorFamily.DEOR, n1=n, n2=n, m=m)
 
 
 # ---------------------------------------------------------------------------
@@ -147,6 +156,36 @@ def test_enumeration_budget_enforced():
         statistical_distance_from_uniform(ext, t)
 
 
+def test_equal_descriptors_share_one_read_only_table():
+    a, b = deor_descriptor(4, 2), deor_descriptor(4, 2)
+    assert a is not b
+    T = extractor_output_table(a, 4, 4)
+    assert extractor_output_table(b, 4, 4) is T
+    assert not T.flags.writeable
+    assert T[3, 5] == a.extract(BitString(3, 4), BitString(5, 4)).value
+
+
+def test_output_table_cache_is_bounded():
+    descs = [deor_descriptor(n, m) for n in (2, 3, 4) for m in range(1, n + 1)]
+    descs += [inner_product_descriptor(n) for n in range(1, 7)]
+    descs += [parity_seeded_descriptor(n, d) for n in range(1, 7) for d in range(1, min(n, 4) + 1)]
+    assert len(descs) > OUTPUT_TABLE_CACHE_SIZE
+    for d in descs:
+        extractor_output_table(d, d.n1, d.n2)
+        assert extractor_output_table.cache_info().currsize <= OUTPUT_TABLE_CACHE_SIZE
+
+
+def test_subclass_with_deor_fields_gets_its_own_table():
+    real = deor_descriptor(4, 2)
+    const = _constant_extractor(4, 2)
+    assert const != real and real != const
+    T_real = extractor_output_table(real, 4, 4)
+    T_const = extractor_output_table(const, 4, 4)
+    assert T_const is not T_real
+    assert not T_const.any() and T_real.any()
+    assert extractor_output_table(deor_descriptor(4, 2), 4, 4) is T_real
+
+
 # ---------------------------------------------------------------------------
 # Distinguishing-event statistic (and its bounding distance)
 # ---------------------------------------------------------------------------
@@ -173,6 +212,13 @@ def test_distinguishing_statistic_perfect_copy():
             joint[a, b, a, b] = 1 / 64
     stat = distinguishing_event_statistic(ext, joint)
     assert stat == pytest.approx(1 - 2.0 ** -m, abs=1e-12)
+
+
+def test_joint_oracles_enforce_the_enumeration_budget():
+    ext = deor_descriptor(8, 2)  # the joint would span 2 * (8 + 8) = 32 bits
+    for oracle in (distinguishing_event_statistic, conditional_distance_given_guess):
+        with pytest.raises(ResourceBudgetError):
+            oracle(ext, np.zeros(1))
 
 
 def test_distinguishing_statistic_bounded_by_conditional_distance():
