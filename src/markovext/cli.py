@@ -5,8 +5,9 @@ extractor over raw-bit files), ``verify`` (seeded numeric verification
 suites), ``report`` (re-render a report as json or csv).
 
 Exit codes: 0 success, 2 usage (also a file that cannot be read or written),
-3 domain, 4 resource budget, 5 verification failure. All output is
-deterministic given flags and seed; reports carry an explicit schema version
+3 domain (also a report or descriptor file holding NaN or Infinity), 4
+resource budget, 5 verification failure. All output is deterministic given
+flags and seed and is strict JSON; reports carry an explicit schema version
 and a null timing field.
 
 Raw-bit files are packed little-endian: bit i of the string is bit (i % 8)
@@ -53,6 +54,8 @@ def build_descriptor(family: str, n1: int, n2: int, m: int, eps: Optional[float]
         if n1 != n2:
             raise DomainError("deor requires n1 == n2")
         return extractors.deor_descriptor(n1, m)
+    if family in ("inner-product", "parity") and m != 1:
+        raise DomainError(f"{family} outputs one bit; got m={m}")
     if family == "inner-product":
         if n1 != n2:
             raise DomainError("inner-product requires n1 == n2")
@@ -70,9 +73,25 @@ def build_descriptor(family: str, n1: int, n2: int, m: int, eps: Optional[float]
     raise DomainError(f"unknown extractor family {family!r}")
 
 
+def _reject_constant(name: str):
+    raise DomainError(f"{name} is not a JSON number")
+
+
+def _loads(text: str):
+    """json.loads that refuses NaN and +-Infinity, which strict JSON does not have."""
+    return json.loads(text, parse_constant=_reject_constant)
+
+
+def _dumps(value, **kwargs) -> str:
+    try:
+        return json.dumps(value, allow_nan=False, **kwargs)
+    except ValueError as e:
+        raise DomainError(f"cannot write strict JSON: {e}") from None
+
+
 def descriptor_from_file(path: str):
     with open(path) as fh:
-        d = json.load(fh)
+        d = _loads(fh.read())
     return extractors.ExtractorDescriptor.from_dict(d)
 
 
@@ -136,9 +155,10 @@ def _plan_assessment(args) -> dict:
         eps = args.eps
         base_k = [k1, k2] + [k1] * (l - 2)
     else:
+        if l != 2:
+            raise DomainError(f"the self-consistent solve is for l = 2; pass --eps for l={l}")
         eps = paramcalc.solve_self_consistent_error(law, k1, k2)
         base_k = [k1 + math.log2(eps), k2 + math.log2(eps)]
-        l = 2
     if eps >= 1.0:
         return {
             "model": model,
@@ -352,7 +372,7 @@ def report_to_csv(report: dict) -> str:
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(["key", "value"])
     for key, value in _flatten(report):
-        w.writerow([key, json.dumps(value)])
+        w.writerow([key, _dumps(value)])
     return buf.getvalue()
 
 
@@ -366,7 +386,7 @@ def csv_to_report(text: str) -> dict:
         node = root
         for j, part in enumerate(parts[:-1]):
             node = node.setdefault(part, {})
-        node[parts[-1]] = json.loads(raw)
+        node[parts[-1]] = _loads(raw)
 
     def densify(node):
         if not isinstance(node, dict):
@@ -379,7 +399,7 @@ def csv_to_report(text: str) -> dict:
 
 
 def report_to_json(report: dict) -> str:
-    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+    return _dumps(report, indent=2, sort_keys=True) + "\n"
 
 
 def _emit(report: dict, out: Optional[str]):
@@ -395,7 +415,7 @@ def cmd_report(args) -> int:
     with open(args.path) as fh:
         text = fh.read()
     try:
-        report = json.loads(text)
+        report = _loads(text)
     except json.JSONDecodeError:
         report = csv_to_report(text)
     if args.format == "json":

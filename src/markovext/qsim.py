@@ -2,8 +2,11 @@
 
 Builds direct-sum quantum Markov states (classical sources X1, X2, quantum
 side information C), applies the extractor channel, and numerically checks
-the quantum-Markov security bound and trace-distance contractivity. All
-linear algebra is dense; dimensions stay in the hundreds.
+the quantum-Markov security bound and trace-distance contractivity. The
+oracles work block by block on the direct sum over t, so each eigensolve runs
+at one block's dimension c1_t * c2_t; the dense `assemble` / `trace_distance`
+/ `conditional_mutual_information` path is kept as an independent
+cross-check.
 """
 from __future__ import annotations
 
@@ -107,6 +110,18 @@ def conditional_mutual_information(rho: DensityOperator, dims: Tuple[int, int, i
 # Direct-sum Markov states
 # ---------------------------------------------------------------------------
 
+def _block_diagonal(parts: Sequence[np.ndarray]) -> np.ndarray:
+    """The (..., d_t, d_t) arrays on the diagonal of one (..., D, D) array, D = sum_t d_t."""
+    dim = sum(p.shape[-1] for p in parts)
+    out = np.zeros(parts[0].shape[:-2] + (dim, dim), dtype=complex)
+    off = 0
+    for p in parts:
+        d = p.shape[-1]
+        out[..., off : off + d, off : off + d] = p
+        off += d
+    return out
+
+
 @dataclass(frozen=True)
 class CcqBlock:
     """One direct-sum block: weight p(t) and per-source cq components.
@@ -155,37 +170,24 @@ class CcqMarkovState:
 
     def side_information(self) -> np.ndarray:
         """rho_C as a dense matrix (block diagonal over t)."""
-        out = np.zeros((self.c_dim, self.c_dim), dtype=complex)
-        off = 0
-        for b in self.blocks:
-            d = b.c1_dim * b.c2_dim
-            rc1 = sum(b.comp1)
-            rc2 = sum(b.comp2)
-            out[off : off + d, off : off + d] = b.weight * np.kron(rc1, rc2)
-            off += d
-        return out
+        return _block_diagonal(
+            [b.weight * np.kron(sum(b.comp1), sum(b.comp2)) for b in self.blocks]
+        )
 
     def conditional_side_information(self, x1: int, x2: int) -> np.ndarray:
         """rho_C(x1, x2) = sum_t p(t) p(x1|t) p(x2|t) rho1^t(x1) (x) rho2^t(x2)."""
-        out = np.zeros((self.c_dim, self.c_dim), dtype=complex)
-        off = 0
-        for b in self.blocks:
-            d = b.c1_dim * b.c2_dim
-            out[off : off + d, off : off + d] = b.weight * np.kron(b.comp1[x1], b.comp2[x2])
-            off += d
-        return out
+        return _block_diagonal(
+            [b.weight * np.kron(b.comp1[x1], b.comp2[x2]) for b in self.blocks]
+        )
 
 
 def assemble(state: CcqMarkovState) -> DensityOperator:
     """Dense density operator on X1 (x) X2 (x) C with orthogonal C-blocks."""
-    d1, d2, dc = 1 << state.n1, 1 << state.n2, state.c_dim
-    out = np.zeros((d1 * d2 * dc, d1 * d2 * dc), dtype=complex)
-    for x1 in range(d1):
-        for x2 in range(d2):
-            blk = state.conditional_side_information(x1, x2)
-            base = (x1 * d2 + x2) * dc
-            out[base : base + dc, base : base + dc] = blk
-    return DensityOperator(out)
+    return DensityOperator(_block_diagonal([
+        state.conditional_side_information(x1, x2)
+        for x1 in range(1 << state.n1)
+        for x2 in range(1 << state.n2)
+    ]))
 
 
 def from_markov_table(table) -> CcqMarkovState:
@@ -205,51 +207,59 @@ def from_markov_table(table) -> CcqMarkovState:
 
 
 def markov_cmi(state: CcqMarkovState) -> float:
-    """I(X1:X2|C) computed from the block structure (exact eigenvalues)."""
-    h_x1c, h_x2c, h_c, h_all = [], [], [], []
+    """I(X1:X2|C) computed from the block structure (exact eigenvalues).
+
+    Each entropy is a sum over blocks t, and within a block every spectrum is
+    p(t) times a product of one C1 and one C2 spectrum.
+    """
+    ent = _entropy_from_eigs
+    total = 0.0
     for b in state.blocks:
-        rc1 = sum(b.comp1)
-        rc2 = sum(b.comp2)
-        e1 = {x: np.linalg.eigvalsh(b.comp1[x]) for x in range(len(b.comp1))}
-        e2 = {x: np.linalg.eigvalsh(b.comp2[x]) for x in range(len(b.comp2))}
-        ec1 = np.linalg.eigvalsh(rc1)
-        ec2 = np.linalg.eigvalsh(rc2)
-        h_c.append(b.weight * np.outer(ec1, ec2).ravel())
-        for x1 in range(len(b.comp1)):
-            h_x1c.append(b.weight * np.outer(e1[x1], ec2).ravel())
-        for x2 in range(len(b.comp2)):
-            h_x2c.append(b.weight * np.outer(ec1, e2[x2]).ravel())
-        for x1 in range(len(b.comp1)):
-            for x2 in range(len(b.comp2)):
-                h_all.append(b.weight * np.outer(e1[x1], e2[x2]).ravel())
-    ent = lambda parts: _entropy_from_eigs(np.concatenate(parts))
-    return ent(h_x1c) + ent(h_x2c) - ent(h_c) - ent(h_all)
+        # the last row of each stack is the marginal rho_i^t = sum_x comp_i[x]
+        s1, s2 = np.stack(b.comp1), np.stack(b.comp2)
+        e1 = np.linalg.eigvalsh(np.concatenate([s1, s1.sum(axis=0, keepdims=True)]))
+        e2 = np.linalg.eigvalsh(np.concatenate([s2, s2.sum(axis=0, keepdims=True)]))
+        (e1, ec1), (e2, ec2) = (e1[:-1], e1[-1]), (e2[:-1], e2[-1])
+        w = b.weight
+        total += (
+            ent(w * e1[:, :, None] * ec2)
+            + ent(w * ec1[:, None] * e2[:, None, :])
+            - ent(w * np.outer(ec1, ec2))
+            - ent(w * e1[:, None, :, None] * e2[None, :, None, :])
+        )
+    return total
 
 
 # ---------------------------------------------------------------------------
 # Extractor channel
 # ---------------------------------------------------------------------------
 
-def _sum_by_output(ext: ExtractorDescriptor, n1: int, n2: int, dc: int, block) -> np.ndarray:
-    """Array of shape (M, dc, dc): block(x1, x2) summed over each output value y = Ext(x1, x2)."""
-    out = np.zeros((1 << ext.m, dc, dc), dtype=complex)
-    for (x1, x2), y in np.ndenumerate(sources.extractor_output_table(ext, n1, n2)):
-        out[y] += block(x1, x2)
+def _one_hot_outputs(ext: ExtractorDescriptor, n1: int, n2: int) -> np.ndarray:
+    """Array H of shape (2^n1, 2^n2, M) with H[x1, x2, y] = [Ext(x1, x2) = y]."""
+    return np.eye(1 << ext.m)[sources.extractor_output_table(ext, n1, n2)]
+
+
+def _output_blocks(state: CcqMarkovState, ext: ExtractorDescriptor) -> List[np.ndarray]:
+    """Per block t, the (M, d_t, d_t) array p(t) sum_{Ext(x1,x2)=y} A_t[x1] (x) B_t[x2]."""
+    onehot = _one_hot_outputs(ext, state.n1, state.n2)
+    out = []
+    for b in state.blocks:
+        # sum over x2 first, then the Kronecker product with A_t[x1] summed over x1
+        partial = np.einsum("uvy,vij->uyij", onehot, np.stack(b.comp2))
+        o = np.einsum("upq,uyij->ypiqj", np.stack(b.comp1), partial)
+        d = b.c1_dim * b.c2_dim
+        out.append(b.weight * o.reshape(-1, d, d))
     return out
 
 
-def _output_blocks(state: CcqMarkovState, ext: ExtractorDescriptor) -> np.ndarray:
-    """Array of shape (M, dC, dC): rho_C grouped by extractor output value."""
-    return _sum_by_output(ext, state.n1, state.n2, state.c_dim, state.conditional_side_information)
+def _distance_to_uniform(out_blocks: Sequence[np.ndarray]) -> float:
+    """(1/2)|| rho_{YC} - U_m (x) rho_C ||_1 as a sum over the (M, d, d) blocks of rho_{YC}.
 
-
-def _distance_to_uniform(out_blocks: np.ndarray) -> float:
-    """(1/2)|| rho_{YC} - U_m (x) rho_C ||_1 using the block structure in y."""
-    M = out_blocks.shape[0]
-    rho_c = out_blocks.sum(axis=0)
+    Each block's eigensolves run at its own dimension d.
+    """
     total = 0.0
-    for y in range(M):
-        eig = np.linalg.eigvalsh(out_blocks[y] - rho_c / M)
+    for o in out_blocks:
+        eig = np.linalg.eigvalsh(o - o.mean(axis=0))
         total += 0.5 * float(np.abs(eig).sum())
     return total
 
@@ -272,13 +282,10 @@ def apply_extractor_channel(
     np.fill_diagonal(block_max, 0.0)
     if block_max.max() > HERMITIAN_TOL:
         raise InvalidArgumentError("input registers are not classical within tolerance")
-    diag = lambda x1, x2: t[x1 * d2 + x2, :, x1 * d2 + x2, :]
-    out = _sum_by_output(ext, ext.n1, ext.n2, dc, diag)
-    M = 1 << ext.m
-    full = np.zeros((M * dc, M * dc), dtype=complex)
-    for y in range(M):
-        full[y * dc : (y + 1) * dc, y * dc : (y + 1) * dc] = out[y]
-    return DensityOperator(full)
+    x = np.arange(d1 * d2)
+    onehot = _one_hot_outputs(ext, ext.n1, ext.n2).reshape(d1 * d2, -1)
+    out = np.einsum("xy,xij->yij", onehot, t[x, :, x, :])
+    return DensityOperator(_block_diagonal(list(out)))
 
 
 # ---------------------------------------------------------------------------
@@ -309,22 +316,15 @@ def hmin_cq(components: Sequence[np.ndarray]) -> float:
 
 def _marginal_components(state: CcqMarkovState, source: int) -> List[np.ndarray]:
     """Subnormalized operators on C for each value of X_source."""
-    n = state.n1 if source == 1 else state.n2
-    dc = state.c_dim
-    comps = [np.zeros((dc, dc), dtype=complex) for _ in range(1 << n)]
-    off = 0
+    parts = []
     for b in state.blocks:
-        d = b.c1_dim * b.c2_dim
         if source == 1:
             other = sum(b.comp2)
-            for x, a in enumerate(b.comp1):
-                comps[x][off : off + d, off : off + d] += b.weight * np.kron(a, other)
+            parts.append([b.weight * np.kron(a, other) for a in b.comp1])
         else:
             other = sum(b.comp1)
-            for x, a in enumerate(b.comp2):
-                comps[x][off : off + d, off : off + d] += b.weight * np.kron(other, a)
-        off += d
-    return comps
+            parts.append([b.weight * np.kron(other, a) for a in b.comp2])
+    return [_block_diagonal(per_x) for per_x in zip(*parts)]
 
 
 def certify_hmin(state: CcqMarkovState, source: int) -> float:
@@ -375,10 +375,6 @@ class MonotonicityCheck:
     holds: bool
 
 
-def _apply_kraus_blocks(blocks: np.ndarray, kraus: Sequence[np.ndarray]) -> np.ndarray:
-    return np.stack([sum(K @ b @ K.conj().T for K in kraus) for b in blocks])
-
-
 def channel_monotonicity_check(
     state: CcqMarkovState, ext: ExtractorDescriptor, kraus: Sequence[np.ndarray]
 ) -> MonotonicityCheck:
@@ -390,7 +386,9 @@ def channel_monotonicity_check(
         raise InvalidArgumentError("Kraus operators do not satisfy the completeness relation")
     out = _output_blocks(state, ext)
     before = _distance_to_uniform(out)
-    after = _distance_to_uniform(_apply_kraus_blocks(out, kraus))
+    # Kraus operators mix the C-blocks, so the channel acts on the dense form
+    full = _block_diagonal(out)
+    after = _distance_to_uniform([sum(K @ full @ K.conj().T for K in kraus)])
     return MonotonicityCheck(before=before, after=after, holds=after <= before + DISTANCE_SLACK)
 
 

@@ -5,7 +5,7 @@ import os
 import pytest
 
 from markovext.bitfield import BitString
-from markovext.cli import csv_to_report, main, report_to_csv
+from markovext.cli import csv_to_report, main, report_to_csv, report_to_json
 from markovext.extractors import compose, deor_descriptor, deor_extract, parity_seeded_descriptor
 from markovext.paramcalc import deor_quantum_corollary
 
@@ -170,11 +170,28 @@ _PLAN = ["plan", "--model", "quantum-markov", "--family", "deor"]
     (["verify", "--suite", "distinguishing", "--budget", "1", "--out", "{tmp}/no/r.json"], 2),
     (["extract", "{tmp}/a", "{tmp}/a", "{tmp}/y", "--family", "trevisan", "--n1", "32",
       "--m", "8", "--eps", "1e-3"], 3),
+    (["report", "{tmp}/nan.json", "--format", "json"], 3),
+    (["report", "{tmp}/nan.json", "--format", "csv"], 3),
+    (["report", "{tmp}/inf.csv", "--format", "json"], 3),
+    ([*_PLAN, "--n1", "64", "--n2", "64", "--m", "4", "--k1", "60", "--k2", "60", "--l", "3"], 3),
+    (["plan", "--model", "classical-markov", "--family", "deor", "--n1", "64", "--n2", "64",
+      "--m", "4", "--k1", "60", "--k2", "60", "--l", "1"], 3),
+    (["plan", "--model", "quantum-markov", "--family", "inner-product", "--n1", "64",
+      "--n2", "64", "--m", "40", "--k1", "60", "--k2", "60"], 3),
+    (["extract", "{tmp}/a", "{tmp}/a", "{tmp}/y", "--family", "inner-product", "--n1", "8",
+      "--m", "2"], 3),
+    (["extract", "{tmp}/a", "{tmp}/a", "{tmp}/y", "--family", "parity", "--n1", "8",
+      "--n2", "4", "--m", "2"], 3),
 ], ids=["k1_nan", "k2_inf", "eps_nan", "k1_gt_n1", "k1_negative", "deor_n1_ne_n2",
         "deor_no_modulus", "m_gt_n", "missing_input", "missing_descriptor", "unwritable_output",
-        "descriptor_not_json", "missing_report", "unwritable_report", "trevisan_no_modulus"])
+        "descriptor_not_json", "missing_report", "unwritable_report", "trevisan_no_modulus",
+        "report_nan_to_json", "report_nan_to_csv", "report_csv_infinity", "l3_without_eps",
+        "l1_without_eps", "inner_product_m_ne_1", "extract_inner_product_m_ne_1",
+        "extract_parity_m_ne_1"])
 def test_malformed_request_exit_code(tmp_path, capsys, argv, code):
     (tmp_path / "a").write_bytes(bytes(64))
+    (tmp_path / "nan.json").write_text('{"version": "1", "records": [{"distance": NaN}]}')
+    (tmp_path / "inf.csv").write_text("key,value\nrecords.0.distance,-Infinity\n")
     argv = [a.format(tmp=tmp_path) for a in argv]
     try:
         rc = main(argv)
@@ -258,6 +275,17 @@ def test_report_matches_golden_file(capsys):
     assert rc == 0
     with open(golden_csv) as fh:
         assert out == fh.read()
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_report_writers_refuse_non_finite(value):
+    from markovext.errors import DomainError
+
+    report = {"version": "1", "records": [{"distance": value}]}
+    with pytest.raises(DomainError):
+        report_to_json(report)
+    with pytest.raises(DomainError):
+        report_to_csv(report)
 
 
 def test_csv_report_requires_header():

@@ -324,6 +324,55 @@ def test_monotonicity_depolarizing_closed_form():
     assert chk.holds
 
 
+def test_block_oracle_matches_dense_path():
+    # the per-block distance and CMI against the dense assemble/trace_distance path
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 4))
+        m = int(rng.integers(1, n + 1))
+        blocks, max_c_dim = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+        state = random_ccq_markov_state(n, n, blocks, max_c_dim, rng)
+        ext = deor_descriptor(n, m)
+        rho = assemble(state)
+        dims = (1 << n, 1 << n, state.c_dim)
+        uniform = DensityOperator(np.eye(1 << m) / (1 << m))
+        ideal = tensor(uniform, DensityOperator(state.side_information()))
+        dense = trace_distance(apply_extractor_channel(rho, ext, dims), ideal)
+        chk = verify_quantum_bound(state, ext, *state.certified_k)
+        assert chk.distance == pytest.approx(dense, abs=1e-12)
+        assert markov_cmi(state) == pytest.approx(
+            conditional_mutual_information(rho, dims), abs=1e-9
+        )
+
+
+def test_block_oracle_eigensolves_at_block_dimension(monkeypatch):
+    shapes = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def recording(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    state = random_ccq_markov_state(4, 4, 16, 3, np.random.default_rng(3))
+    largest = max(b.c1_dim * b.c2_dim for b in state.blocks)
+    assert state.c_dim > largest
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    verify_quantum_bound(state, deor_descriptor(4, 2), *state.certified_k)
+    assert shapes and max(s[-1] for s in shapes) <= largest
+
+
+def test_monotonicity_before_equals_verified_distance():
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        state = random_ccq_markov_state(2, 2, int(rng.integers(1, 4)), 2, rng)
+        ext = deor_descriptor(2, 1 + seed % 2)
+        kraus = random_channel(state.c_dim, 2, rng)
+        chk = channel_monotonicity_check(state, ext, kraus)
+        assert chk.before == pytest.approx(
+            verify_quantum_bound(state, ext, *state.certified_k).distance, abs=1e-12
+        )
+
+
 def test_monotonicity_rejects_incomplete_kraus():
     state = random_ccq_markov_state(2, 2, 1, 2, np.random.default_rng(1))
     ext = deor_descriptor(2, 1)
