@@ -139,6 +139,8 @@ def _plan_assessment(args) -> dict:
     law = build_descriptor(args.family, args.n1, args.n2, args.m).error_law
     k1, k2, m, l = args.k1, args.k2, args.m, args.l
     model = args.model
+    if model in ("plain", "smooth-markov", "subnormalized") and l != 2:
+        raise DomainError(f"the {model} model is stated for two sources; got l={l}")
     if model == "plain":
         a = paramcalc.SecurityAssessment(
             model=paramcalc.SecurityModel.PLAIN,

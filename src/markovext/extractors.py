@@ -146,8 +146,16 @@ def deor_extract(x1: BitString, x2: BitString, m: int) -> BitString:
 
 
 def deor_error(n: int, k1: float, k2: float, m: int) -> float:
-    """Classical error 2^{-(k1+k2+1-n-m)/2}, clamped to 1."""
-    return min(1.0, float(mp.mpf(2) ** (-(mp.mpf(k1) + k2 + 1 - n - m) / 2)))
+    """Classical error 2^{-(k1+k2+1-n-m)/2}, clamped to 1.
+
+    Evaluated in double precision, clamped before exponentiating so that very
+    low entropies give 1.0 rather than an overflow. Raises DomainError for a
+    non-finite entropy.
+    """
+    if not (math.isfinite(k1) and math.isfinite(k2)):
+        raise DomainError(f"entropies must be finite, got k1={k1}, k2={k2}")
+    e = -(k1 + k2 + 1 - n - m) / 2
+    return 1.0 if e >= 0 else 2.0 ** e
 
 
 def deor_descriptor(n: int, m: int) -> ExtractorDescriptor:

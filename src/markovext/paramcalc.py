@@ -3,7 +3,9 @@
 Transfers a plain extractor's (k_1, ..., k_l, eps) guarantee into
 classical-proof and quantum-proof Markov-model guarantees, plus the smooth,
 subnormalized and construction-specific corollaries. All logarithms are base
-2 and evaluated at 120-bit precision; all error outputs are clamped to [0, 1].
+2; the transfers and closed-form bounds are evaluated at 120-bit precision,
+the self-consistent solver in double precision. All error outputs are clamped
+to [0, 1].
 """
 from __future__ import annotations
 
@@ -154,8 +156,15 @@ def solve_self_consistent_error(
     """Solve eps = error_law(k1' - log(1/eps), k2' - log(1/eps)) by bisection on log2(eps).
 
     Requires error_law non-increasing in each entropy, which makes the fixed
-    point unique on (0, 1].
+    point unique on (0, 1]. The search runs over log2(eps) in [-2000, 0] with
+    f(lo) < 0 <= f(hi) and stops exactly when the midpoint is no longer
+    strictly between lo and hi. Then lo and hi are adjacent floats, the
+    midpoint rounds to one of them, and further steps would leave both in
+    place, so the result is the limit of the bisection. Raises DomainError
+    for a non-finite k1' or k2'.
     """
+    if not (math.isfinite(k1p) and math.isfinite(k2p)):
+        raise DomainError(f"entropies must be finite, got k1'={k1p}, k2'={k2p}")
 
     def f(log_eps: float) -> float:
         e = error_law(k1p + log_eps, k2p + log_eps)
@@ -168,13 +177,14 @@ def solve_self_consistent_error(
         return 1.0
     if f(lo) >= 0:
         return float(2.0 ** lo)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi:
         if f(mid) < 0:
             lo = mid
         else:
             hi = mid
-    return float(2.0 ** (0.5 * (lo + hi)))
+        mid = 0.5 * (lo + hi)
+    return float(2.0 ** mid)
 
 
 @dataclass(frozen=True)

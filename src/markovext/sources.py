@@ -166,16 +166,26 @@ def statistical_distance_from_uniform(
     return float(total)
 
 
-def distinguishing_event_statistic(ext: ExtractorDescriptor, joint: np.ndarray) -> float:
-    """sum over {Ext(x1,x2) = Ext(z1,z2)} of p(x1,x2,z1,z2), minus 1/M."""
+def _checked_joint(ext: ExtractorDescriptor, joint: np.ndarray) -> np.ndarray:
+    """The joint p(x1, x2, z1, z2) as a float array, checked against the budget
+    (before its shape) and to be a probability distribution."""
     n1, n2 = ext.n1, ext.n2
     if 2 * (n1 + n2) > ENUMERATION_BUDGET_BITS:
         raise ResourceBudgetError("joint exceeds the enumeration budget")
     joint = np.asarray(joint, dtype=float)
     if joint.shape != (1 << n1, 1 << n2, 1 << n1, 1 << n2):
         raise InvalidArgumentError("joint shape must be (2^n1, 2^n2, 2^n1, 2^n2)")
-    if abs(joint.sum() - 1.0) > ROW_SUM_TOL:
+    if np.any(joint < -ROW_SUM_TOL):
+        raise InvalidArgumentError("joint has negative entries")
+    if not abs(joint.sum() - 1.0) <= ROW_SUM_TOL:
         raise InvalidArgumentError("joint must sum to 1")
+    return joint
+
+
+def distinguishing_event_statistic(ext: ExtractorDescriptor, joint: np.ndarray) -> float:
+    """sum over {Ext(x1,x2) = Ext(z1,z2)} of p(x1,x2,z1,z2), minus 1/M."""
+    joint = _checked_joint(ext, joint)
+    n1, n2 = ext.n1, ext.n2
     T = extractor_output_table(ext, n1, n2)
     eq = T[:, :, None, None] == T[None, None, :, :]
     M = 1 << ext.m
@@ -184,12 +194,8 @@ def distinguishing_event_statistic(ext: ExtractorDescriptor, joint: np.ndarray) 
 
 def conditional_distance_given_guess(ext: ExtractorDescriptor, joint: np.ndarray) -> float:
     """(1/2)||Ext(X1,X2) Z1 Z2 - U_m o Z1 Z2|| for an arbitrary enumerable joint."""
+    joint = _checked_joint(ext, joint)
     n1, n2 = ext.n1, ext.n2
-    if 2 * (n1 + n2) > ENUMERATION_BUDGET_BITS:
-        raise ResourceBudgetError("joint exceeds the enumeration budget")
-    joint = np.asarray(joint, dtype=float)
-    if joint.shape != (1 << n1, 1 << n2, 1 << n1, 1 << n2):
-        raise InvalidArgumentError("joint shape must be (2^n1, 2^n2, 2^n1, 2^n2)")
     T = extractor_output_table(ext, n1, n2)
     M = 1 << ext.m
     # p(y, z1, z2)

@@ -1,8 +1,12 @@
+import contextlib
+import io
 import json
 import math
 import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from markovext.bitfield import BitString
 from markovext.cli import csv_to_report, main, report_to_csv, report_to_json
@@ -182,12 +186,15 @@ _PLAN = ["plan", "--model", "quantum-markov", "--family", "deor"]
       "--m", "2"], 3),
     (["extract", "{tmp}/a", "{tmp}/a", "{tmp}/y", "--family", "parity", "--n1", "8",
       "--n2", "4", "--m", "2"], 3),
+    *[(["plan", "--model", model, "--family", "deor", "--n1", "64", "--n2", "64", "--m", "4",
+        "--k1", "60", "--k2", "60", "--l", "3", "--eps", "1e-6"], 3)
+      for model in ("plain", "subnormalized", "smooth-markov")],
 ], ids=["k1_nan", "k2_inf", "eps_nan", "k1_gt_n1", "k1_negative", "deor_n1_ne_n2",
         "deor_no_modulus", "m_gt_n", "missing_input", "missing_descriptor", "unwritable_output",
         "descriptor_not_json", "missing_report", "unwritable_report", "trevisan_no_modulus",
         "report_nan_to_json", "report_nan_to_csv", "report_csv_infinity", "l3_without_eps",
         "l1_without_eps", "inner_product_m_ne_1", "extract_inner_product_m_ne_1",
-        "extract_parity_m_ne_1"])
+        "extract_parity_m_ne_1", "plain_l3", "subnormalized_l3", "smooth_markov_l3"])
 def test_malformed_request_exit_code(tmp_path, capsys, argv, code):
     (tmp_path / "a").write_bytes(bytes(64))
     (tmp_path / "nan.json").write_text('{"version": "1", "records": [{"distance": NaN}]}')
@@ -201,6 +208,62 @@ def test_malformed_request_exit_code(tmp_path, capsys, argv, code):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "Traceback" not in captured.err and "error" in captured.err
+
+
+_BAD_REAL = st.sampled_from(["nan", "inf", "-inf", "-1", "-1e-9", "1e9"])
+_BAD_INT = st.sampled_from(["-1", "0", "5", "7", "100", "65536"])
+
+
+def _maybe_bad(draw, good, bad):
+    """Mostly a value inside the flag's domain, one time in six one outside it."""
+    return draw(bad) if draw(st.integers(0, 5)) == 3 else draw(good)
+
+
+def _real(lo, hi):
+    return st.floats(lo, hi).map(repr)
+
+
+@st.composite
+def _plan_argv(draw):
+    n = draw(st.sampled_from([2, 3, 4, 8, 16, 64]))
+    flags = {
+        "--model": draw(st.sampled_from(["plain", "classical-markov", "quantum-markov",
+                                         "smooth-markov", "subnormalized"])),
+        "--family": draw(st.sampled_from(["deor", "inner-product", "raz",
+                                          "trevisan-composition"])),
+        "--n1": _maybe_bad(draw, st.just(str(n)), _BAD_INT),
+        "--n2": _maybe_bad(draw, st.just(str(n)), _BAD_INT),
+        "--m": _maybe_bad(draw, st.integers(1, 4).map(str), _BAD_INT),  # m > n when n is 2 or 3
+        "--k1": _maybe_bad(draw, _real(0, n), _BAD_REAL | st.just(str(n + 1))),
+        "--k2": _maybe_bad(draw, _real(0, n), _BAD_REAL | st.just(str(n + 1))),
+        "--l": _maybe_bad(draw, st.just("2"), st.integers(0, 5).map(str)),
+    }
+    optional = {
+        "--eps": _real(1e-12, 0.5), "--delta1": _real(0, 0.01), "--delta2": _real(0, 0.01),
+        "--eps1": _real(0, 0.01), "--eps2": _real(0, 0.01), "--delta-prime": _real(0, 0.6),
+        "--outer-m": st.integers(1, 64).map(str), "--outer-eps": _real(1e-12, 0.5),
+    }
+    for flag, good in optional.items():
+        if draw(st.booleans()):
+            flags[flag] = _maybe_bad(draw, good, _BAD_INT if flag == "--outer-m" else _BAD_REAL)
+    return ["plan"] + [part for flag, value in flags.items() for part in (flag, value)]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_plan_argv())
+def test_plan_fuzz_exits_with_a_documented_code(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+    assert rc in (0, 2, 3, 4, 5)
+    assert "Traceback" not in err.getvalue()
+    if rc == 0:
+        json.loads(out.getvalue(), parse_constant=lambda name: pytest.fail(f"{name} in output"))
+    else:
+        assert out.getvalue() == ""
 
 
 # ---------------------------------------------------------------------------

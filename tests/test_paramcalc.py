@@ -1,10 +1,19 @@
+import functools
 import math
 import random
 
 import pytest
+from mpmath import mp
 
 from markovext.errors import DomainError
-from markovext.extractors import deor_error, trevisan_params
+from markovext.extractors import (
+    compose,
+    deor_descriptor,
+    deor_error,
+    parity_seeded_descriptor,
+    trevisan_descriptor,
+    trevisan_params,
+)
 from markovext.paramcalc import (
     SecurityAssessment,
     SecurityModel,
@@ -186,6 +195,117 @@ def test_self_consistent_error_is_a_fixed_point():
 def test_self_consistent_error_clamps_to_one():
     law = lambda a, b: 1.0
     assert solve_self_consistent_error(law, 10, 10) == 1.0
+
+
+def _bisect_200_steps(error_law, k1p, k2p):
+    """Reference: the solver as it was, with a fixed count of 200 bisection steps."""
+
+    def f(log_eps):
+        e = error_law(k1p + log_eps, k2p + log_eps)
+        if e <= 0:
+            return -math.inf
+        return log_eps - math.log2(e)
+
+    lo, hi = -2000.0, 0.0
+    if f(hi) <= 0:
+        return 1.0
+    if f(lo) >= 0:
+        return float(2.0 ** lo)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if f(mid) < 0:
+            lo = mid
+        else:
+            hi = mid
+    return float(2.0 ** (0.5 * (lo + hi)))
+
+
+class _CountingLaw:
+    def __init__(self, law):
+        self.law = law
+        self.calls = 0
+
+    def __call__(self, k1, k2):
+        self.calls += 1
+        return self.law(k1, k2)
+
+
+def _deor_grid(seed, per_cell):
+    """(law, n, m, k1', k2') over n in {4, 6, 8, 16, 64}, m in {1, 2, 4}, n/2 <= k' <= n."""
+    rnd = random.Random(seed)
+    for n in (4, 6, 8, 16, 64):
+        for m in (1, 2, 4):
+            if m > n:
+                continue
+            law = lambda a, b, n=n, m=m: deor_error(n, a, b, m)
+            for _ in range(per_cell):
+                yield law, n, m, rnd.uniform(n / 2, n), rnd.uniform(n / 2, n)
+
+
+def _composed_law():
+    # The parity law is defined for 0 <= k <= n only; below that the error is 1.
+    # It costs ~1 ms an evaluation, and both solvers probe the same points, so
+    # the values are kept.
+    law = compose(parity_seeded_descriptor(8, 3), deor_descriptor(8, 3)).error_law
+    return functools.lru_cache(maxsize=None)(lambda a, b: law(a, b) if min(a, b) >= 0 else 1.0)
+
+
+def test_solver_matches_the_200_step_bisection_bit_for_bit():
+    cases = [(law, k1, k2) for law, _, _, k1, k2 in _deor_grid(7, 40)]
+    rnd = random.Random(6)
+    # the Trevisan step sits at its threshold k = 16
+    trevisan = trevisan_descriptor(8, 3, 0.9)
+    for law, count, lo, hi in ((_composed_law(), 3, 5, 8),
+                               (trevisan.error_law, 40, trevisan.trevisan[0].k, 18),
+                               (lambda a, b: 0.25, 40, 0, 8)):
+        cases += [(law, rnd.uniform(lo, hi), rnd.uniform(lo, hi)) for _ in range(count)]
+    for law, k1, k2 in cases:
+        assert solve_self_consistent_error(law, k1, k2) == _bisect_200_steps(law, k1, k2)
+
+
+def test_solver_law_evaluations_per_deor_solve():
+    # From a width of 2000 down to adjacent floats near log2(eps) <= -1 takes at
+    # most 63 halvings, plus the two end checks. Closer to eps = 1 the float
+    # spacing near log2(eps) shrinks and the count grows.
+    solved = 0
+    for law, _, _, k1, k2 in _deor_grid(8, 40):
+        counted = _CountingLaw(law)
+        if solve_self_consistent_error(counted, k1, k2) <= 0.5:
+            assert counted.calls <= 66
+            solved += 1
+    assert solved > 100
+
+
+def test_solver_agrees_with_the_deor_closed_form():
+    for law, n, m, k1, k2 in _deor_grid(9, 40):
+        eps = solve_self_consistent_error(law, k1, k2)
+        closed = min(1.0, 2.0 ** (-(k1 + k2 + 1 - n - m) / 4))
+        assert abs(eps - closed) <= 1e-14 * closed
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_solver_and_deor_law_refuse_non_finite_entropies(bad):
+    law = lambda a, b: deor_error(64, a, b, 4)
+    with pytest.raises(DomainError):
+        solve_self_consistent_error(law, bad, 2.5)
+    with pytest.raises(DomainError):
+        solve_self_consistent_error(law, 2.5, bad)
+    with pytest.raises(DomainError):
+        deor_error(64, bad, 2.5, 4)
+    with pytest.raises(DomainError):
+        deor_error(64, 2.5, bad, 4)
+
+
+def test_deor_law_in_floats_matches_mpmath_at_53_bits():
+    rnd = random.Random(10)
+    for _ in range(5000):
+        n = rnd.choice((2, 3, 4, 6, 8, 16, 64))
+        m = rnd.randint(1, n)
+        k1, k2 = rnd.uniform(-50, n), rnd.uniform(-50, n)
+        with mp.workprec(53):
+            ref = min(1.0, float(mp.mpf(2) ** (-(mp.mpf(k1) + k2 + 1 - n - m) / 2)))
+        assert abs(deor_error(n, k1, k2, m) - ref) <= math.ulp(ref)
+    assert deor_error(64, -3000, 0, 1) == 1.0
 
 
 def test_corollary_agrees_with_transfer_path():

@@ -221,6 +221,20 @@ def test_joint_oracles_enforce_the_enumeration_budget():
             oracle(ext, np.zeros(1))
 
 
+@pytest.mark.parametrize("case", ["sums_to_2", "negative_entry"])
+def test_joint_oracles_refuse_a_joint_that_is_not_a_distribution(case):
+    ext = deor_descriptor(3, 2)
+    joint = random_joint(3, 3, np.random.default_rng(5))
+    if case == "sums_to_2":
+        joint = 2 * joint
+    else:
+        joint[0, 0, 0, 0] += joint[1, 1, 1, 1] + 0.01
+        joint[1, 1, 1, 1] = -0.01
+    for oracle in (distinguishing_event_statistic, conditional_distance_given_guess):
+        with pytest.raises(InvalidArgumentError):
+            oracle(ext, joint)
+
+
 def test_distinguishing_statistic_bounded_by_conditional_distance():
     ext = deor_descriptor(3, 2)
     rng = np.random.default_rng(17)
