@@ -8,7 +8,7 @@ statistical distances, small density-operator simulations).
 
 __version__ = "0.1.0"
 
-from .bitfield import BitString, FieldElement, gf_mul, gf_pow, inner_product_mod2
+from .bitfield import BitString, gf_mul, gf_pow, inner_product_mod2
 from .errors import (
     CertificationError,
     CompositionError,

@@ -1,5 +1,10 @@
 """Bit strings and GF(2^n) arithmetic.
 
+Field elements are plain non-negative integers below 2^n: `gf_mul` and
+`parity` take Python ints or numpy integer arrays, so one kernel serves a
+single evaluation and a whole output table. `BitString` carries a length and
+is the type of extractor inputs and outputs.
+
 Conventions: bit index 0 is the least-significant coefficient of the
 polynomial (and the least-significant bit of byte 0 in serialized form).
 Trailing pad bits in the last byte are zero; the length is carried
@@ -69,6 +74,8 @@ class BitString:
 
     @classmethod
     def from_bytes(cls, data: bytes, length: int) -> "BitString":
+        if length < 0:
+            raise InvalidArgumentError("length must be non-negative")
         if len(data) * 8 < length:
             raise InvalidArgumentError(f"{len(data)} bytes supply fewer than {length} bits")
         value = int.from_bytes(data, "little") & ((1 << length) - 1)
@@ -85,41 +92,6 @@ class BitString:
         return cls(value, len(bits))
 
 
-@dataclass(frozen=True)
-class FieldElement:
-    """Element of GF(2^n) in polynomial basis, reduced modulo IRREDUCIBLE_POLY[n]."""
-
-    coefficients: BitString
-
-    def __post_init__(self):
-        n = self.coefficients.length
-        if n not in IRREDUCIBLE_POLY:
-            raise InvalidArgumentError(f"no fixed modulus for degree {n}")
-
-    @property
-    def n(self) -> int:
-        return self.coefficients.length
-
-    @property
-    def value(self) -> int:
-        return self.coefficients.value
-
-    @classmethod
-    def of(cls, value: int, n: int) -> "FieldElement":
-        return cls(BitString(value, n))
-
-
-def clmul(a: int, b: int) -> int:
-    """Carry-less (polynomial) multiplication over GF(2)."""
-    r = 0
-    while b:
-        if b & 1:
-            r ^= a
-        a <<= 1
-        b >>= 1
-    return r
-
-
 def poly_mod(p: int, modulus: int) -> int:
     """Remainder of polynomial p modulo `modulus` over GF(2)."""
     d = modulus.bit_length() - 1
@@ -129,33 +101,51 @@ def poly_mod(p: int, modulus: int) -> int:
     return p
 
 
-def gf_mul(a: FieldElement, b: FieldElement) -> FieldElement:
-    """Product in GF(2^n); both operands must live in the same field."""
-    if a.n != b.n:
-        raise InvalidArgumentError(f"field degree mismatch: {a.n} vs {b.n}")
-    mod = IRREDUCIBLE_POLY[a.n]
-    return FieldElement.of(poly_mod(clmul(a.value, b.value), mod), a.n)
+def gf_mul(a, b, n: int):
+    """Product of a, b < 2^n in GF(2^n), reduced modulo IRREDUCIBLE_POLY[n].
+
+    The same lines run on Python ints (any n in the table) and elementwise on
+    numpy int64 arrays of broadcastable shapes; arrays are used for n <= 16,
+    all an output table needs, and the 2n - 1 bit unreduced product must fit.
+    """
+    if n not in IRREDUCIBLE_POLY:
+        raise InvalidArgumentError(f"no fixed modulus for degree {n}")
+    mod = IRREDUCIBLE_POLY[n]
+    p = 0
+    for i in range(n):  # carry-less product, one bit of b at a time
+        p ^= (a << i) * ((b >> i) & 1)
+    for i in range(2 * n - 2, n - 1, -1):  # clear bits 2n-2 ... n
+        p ^= (mod << (i - n)) * ((p >> i) & 1)
+    return p
 
 
-def gf_pow(a: FieldElement, e: int) -> FieldElement:
-    """a^e by square-and-multiply; a^0 = 1."""
+def gf_pow(a: int, e: int, n: int) -> int:
+    """a^e in GF(2^n) by square-and-multiply; a^0 = 1."""
     if e < 0:
         raise InvalidArgumentError("exponent must be non-negative")
-    result = FieldElement.of(1, a.n)
-    base = a
+    result = 1
     while e:
         if e & 1:
-            result = gf_mul(result, base)
-        base = gf_mul(base, base)
+            result = gf_mul(result, a, n)
+        a = gf_mul(a, a, n)
         e >>= 1
     return result
+
+
+def parity(x, n: int):
+    """XOR of the n low bits of x, whose higher bits are zero; for ints or integer arrays."""
+    shift = 1
+    while shift < n:
+        x = x ^ (x >> shift)
+        shift <<= 1
+    return x & 1
 
 
 def inner_product_mod2(a: BitString, b: BitString) -> int:
     """XOR over i of a_i * b_i."""
     if a.length != b.length:
         raise InvalidArgumentError(f"length mismatch: {a.length} vs {b.length}")
-    return (a.value & b.value).bit_count() & 1
+    return parity(a.value & b.value, a.length)
 
 
 def is_irreducible(poly: int) -> bool:

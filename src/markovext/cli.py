@@ -49,28 +49,31 @@ VERIFY_SUITES = ("classical", "quantum", "distinguishing", "monotonicity", "comp
 # Descriptors
 # ---------------------------------------------------------------------------
 
-def build_descriptor(family: str, n1: int, n2: int, m: int, eps: Optional[float] = None):
-    if family == "deor":
-        if n1 != n2:
-            raise DomainError("deor requires n1 == n2")
-        return extractors.deor_descriptor(n1, m)
+def build_descriptor(family: str, n1: int, n2: Optional[int], m: int,
+                     eps: Optional[float] = None):
+    """The descriptor of a CLI family. An n2 of None takes the family's own n2
+    (n1, or the seed length of trevisan and composed); a given n2 must equal it."""
     if family in ("inner-product", "parity") and m != 1:
         raise DomainError(f"{family} outputs one bit; got m={m}")
-    if family == "inner-product":
-        if n1 != n2:
-            raise DomainError("inner-product requires n1 == n2")
-        return extractors.inner_product_descriptor(n1)
-    if family == "parity":
-        return extractors.parity_seeded_descriptor(n1, n2)
-    if family == "trevisan":
+    if family == "deor":
+        ext = extractors.deor_descriptor(n1, m)
+    elif family == "inner-product":
+        ext = extractors.inner_product_descriptor(n1)
+    elif family == "parity":
+        ext = extractors.parity_seeded_descriptor(n1, n1 if n2 is None else n2)
+    elif family == "trevisan":
         if eps is None:
             raise DomainError("trevisan requires --eps")
-        return extractors.trevisan_descriptor(n1, m, eps)
-    if family == "composed":
+        ext = extractors.trevisan_descriptor(n1, m, eps)
+    elif family == "composed":
         inner = extractors.deor_descriptor(n1, m)
         outer = extractors.parity_seeded_descriptor(n1, m)
-        return extractors.compose(outer, inner)
-    raise DomainError(f"unknown extractor family {family!r}")
+        ext = extractors.compose(outer, inner)
+    else:
+        raise DomainError(f"unknown extractor family {family!r}")
+    if n2 is not None and n2 != ext.n2:
+        raise DomainError(f"{family} with n1={n1} takes n2={ext.n2}, got n2={n2}")
+    return ext
 
 
 def _reject_constant(name: str):
@@ -98,6 +101,15 @@ def descriptor_from_file(path: str):
 # ---------------------------------------------------------------------------
 # plan
 # ---------------------------------------------------------------------------
+
+_MODELS = {
+    "plain": paramcalc.SecurityModel.PLAIN,
+    "classical-markov": paramcalc.SecurityModel.CLASSICAL_MARKOV,
+    "quantum-markov": paramcalc.SecurityModel.QUANTUM_MARKOV,
+    "smooth-markov": paramcalc.SecurityModel.SMOOTH_MARKOV,
+    "subnormalized": paramcalc.SecurityModel.SUBNORMALIZED,
+}
+
 
 def _plan_assessment(args) -> dict:
     if not (0 <= args.k1 <= args.n1 and 0 <= args.k2 <= args.n2):
@@ -141,12 +153,16 @@ def _plan_assessment(args) -> dict:
     model = args.model
     if model in ("plain", "smooth-markov", "subnormalized") and l != 2:
         raise DomainError(f"the {model} model is stated for two sources; got l={l}")
-    if model == "plain":
+    if model in ("plain", "subnormalized"):  # direct laws: no self-consistent solve
+        if model == "plain":
+            error = law(k1, k2)
+        else:
+            error = paramcalc.subnormalized_transfer(law(k1 + 1, k2 + 1))
         a = paramcalc.SecurityAssessment(
-            model=paramcalc.SecurityModel.PLAIN,
+            model=_MODELS[model],
             l=2,
             required_k=(k1, k2),
-            error=law(k1, k2),
+            error=error,
             m=m,
             strong_in=frozenset({1, 2}),
         )
@@ -163,7 +179,7 @@ def _plan_assessment(args) -> dict:
         base_k = [k1 + math.log2(eps), k2 + math.log2(eps)]
     if eps >= 1.0:
         return {
-            "model": model,
+            "model": _MODELS[model].value,
             "l": l,
             "required_k": [k1, k2],
             "error": 1.0,
@@ -178,16 +194,6 @@ def _plan_assessment(args) -> dict:
         base = paramcalc.quantum_markov_transfer(base_k[:2], eps, 2, m, {1, 2})
         smooth = paramcalc.SmoothParams(args.delta1, args.delta2, args.eps1, args.eps2)
         return paramcalc.smooth_transfer(base, smooth).to_dict()
-    if model == "subnormalized":
-        a = paramcalc.SecurityAssessment(
-            model=paramcalc.SecurityModel.SUBNORMALIZED,
-            l=2,
-            required_k=(k1, k2),
-            error=paramcalc.subnormalized_transfer(law(k1 + 1, k2 + 1)),
-            m=m,
-            strong_in=frozenset({1, 2}),
-        )
-        return a.to_dict()
     raise DomainError(f"unknown model {model!r}")
 
 
@@ -238,9 +244,8 @@ def cmd_extract(args) -> int:
     else:
         if args.n1 is None:
             raise DomainError("extract needs --n1 (or a --descriptor file)")
-        n2 = args.n2 if args.n2 is not None else args.n1
         m = args.m if args.m is not None else 1
-        ext = build_descriptor(args.family, args.n1, n2, m, args.eps)
+        ext = build_descriptor(args.family, args.n1, args.n2, m, args.eps)
     x1 = _read_bits(args.in1, ext.n1)
     x2 = _read_bits(args.in2, ext.n2)
     y = ext.extract(x1, x2)
@@ -451,8 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="cmd", required=True)
 
     plan = sub.add_parser("plan", help="security-parameter calculus for a request")
-    plan.add_argument("--model", required=True, choices=[
-        "plain", "classical-markov", "quantum-markov", "smooth-markov", "subnormalized"])
+    plan.add_argument("--model", required=True, choices=list(_MODELS))
     plan.add_argument("--family", required=True, choices=[
         "deor", "inner-product", "raz", "trevisan-composition"])
     plan.add_argument("--n1", type=int, required=True)

@@ -6,6 +6,10 @@
   Reed-Solomon-Hadamard one-bit extractor.
 * The strong-extractor composition combinator
   Ext''(x1, x2) = Ext'(x1, Ext(x1, x2)).
+
+Each family has one kernel, `ExtractorDescriptor.evaluate`, on plain
+integers; it runs elementwise on numpy arrays too, which builds whole output
+tables, and `extract` is its `BitString` edge.
 """
 from __future__ import annotations
 
@@ -16,13 +20,7 @@ from typing import Optional
 
 from mpmath import mp
 
-from .bitfield import (
-    IRREDUCIBLE_POLY,
-    BitString,
-    FieldElement,
-    gf_mul,
-    inner_product_mod2,
-)
+from .bitfield import IRREDUCIBLE_POLY, BitString, gf_mul, parity
 from .errors import CompositionError, ConstructionError, DomainError, InvalidArgumentError
 
 WEAK_DESIGN_OVERLAP = 2 * math.e  # declared overlap parameter r
@@ -60,16 +58,26 @@ class ExtractorDescriptor:
             raise InvalidArgumentError(
                 f"input lengths ({x1.length}, {x2.length}) do not match ({self.n1}, {self.n2})"
             )
+        return BitString(self.evaluate(x1.value, x2.value), self.m)
+
+    def evaluate(self, x1, x2):
+        """Ext(x1, x2) on integers x1 < 2^n1, x2 < 2^n2, unchecked.
+
+        Python ints, or numpy integer arrays of broadcastable shapes for the
+        families whose tables fit the enumeration budget (n <= 16); the
+        Trevisan extractor, whose seed has at least t^2 = 256 bits, takes ints.
+        """
         family = self.family
         if family is ExtractorFamily.DEOR:
-            return deor_extract(x1, x2, self.m)
+            return gf_mul(x1, x2, self.n1) & ((1 << self.m) - 1)
         if family in (ExtractorFamily.INNER_PRODUCT, ExtractorFamily.PARITY_SEEDED):
             # <low n2 bits of x1, x2>; for the inner product n2 = n1
-            return BitString(inner_product_mod2(x1.truncate(self.n2), x2), 1)
+            return parity(x1 & x2, self.n2)
         if family is ExtractorFamily.TREVISAN_SEEDED:
-            return trevisan_extract(x1, x2, *self.trevisan)
+            return trevisan_extract(
+                BitString(x1, self.n1), BitString(x2, self.n2), *self.trevisan).value
         outer, inner = self.params["outer"], self.params["inner"]
-        return outer.extract(x1, inner.extract(x1, x2))
+        return outer.evaluate(x1, inner.evaluate(x1, x2))
 
     def error_law(self, k1: float, k2: Optional[float] = None) -> float:
         """Error at min-entropies (k1, k2) for two-source families, at k1 for seeded ones."""
@@ -133,16 +141,8 @@ class ExtractorDescriptor:
 # ---------------------------------------------------------------------------
 
 def deor_extract(x1: BitString, x2: BitString, m: int) -> BitString:
-    """The m low-order bits of x1 * x2 in GF(2^n)."""
-    n = x1.length
-    if x2.length != n:
-        raise InvalidArgumentError(f"input lengths differ: {n} vs {x2.length}")
-    if n not in IRREDUCIBLE_POLY:
-        raise InvalidArgumentError(f"unsupported input length {n}")
-    if not 1 <= m <= n:
-        raise InvalidArgumentError(f"output length {m} out of range [1, {n}]")
-    prod = gf_mul(FieldElement(x1), FieldElement(x2))
-    return prod.coefficients.truncate(m)
+    """The m low-order bits of x1 * x2 in GF(2^n), n = x1.length."""
+    return deor_descriptor(x1.length, m).extract(x1, x2)
 
 
 def deor_error(n: int, k1: float, k2: float, m: int) -> float:
@@ -175,6 +175,8 @@ def deor_descriptor(n: int, m: int) -> ExtractorDescriptor:
 
 def inner_product_descriptor(n: int) -> ExtractorDescriptor:
     """One-bit inner-product extractor over GF(2)^n."""
+    if n < 1:
+        raise InvalidArgumentError(f"input length {n} must be at least 1")
     return ExtractorDescriptor(
         family=ExtractorFamily.INNER_PRODUCT,
         n1=n,
@@ -252,7 +254,6 @@ def weak_design_build(m: int, t: int, universe_blocks: Optional[int] = None) -> 
         raise ConstructionError(f"no sound block layout for m={m}, t={t}, blocks={n_blocks}")
 
     per_block = -(-m // n_blocks)
-    mul = lambda a, b: gf_mul(FieldElement.of(a, s), FieldElement.of(b, s)).value
     sets = []
     for i in range(m):
         b, idx = divmod(i, per_block)
@@ -267,7 +268,7 @@ def weak_design_build(m: int, t: int, universe_blocks: Optional[int] = None) -> 
         for x in range(t):
             acc = 0
             for coef in reversed(coeffs):  # Horner
-                acc = mul(acc, x) ^ coef
+                acc = gf_mul(acc, x, s) ^ coef
             members.append(base + x * t + acc)
         sets.append(frozenset(members))
     design = WeakDesign(m=m, t=t, d_universe=n_blocks * t * t, sets=tuple(sets))
@@ -336,16 +337,12 @@ def rsh_one_bit(x: BitString, seed: BitString) -> int:
     s = t // 2
     if s not in IRREDUCIBLE_POLY:
         raise InvalidArgumentError(f"no GF(2^{s}) modulus for seed length {t}")
-    alpha = FieldElement(seed.truncate(s))
-    beta = BitString(seed.value >> s, s)
-    n_chunks = -(-x.length // s)
     mask = (1 << s) - 1
-    acc = FieldElement.of(0, s)
-    for j in reversed(range(n_chunks)):  # Horner on coefficients c_0..c_{L-1}
-        chunk = FieldElement.of((x.value >> (j * s)) & mask, s)
-        acc = gf_mul(acc, alpha)
-        acc = FieldElement.of(acc.value ^ chunk.value, s)
-    return inner_product_mod2(acc.coefficients, beta.truncate(s))
+    alpha, beta = seed.value & mask, seed.value >> s
+    acc = 0
+    for j in reversed(range(-(-x.length // s))):  # Horner on coefficients c_0..c_{L-1}
+        acc = gf_mul(acc, alpha, s) ^ ((x.value >> (j * s)) & mask)
+    return parity(acc & beta, s)
 
 
 def trevisan_extract(
@@ -358,11 +355,11 @@ def trevisan_extract(
         )
     if design.t != params.t:
         raise InvalidArgumentError("design set size does not match params.t")
-    bits = []
-    for st in design.sets:
-        sub = BitString.from_bits(seed.bit(j) for j in sorted(st))
-        bits.append(rsh_one_bit(x, sub))
-    return BitString.from_bits(bits)
+    y = 0
+    for i, st in enumerate(design.sets):
+        sub = sum(((seed.value >> j) & 1) << b for b, j in enumerate(sorted(st)))
+        y |= rsh_one_bit(x, BitString(sub, params.t)) << i
+    return BitString(y, len(design.sets))
 
 
 def trevisan_descriptor(n: int, m: int, eps: float) -> ExtractorDescriptor:
@@ -394,6 +391,8 @@ def _parity_flat_error(n: int, d: int, k: float) -> float:
     """
     if not 1 <= d <= 4 or d > n:
         raise DomainError(f"parity extractor supports 1 <= d <= 4, d <= n; got d={d}, n={n}")
+    if not math.isfinite(k):
+        raise DomainError(f"entropy must be finite, got k={k}")
     size = math.ceil(2.0 ** k - 1e-12)
     if not 1 <= size <= 1 << n:
         raise DomainError(f"entropy k={k} out of range for n={n}")

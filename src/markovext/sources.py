@@ -1,7 +1,8 @@
 """Classical weak-source models and exact brute-force distance oracles.
 
 All oracles enumerate the full support; when the enumeration budget would be
-exceeded they raise ResourceBudgetError instead of sampling. Probabilities
+exceeded they raise ResourceBudgetError instead of sampling. The extractor's
+output table they read is one `evaluate` call on index grids. Probabilities
 are double-precision with a 1e-12 row-sum tolerance.
 """
 from __future__ import annotations
@@ -13,7 +14,6 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .bitfield import BitString
 from .errors import ConstructionError, InvalidArgumentError, ResourceBudgetError
 from .extractors import ExtractorDescriptor
 
@@ -107,16 +107,15 @@ OUTPUT_TABLE_CACHE_SIZE = 32
 
 @lru_cache(maxsize=OUTPUT_TABLE_CACHE_SIZE)
 def extractor_output_table(ext: ExtractorDescriptor, n1: int, n2: int) -> np.ndarray:
-    """Dense read-only table T[x1, x2] = Ext(x1, x2); the last few are kept, keyed by value."""
+    """Dense read-only table T[x1, x2] = Ext(x1, x2), one `evaluate` call on index grids.
+
+    The last few tables are kept, keyed by value.
+    """
     if ext.n1 != n1 or ext.n2 != n2:
         raise InvalidArgumentError("extractor dimensions do not match the table")
     if n1 + n2 > ENUMERATION_BUDGET_BITS:
         raise ResourceBudgetError(f"output table of {n1}+{n2} bits exceeds the budget")
-    T = np.empty((1 << n1, 1 << n2), dtype=np.int64)
-    for x1 in range(1 << n1):
-        b1 = BitString(x1, n1)
-        for x2 in range(1 << n2):
-            T[x1, x2] = ext.extract(b1, BitString(x2, n2)).value
+    T = ext.evaluate(np.arange(1 << n1)[:, None], np.arange(1 << n2)[None, :])
     T.flags.writeable = False
     return T
 

@@ -1,16 +1,16 @@
 import random
 
+import numpy as np
 import pytest
 
 from markovext.bitfield import (
     IRREDUCIBLE_POLY,
     BitString,
-    FieldElement,
-    clmul,
     gf_mul,
     gf_pow,
     inner_product_mod2,
     is_irreducible,
+    parity,
     poly_mod,
 )
 from markovext.errors import InvalidArgumentError
@@ -54,6 +54,8 @@ def test_bitstring_bytes_roundtrip_little_endian():
     assert BitString.from_bytes(bytes([0xF8]), 3).value == 0b000
     with pytest.raises(InvalidArgumentError):
         BitString.from_bytes(b"\x00", 9)
+    with pytest.raises(InvalidArgumentError):
+        BitString.from_bytes(b"\x00", -1)
 
 
 def test_bitstring_from_bits():
@@ -69,23 +71,23 @@ def test_bitstring_from_bits():
 
 def test_gf4_multiplication_example():
     # in GF(2^4) with modulus x^4+x+1: 0b0011 * 0b0110 = 0b1010
-    a = FieldElement.of(0b0011, 4)
-    b = FieldElement.of(0b0110, 4)
-    assert gf_mul(a, b).value == 0b1010
+    assert gf_mul(0b0011, 0b0110, 4) == 0b1010
 
 
 def test_gf4_power_example():
     # x^4 = x + 1 modulo x^4+x+1
-    x = FieldElement.of(0b0010, 4)
-    assert gf_pow(x, 4).value == 0b0011
-    assert gf_pow(x, 0).value == 1
+    assert gf_pow(0b0010, 4, 4) == 0b0011
+    assert gf_pow(0b0010, 0, 4) == 1
+    with pytest.raises(InvalidArgumentError):
+        gf_pow(0b0010, -1, 4)
 
 
 def test_gf_mul_degree_mismatch():
-    with pytest.raises(InvalidArgumentError):
-        gf_mul(FieldElement.of(1, 4), FieldElement.of(1, 8))
-    with pytest.raises(InvalidArgumentError):
-        FieldElement.of(0, 5)  # no fixed modulus for degree 5
+    for n in (0, 1, 5, 7, 32):  # no fixed modulus for these degrees
+        with pytest.raises(InvalidArgumentError):
+            gf_mul(1, 1, n)
+        with pytest.raises(InvalidArgumentError):
+            gf_mul(np.arange(4), np.arange(4), n)
 
 
 def _schoolbook_mul(a: int, b: int, n: int) -> int:
@@ -106,61 +108,62 @@ def _schoolbook_mul(a: int, b: int, n: int) -> int:
 def test_gf_mul_matches_schoolbook_exhaustive(n):
     for a in range(1 << n):
         for b in range(1 << n):
-            got = gf_mul(FieldElement.of(a, n), FieldElement.of(b, n)).value
-            assert got == _schoolbook_mul(a, b, n)
+            assert gf_mul(a, b, n) == _schoolbook_mul(a, b, n)
 
 
 def test_gf_mul_matches_schoolbook_random_n8():
     rnd = random.Random(11)
     for _ in range(2000):
         a, b = rnd.randrange(256), rnd.randrange(256)
-        got = gf_mul(FieldElement.of(a, 8), FieldElement.of(b, 8)).value
-        assert got == _schoolbook_mul(a, b, 8)
+        assert gf_mul(a, b, 8) == _schoolbook_mul(a, b, 8)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 6, 8, 16])
+def test_gf_mul_on_arrays_matches_schoolbook(n):
+    # one call on broadcast grids gives the elementwise products, as int64
+    rnd = random.Random(n + 2)
+    vals = list(range(1 << n)) if n <= 6 else [rnd.randrange(1 << n) for _ in range(64)]
+    a, b = np.array(vals)[:, None], np.array(vals)[None, :]
+    got = gf_mul(a, b, n)
+    assert got.shape == (len(vals), len(vals)) and got.dtype == np.int64
+    for i, x in enumerate(vals):
+        for j, y in enumerate(vals):
+            assert got[i, j] == _schoolbook_mul(x, y, n)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_field_axioms_exhaustive(n):
-    els = [FieldElement.of(v, n) for v in range(1 << n)]
-    one = FieldElement.of(1, n)
+    els = range(1 << n)
     for a in els:
-        assert gf_mul(a, one) == a
+        assert gf_mul(a, 1, n) == a
         for b in els:
-            assert gf_mul(a, b) == gf_mul(b, a)
+            assert gf_mul(a, b, n) == gf_mul(b, a, n)
     # associativity and distributivity on the full cube is cubic; keep n small
     for a in els:
         for b in els:
             for c in els:
-                assert gf_mul(gf_mul(a, b), c) == gf_mul(a, gf_mul(b, c))
-                lhs = gf_mul(a, FieldElement.of(b.value ^ c.value, n))
-                rhs = FieldElement.of(gf_mul(a, b).value ^ gf_mul(a, c).value, n)
-                assert lhs == rhs
+                assert gf_mul(gf_mul(a, b, n), c, n) == gf_mul(a, gf_mul(b, c, n), n)
+                assert gf_mul(a, b ^ c, n) == gf_mul(a, b, n) ^ gf_mul(a, c, n)
 
 
 @pytest.mark.parametrize("n", [8, 16, 64])
 def test_field_axioms_random(n):
     rnd = random.Random(n)
-    one = FieldElement.of(1, n)
     for _ in range(300):
-        a = FieldElement.of(rnd.randrange(1 << n), n)
-        b = FieldElement.of(rnd.randrange(1 << n), n)
-        c = FieldElement.of(rnd.randrange(1 << n), n)
-        assert gf_mul(a, b) == gf_mul(b, a)
-        assert gf_mul(gf_mul(a, b), c) == gf_mul(a, gf_mul(b, c))
-        lhs = gf_mul(a, FieldElement.of(b.value ^ c.value, n))
-        assert lhs.value == gf_mul(a, b).value ^ gf_mul(a, c).value
-        assert gf_mul(a, one) == a
+        a, b, c = (rnd.randrange(1 << n) for _ in range(3))
+        assert gf_mul(a, b, n) == gf_mul(b, a, n)
+        assert gf_mul(gf_mul(a, b, n), c, n) == gf_mul(a, gf_mul(b, c, n), n)
+        assert gf_mul(a, b ^ c, n) == gf_mul(a, b, n) ^ gf_mul(a, c, n)
+        assert gf_mul(a, 1, n) == a
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 8, 16])
 def test_nonzero_elements_have_unique_inverses(n):
     # a * a^(2^n - 2) = 1 for a != 0
-    one = FieldElement.of(1, n)
     rnd = random.Random(n + 1)
     vals = range(1, 1 << n) if n <= 8 else [rnd.randrange(1, 1 << n) for _ in range(200)]
-    for v in vals:
-        a = FieldElement.of(v, n)
-        inv = gf_pow(a, (1 << n) - 2)
-        assert gf_mul(a, inv) == one
+    for a in vals:
+        assert gf_mul(a, gf_pow(a, (1 << n) - 2, n), n) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -178,6 +181,19 @@ def test_inner_product_examples():
         inner_product_mod2(BitString(0, 3), BitString(0, 4))
 
 
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 5, 8, 13, 64, 100])
+def test_parity_matches_bit_count_on_ints_and_arrays(n):
+    rnd = random.Random(n)
+    vals = [rnd.randrange(1 << n) for _ in range(50)] + [0, (1 << n) - 1]
+    for v in vals:
+        assert parity(v, n) == v.bit_count() & 1
+    if n <= 16:
+        arr = np.array(vals)
+        got = parity(arr, n)
+        assert got.tolist() == [v.bit_count() & 1 for v in vals]
+        assert arr.tolist() == vals  # the input array is left alone
+
+
 def test_modulus_table_entries_are_irreducible():
     for n, poly in IRREDUCIBLE_POLY.items():
         assert poly.bit_length() - 1 == n
@@ -191,6 +207,6 @@ def test_is_irreducible_rejects_square():
     assert is_irreducible(0b111)
 
 
-def test_clmul_poly_mod_basics():
-    assert clmul(0b11, 0b11) == 0b101  # (x+1)^2 = x^2+1 over GF(2)
+def test_poly_mod_basics():
     assert poly_mod(0b10000, 0b10011) == 0b0011  # x^4 mod (x^4+x+1) = x+1
+    assert poly_mod(0b101, 0b111) == 0b10  # x^2+1 = (x^2+x+1) + x

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import tempfile
 
 import pytest
 from hypothesis import given, settings
@@ -66,6 +67,20 @@ def test_plan_smooth_model(capsys):
     rep = json.loads(out)
     assert rep["assessment"]["model"] == "SmoothMarkov"
     assert 0 < rep["assessment"]["error"] <= 1
+
+
+@pytest.mark.parametrize("model,value", [
+    ("plain", "Plain"), ("classical-markov", "ClassicalMarkov"),
+    ("quantum-markov", "QuantumMarkov"), ("smooth-markov", "SmoothMarkov"),
+    ("subnormalized", "Subnormalized")])
+def test_plan_at_error_1_reports_the_model_value(capsys, model, value):
+    rc, out = _run(capsys, [
+        "plan", "--model", model, "--family", "deor",
+        "--n1", "4", "--n2", "4", "--m", "1", "--k1", "1", "--k2", "1"])
+    assert rc == 0
+    assert json.loads(out)["assessment"] == {
+        "model": value, "l": 2, "required_k": [1.0, 1.0], "error": 1.0, "m": 1,
+        "strong_in": [1, 2]}
 
 
 def test_plan_usage_error_is_exit_2():
@@ -189,12 +204,19 @@ _PLAN = ["plan", "--model", "quantum-markov", "--family", "deor"]
     *[(["plan", "--model", model, "--family", "deor", "--n1", "64", "--n2", "64", "--m", "4",
         "--k1", "60", "--k2", "60", "--l", "3", "--eps", "1e-6"], 3)
       for model in ("plain", "subnormalized", "smooth-markov")],
+    (["extract", "{tmp}/a", "{tmp}/a", "{tmp}/y", "--family", "inner-product", "--n1", "-1"], 3),
+    (["extract", "{tmp}/a", "{tmp}/a", "{tmp}/y", "--family", "composed", "--n1", "8",
+      "--n2", "3", "--m", "2"], 3),
+    (["extract", "{tmp}/a", "{tmp}/a", "{tmp}/y", "--family", "trevisan", "--n1", "8",
+      "--n2", "8", "--m", "3", "--eps", "0.75"], 3),
 ], ids=["k1_nan", "k2_inf", "eps_nan", "k1_gt_n1", "k1_negative", "deor_n1_ne_n2",
         "deor_no_modulus", "m_gt_n", "missing_input", "missing_descriptor", "unwritable_output",
         "descriptor_not_json", "missing_report", "unwritable_report", "trevisan_no_modulus",
         "report_nan_to_json", "report_nan_to_csv", "report_csv_infinity", "l3_without_eps",
         "l1_without_eps", "inner_product_m_ne_1", "extract_inner_product_m_ne_1",
-        "extract_parity_m_ne_1", "plain_l3", "subnormalized_l3", "smooth_markov_l3"])
+        "extract_parity_m_ne_1", "plain_l3", "subnormalized_l3", "smooth_markov_l3",
+        "extract_inner_product_n1_negative", "extract_composed_n2_ne_seed",
+        "extract_trevisan_n2_ne_seed"])
 def test_malformed_request_exit_code(tmp_path, capsys, argv, code):
     (tmp_path / "a").write_bytes(bytes(64))
     (tmp_path / "nan.json").write_text('{"version": "1", "records": [{"distance": NaN}]}')
@@ -264,6 +286,43 @@ def test_plan_fuzz_exits_with_a_documented_code(argv):
         json.loads(out.getvalue(), parse_constant=lambda name: pytest.fail(f"{name} in output"))
     else:
         assert out.getvalue() == ""
+
+
+@st.composite
+def _extract_flags(draw):
+    n1 = draw(st.sampled_from(["1", "2", "3", "4", "6", "8", "16", "64", "-1", "0", "5"]))
+    flags = {
+        "--family": draw(st.sampled_from(["deor", "inner-product", "parity", "trevisan",
+                                          "composed"])),
+        "--n1": n1,
+    }
+    optional = {
+        "--n2": st.sampled_from([n1, "1", "2", "3", "4", "8", "256", "-1", "0"]),
+        "--m": st.sampled_from(["1", "2", "3", "4", "8", "-1", "0", "100"]),
+        "--eps": _real(0.5, 0.99) | _BAD_REAL,
+    }
+    for flag, value in optional.items():
+        if draw(st.booleans()):
+            flags[flag] = draw(value)
+    return [part for flag, value in flags.items() for part in (flag, value)]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_extract_flags())
+def test_extract_fuzz_exits_with_a_documented_code(flags):
+    with tempfile.TemporaryDirectory() as tmp:
+        x, y = os.path.join(tmp, "x"), os.path.join(tmp, "y")
+        with open(x, "wb") as fh:
+            fh.write(bytes(range(256)) * 4)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                rc = main(["extract", x, x, y, *flags])
+            except SystemExit as exc:
+                rc = exc.code
+        assert rc in (0, 2, 3, 4, 5)
+        assert "Traceback" not in err.getvalue() and out.getvalue() == ""
+        assert os.path.exists(y) == (rc == 0)
 
 
 # ---------------------------------------------------------------------------

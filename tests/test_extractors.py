@@ -5,7 +5,7 @@ import random
 import pytest
 from mpmath import mp
 
-from markovext.bitfield import BitString, FieldElement, gf_pow, gf_mul, inner_product_mod2
+from markovext.bitfield import BitString, gf_pow, gf_mul, inner_product_mod2
 from markovext.errors import CompositionError, ConstructionError, DomainError, InvalidArgumentError
 from markovext.extractors import (
     WEAK_DESIGN_OVERLAP,
@@ -75,6 +75,9 @@ def test_inner_product_descriptor_matches_deor_m1_law():
     assert d.m == 1
     assert d.error_law(3, 3) == deor_error(4, 3, 3, 1)
     assert d.extract(BitString(0b1011, 4), BitString(0b1110, 4)).value == 0
+    for n in (0, -1):
+        with pytest.raises(InvalidArgumentError):
+            inner_product_descriptor(n)
 
 
 # ---------------------------------------------------------------------------
@@ -151,12 +154,12 @@ def test_trevisan_params_domain_errors():
 def _rsh_oracle(x: BitString, seed: BitString) -> int:
     """Straight-line re-implementation: explicit powers of alpha, no Horner."""
     s = seed.length // 2
-    alpha = FieldElement(seed.truncate(s))
+    alpha = seed.truncate(s).value
     beta = BitString(seed.value >> s, s)
     acc = 0
     for j in range(-(-x.length // s)):
-        chunk = FieldElement.of((x.value >> (j * s)) & ((1 << s) - 1), s)
-        acc ^= gf_mul(chunk, gf_pow(alpha, j)).value
+        chunk = (x.value >> (j * s)) & ((1 << s) - 1)
+        acc ^= gf_mul(chunk, gf_pow(alpha, j, s), s)
     return inner_product_mod2(BitString(acc, s), beta)
 
 
@@ -242,6 +245,16 @@ def test_parity_error_law_uniform_source():
     ks = [3, 4, 5, 6, 7, 8]
     errs = [d.error_law(k) for k in ks]
     assert all(a >= b - 1e-15 for a, b in zip(errs, errs[1:]))
+
+
+@pytest.mark.parametrize("k", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("build", [
+    lambda: parity_seeded_descriptor(8, 3),
+    lambda: compose(parity_seeded_descriptor(8, 3), deor_descriptor(8, 3)),
+], ids=["parity", "composed"])
+def test_seeded_error_laws_refuse_non_finite_entropy(build, k):
+    with pytest.raises(DomainError):
+        build().error_law(k, 0)
 
 
 def test_compose_dimension_and_strongness_checks():

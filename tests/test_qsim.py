@@ -199,8 +199,8 @@ def test_apply_extractor_channel_rejects_coherences():
 
 def test_apply_extractor_channel_constant_extractor():
     class Constant(ExtractorDescriptor):
-        def extract(self, x1, x2):
-            return BitString(0, self.m)
+        def evaluate(self, x1, x2):
+            return (x1 ^ x2) & 0
 
     const = Constant(family=ExtractorFamily.DEOR, n1=2, n2=2, m=1)
     rho = DensityOperator(np.eye(16) / 16)

@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -8,11 +9,13 @@ from markovext.errors import ConstructionError, InvalidArgumentError, ResourceBu
 from markovext.extractors import (
     ExtractorDescriptor,
     ExtractorFamily,
+    compose,
     deor_descriptor,
     inner_product_descriptor,
     parity_seeded_descriptor,
 )
 from markovext.sources import (
+    ENUMERATION_BUDGET_BITS,
     OUTPUT_TABLE_CACHE_SIZE,
     FlatSource,
     MarkovSourceTable,
@@ -30,8 +33,8 @@ from markovext.sources import (
 class _ConstantExtractor(ExtractorDescriptor):
     """DEOR's fields, but every input maps to 0^m."""
 
-    def extract(self, x1: BitString, x2: BitString) -> BitString:
-        return BitString(0, self.m)
+    def evaluate(self, x1, x2):
+        return (x1 ^ x2) & 0
 
 
 def _constant_extractor(n: int, m: int) -> ExtractorDescriptor:
@@ -173,6 +176,62 @@ def test_output_table_cache_is_bounded():
     for d in descs:
         extractor_output_table(d, d.n1, d.n2)
         assert extractor_output_table.cache_info().currsize <= OUTPUT_TABLE_CACHE_SIZE
+
+
+def _budget_descriptors():
+    """Every family at every size whose table fits the enumeration budget; the
+    Trevisan seed has at least 256 bits, so it has none."""
+    for n in (2, 3, 4, 6, 8):
+        for m in range(1, n + 1):
+            yield deor_descriptor(n, m)
+        for d in range(1, min(n, 4) + 1):
+            yield compose(parity_seeded_descriptor(n, d), deor_descriptor(n, d))
+    for n in range(1, ENUMERATION_BUDGET_BITS // 2 + 1):
+        yield inner_product_descriptor(n)
+    for d in range(1, 5):
+        for n in range(d, ENUMERATION_BUDGET_BITS - d + 1):
+            yield parity_seeded_descriptor(n, d)
+
+
+def _scalar_table(ext: ExtractorDescriptor) -> np.ndarray:
+    """The reference: the table as a loop over the scalar `extract` builds it."""
+    T = np.empty((1 << ext.n1, 1 << ext.n2), dtype=np.int64)
+    for x1 in range(1 << ext.n1):
+        for x2 in range(1 << ext.n2):
+            T[x1, x2] = ext.extract(BitString(x1, ext.n1), BitString(x2, ext.n2)).value
+    return T
+
+
+def test_output_table_matches_the_scalar_extract_loop():
+    # Tables up to 12 bits are compared cell by cell. Larger ones are sampled:
+    # built up to 16 bits, and through `evaluate` on index arrays beyond that,
+    # where one table takes up to 512 MB.
+    rnd = random.Random(5)
+    for ext in _budget_descriptors():
+        bits = ext.n1 + ext.n2
+        if bits <= 12:
+            T = extractor_output_table(ext, ext.n1, ext.n2)
+            assert T.dtype == np.int64 and np.array_equal(T, _scalar_table(ext)), ext
+            continue
+        x1s = [rnd.randrange(1 << ext.n1) for _ in range(64)]
+        x2s = [rnd.randrange(1 << ext.n2) for _ in range(64)]
+        want = [ext.extract(BitString(a, ext.n1), BitString(b, ext.n2)).value
+                for a, b in zip(x1s, x2s)]
+        assert ext.evaluate(np.array(x1s), np.array(x2s)).tolist() == want, ext
+        if bits <= 16:
+            assert extractor_output_table(ext, ext.n1, ext.n2)[x1s, x2s].tolist() == want, ext
+
+
+def test_output_table_makes_no_extract_call(monkeypatch):
+    def refuse(self, x1, x2):
+        raise AssertionError("extract called")
+
+    monkeypatch.setattr(ExtractorDescriptor, "extract", refuse)
+    extractor_output_table.cache_clear()
+    for ext in (deor_descriptor(4, 2), inner_product_descriptor(3),
+                parity_seeded_descriptor(5, 2),
+                compose(parity_seeded_descriptor(4, 2), deor_descriptor(4, 2))):
+        assert extractor_output_table(ext, ext.n1, ext.n2).shape == (1 << ext.n1, 1 << ext.n2)
 
 
 def test_subclass_with_deor_fields_gets_its_own_table():
