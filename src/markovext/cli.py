@@ -2,7 +2,9 @@
 
 Subcommands: ``plan`` (security-parameter calculus), ``extract`` (run an
 extractor over raw-bit files), ``verify`` (seeded numeric verification
-suites), ``report`` (re-render a report as json or csv).
+suites), ``report`` (re-render a report as json or csv). ``main`` builds the
+parser once per process and runs each request through the ``cmd_<subcommand>``
+function that the module holds at call time, so a wrapper installed later runs.
 
 Exit codes: 0 success, 2 usage (also a file that cannot be read or written),
 3 domain (also a report or descriptor file holding NaN or Infinity), 4
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -447,6 +450,7 @@ def _finite_float(text: str) -> float:
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="xtract",
@@ -475,7 +479,6 @@ def build_parser() -> argparse.ArgumentParser:
     plan.add_argument("--outer-m", type=int, default=None)
     plan.add_argument("--outer-eps", type=_finite_float, default=None)
     plan.add_argument("--out", default=None, help="write the report here instead of stdout")
-    plan.set_defaults(func=cmd_plan)
 
     ext = sub.add_parser("extract", help="run an extractor over raw-bit files")
     ext.add_argument("in1")
@@ -488,19 +491,16 @@ def build_parser() -> argparse.ArgumentParser:
     ext.add_argument("--n2", type=int, default=None)
     ext.add_argument("--m", type=int, default=None)
     ext.add_argument("--eps", type=_finite_float, default=None)
-    ext.set_defaults(func=cmd_extract)
 
     ver = sub.add_parser("verify", help="run a seeded verification suite")
     ver.add_argument("--suite", required=True, choices=list(VERIFY_SUITES))
     ver.add_argument("--seed", type=int, default=0)
     ver.add_argument("--budget", type=int, default=20, help="number of instances")
     ver.add_argument("--out", default=None, help="write the report here instead of stdout")
-    ver.set_defaults(func=cmd_verify)
 
     rep = sub.add_parser("report", help="re-render a report")
     rep.add_argument("path")
     rep.add_argument("--format", required=True, choices=["json", "csv"])
-    rep.set_defaults(func=cmd_report)
 
     return p
 
@@ -508,7 +508,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return globals()["cmd_" + args.cmd](args)
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE

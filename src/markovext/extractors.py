@@ -87,6 +87,8 @@ class ExtractorDescriptor:
         if family is ExtractorFamily.PARITY_SEEDED:
             return _parity_flat_error(self.n1, self.n2, k1)
         if family is ExtractorFamily.TREVISAN_SEEDED:
+            if not math.isfinite(k1):
+                raise DomainError(f"entropy must be finite, got k={k1}")
             return self.params["eps"] if k1 >= self.trevisan[0].k else 1.0
         outer, inner = self.params["outer"], self.params["inner"]
         return min(1.0, inner.error_law(k1, k2) + outer.error_law(k1))

@@ -63,6 +63,8 @@ class MarkovSourceTable:
             ("px1_given_z", self.px1_given_z),
             ("px2_given_z", self.px2_given_z),
         ):
+            if not np.isfinite(arr).all():
+                raise InvalidArgumentError(f"{name} has non-finite entries")
             if np.any(arr < -ROW_SUM_TOL):
                 raise InvalidArgumentError(f"{name} has negative entries")
             if np.any(np.abs(arr.sum(axis=1) - 1.0) > ROW_SUM_TOL):
@@ -197,11 +199,10 @@ def conditional_distance_given_guess(ext: ExtractorDescriptor, joint: np.ndarray
     n1, n2 = ext.n1, ext.n2
     T = extractor_output_table(ext, n1, n2)
     M = 1 << ext.m
-    # p(y, z1, z2)
-    p_yz = np.zeros((M, 1 << n1, 1 << n2))
-    for x1 in range(1 << n1):
-        for x2 in range(1 << n2):
-            p_yz[T[x1, x2]] += joint[x1, x2]
+    # p(y, z1, z2): bin T[x1, x2] * 2^(n1+n2) + (z1, z2), summed in (x1, x2) order
+    key = (T.reshape(-1, 1) << (n1 + n2)) + np.arange(1 << (n1 + n2))
+    p_yz = np.bincount(key.ravel(), weights=joint.ravel(), minlength=M << (n1 + n2))
+    p_yz = p_yz.reshape(M, 1 << n1, 1 << n2)
     p_z = p_yz.sum(axis=0)
     return float(0.5 * np.abs(p_yz - p_z[None, :, :] / M).sum())
 

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from markovext import cli
 from markovext.bitfield import BitString
 from markovext.cli import csv_to_report, main, report_to_csv, report_to_json
 from markovext.extractors import compose, deor_descriptor, deor_extract, parity_seeded_descriptor
@@ -415,3 +416,72 @@ def test_csv_report_requires_header():
 
     with pytest.raises(DomainError):
         csv_to_report("nope\n")
+
+
+# ---------------------------------------------------------------------------
+# one parser per process
+# ---------------------------------------------------------------------------
+
+def _outcome(capsys, argv, out_path):
+    """Exit code, stdout, stderr and output-file bytes of one main call."""
+    if out_path.exists():
+        out_path.unlink()
+    try:
+        rc = main(argv)
+    except SystemExit as exc:
+        rc = exc.code
+    captured = capsys.readouterr()
+    return rc, captured.out, captured.err, out_path.read_bytes() if out_path.exists() else None
+
+
+def test_main_builds_the_parser_once(tmp_path, capsys):
+    (tmp_path / "a").write_bytes(bytes(range(8)))
+    report = tmp_path / "r.json"
+    requests = [
+        ["plan", "--model", "plain", "--family", "deor", "--n1", "8", "--n2", "8",
+         "--m", "2", "--k1", "6", "--k2", "6", "--out", str(report)],
+        ["extract", *[str(tmp_path / n) for n in ("a", "a", "y")], "--n1", "8", "--m", "4"],
+        ["verify", "--suite", "distinguishing", "--budget", "1"],
+        ["report", str(report), "--format", "csv"],
+    ]
+    cli.build_parser.cache_clear()
+    for i in range(20):
+        assert main(requests[i % 4]) == 0
+    capsys.readouterr()
+    info = cli.build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 19)
+
+
+def test_requests_in_one_process_match_each_request_alone(tmp_path, capsys):
+    (tmp_path / "a").write_bytes(bytes([0xFF]))
+    (tmp_path / "b").write_bytes(bytes([0x0F]))  # parity 1 over 3 bits, 0 over 4
+    out = tmp_path / "y"
+    plan = ["plan", "--model", "quantum-markov", "--family", "deor", "--n1", "64", "--n2", "64",
+            "--m", "4", "--k1", "60", "--k2", "60"]
+    extract = ["extract", str(tmp_path / "a"), str(tmp_path / "b"), str(out),
+               "--family", "parity", "--n1", "4"]
+    sequence = [
+        [*plan, "--eps", "1e-6"],
+        plan,
+        ["plan", "--model", "no-such-model"],
+        [*extract, "--n2", "3"],
+        extract,
+    ]
+    together = [_outcome(capsys, argv, out) for argv in sequence]
+    alone = []
+    for argv in sequence:
+        cli.build_parser.cache_clear()
+        alone.append(_outcome(capsys, argv, out))
+    assert together == alone
+    assert [rc for rc, *_ in together] == [0, 0, 2, 0, 0]
+    assert together[0] != together[1] and together[3][3] != together[4][3]
+
+
+def test_main_resolves_the_command_at_call_time(capsys, monkeypatch):
+    path = os.path.join(DATA_DIR, "golden_report.json")
+    assert main(["report", path, "--format", "json"]) == 0
+    capsys.readouterr()
+    seen = []
+    monkeypatch.setattr(cli, "cmd_report", lambda args: seen.append(args.format) or 5)
+    assert main(["report", path, "--format", "csv"]) == 5
+    assert seen == ["csv"]

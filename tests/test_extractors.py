@@ -251,7 +251,8 @@ def test_parity_error_law_uniform_source():
 @pytest.mark.parametrize("build", [
     lambda: parity_seeded_descriptor(8, 3),
     lambda: compose(parity_seeded_descriptor(8, 3), deor_descriptor(8, 3)),
-], ids=["parity", "composed"])
+    lambda: trevisan_descriptor(8, 3, 0.9),
+], ids=["parity", "composed", "trevisan"])
 def test_seeded_error_laws_refuse_non_finite_entropy(build, k):
     with pytest.raises(DomainError):
         build().error_law(k, 0)

@@ -68,6 +68,23 @@ def test_markov_table_validation():
         MarkovSourceTable(np.array([1.0]), np.ones((1, 3)) / 3, np.ones((1, 4)) / 4)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["pz", "px1_given_z", "px2_given_z"])
+def test_markov_table_refuses_non_finite_entries(name, value):
+    arrays = {"pz": np.array([0.5, 0.5]), "px1_given_z": np.ones((2, 4)) / 4,
+              "px2_given_z": np.ones((2, 4)) / 4}
+    arrays[name].flat[-1] = value  # a NaN row sum passes the row-sum check
+    with pytest.raises(InvalidArgumentError):
+        MarkovSourceTable(arrays["pz"], arrays["px1_given_z"], arrays["px2_given_z"])
+
+
+def test_markov_table_from_dict_refuses_nan():
+    d = build_markov_table(2, 2, 1, 1, 1, seed=0).to_dict()
+    d["px2_given_z"][0][0] = math.nan
+    with pytest.raises(InvalidArgumentError):
+        MarkovSourceTable.from_dict(d)
+
+
 def test_markov_table_roundtrip():
     t = build_markov_table(4, 4, 2, 3, 3, seed=1)
     t2 = MarkovSourceTable.from_dict(t.to_dict())
@@ -292,6 +309,31 @@ def test_joint_oracles_refuse_a_joint_that_is_not_a_distribution(case):
     for oracle in (distinguishing_event_statistic, conditional_distance_given_guess):
         with pytest.raises(InvalidArgumentError):
             oracle(ext, joint)
+
+
+def _guess_distance_loop(ext, joint) -> float:
+    """The conditional distance given a guess, accumulated cell by cell in (x1, x2) order."""
+    n1, n2 = ext.n1, ext.n2
+    T = extractor_output_table(ext, n1, n2)
+    M = 1 << ext.m
+    p_yz = np.zeros((M, 1 << n1, 1 << n2))
+    for x1 in range(1 << n1):
+        for x2 in range(1 << n2):
+            p_yz[T[x1, x2]] += joint[x1, x2]
+    p_z = p_yz.sum(axis=0)
+    return float(0.5 * np.abs(p_yz - p_z[None, :, :] / M).sum())
+
+
+@pytest.mark.parametrize("ext", [
+    *[deor_descriptor(n, m) for n in (2, 3, 4) for m in range(1, n + 1)],
+    inner_product_descriptor(3),
+    compose(parity_seeded_descriptor(3, 2), deor_descriptor(3, 2)),
+], ids=lambda e: f"{e.family.value}-n{e.n1}-m{e.m}")
+def test_conditional_distance_given_guess_matches_the_loop(ext):
+    rng = np.random.default_rng(ext.n1 * 8 + ext.m)
+    for _ in range(10):
+        joint = random_joint(ext.n1, ext.n2, rng)
+        assert conditional_distance_given_guess(ext, joint) == _guess_distance_loop(ext, joint)
 
 
 def test_distinguishing_statistic_bounded_by_conditional_distance():
