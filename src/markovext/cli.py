@@ -7,10 +7,10 @@ parser once per process and runs each request through the ``cmd_<subcommand>``
 function that the module holds at call time, so a wrapper installed later runs.
 
 Exit codes: 0 success, 2 usage (also a file that cannot be read or written),
-3 domain (also a report or descriptor file holding NaN or Infinity), 4
-resource budget, 5 verification failure. All output is deterministic given
-flags and seed and is strict JSON; reports carry an explicit schema version
-and a null timing field.
+3 domain (also a report or descriptor file holding NaN or Infinity, or not
+UTF-8), 4 resource budget, 5 verification failure. All output is
+deterministic given flags and seed and is strict JSON; reports carry an
+explicit schema version and a null timing field.
 
 Raw-bit files are packed little-endian: bit i of the string is bit (i % 8)
 of byte (i // 8). CSV reports have two columns, ``key`` (dotted path, list
@@ -515,7 +515,8 @@ def main(argv=None) -> int:
     except ResourceBudgetError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_RESOURCE
-    except (MarkovExtError, json.JSONDecodeError) as e:  # any other malformed request
+    except (MarkovExtError, json.JSONDecodeError, UnicodeDecodeError) as e:
+        # any other malformed request, a file that is not UTF-8 included
         print(f"error: {e}", file=sys.stderr)
         return EXIT_DOMAIN
 

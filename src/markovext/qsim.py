@@ -28,6 +28,29 @@ CMI_TOL = 1e-8
 DISTANCE_SLACK = 1e-9
 
 
+def _psd_matrices(a, ndim: int, what: str) -> np.ndarray:
+    """`a` as a read-only complex copy with `ndim` axes, the last two square.
+
+    Every matrix must be finite, Hermitian and PSD within tolerance; one
+    batched eigensolve checks them all.
+    """
+    try:
+        m = np.array(a, dtype=complex)
+    except (TypeError, ValueError) as e:
+        raise InvalidArgumentError(f"{what} is not an array of matrices: {e}") from None
+    if m.ndim != ndim or m.shape[-1] != m.shape[-2]:
+        raise InvalidArgumentError(f"{what} must be square")
+    if not np.isfinite(m).all():
+        raise InvalidArgumentError(f"{what} has non-finite entries")
+    if np.abs(m - m.conj().swapaxes(-1, -2)).max(initial=0.0) > HERMITIAN_TOL:
+        raise InvalidArgumentError(f"{what} is not Hermitian within tolerance")
+    low = np.linalg.eigvalsh(m).min(initial=0.0)
+    if low < -EIGENVALUE_TOL:
+        raise InvalidArgumentError(f"{what} has negative eigenvalue {low:.3e}")
+    m.flags.writeable = False
+    return m
+
+
 @dataclass(frozen=True)
 class DensityOperator:
     """Hermitian positive semidefinite matrix with 0 < trace <= 1 (+ tolerance)."""
@@ -35,15 +58,8 @@ class DensityOperator:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
+        m = _psd_matrices(self.matrix, 2, "matrix")
         object.__setattr__(self, "matrix", m)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise InvalidArgumentError("matrix must be square")
-        if np.abs(m - m.conj().T).max() > HERMITIAN_TOL:
-            raise InvalidArgumentError("matrix is not Hermitian within tolerance")
-        eig = np.linalg.eigvalsh(m)
-        if eig.min() < -EIGENVALUE_TOL:
-            raise InvalidArgumentError(f"matrix has negative eigenvalue {eig.min():.3e}")
         tr = float(m.trace().real)
         if not 0.0 < tr <= 1.0 + TRACE_TOL:
             raise InvalidArgumentError(f"trace {tr} outside (0, 1]")
@@ -124,23 +140,35 @@ def _block_diagonal(parts: Sequence[np.ndarray]) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CcqBlock:
-    """One direct-sum block: weight p(t) and per-source cq components.
+    """One direct-sum block: weight p(t) >= 0 and per-source cq components.
 
-    comp_i[x] is the (subnormalized, positive) operator p(x|t) * rho_i^t(x) on
-    C_i^t; the traces over x sum to 1 for each source.
+    comp_i is a read-only (2^n_i, c_i, c_i) complex array; comp_i[x] is the
+    (subnormalized, PSD) operator p(x|t) * rho_i^t(x) on C_i^t, and the traces
+    over x sum to 1 for each source. All of this is checked when the block is
+    built.
     """
 
     weight: float
-    comp1: tuple
-    comp2: tuple
+    comp1: np.ndarray
+    comp2: np.ndarray
+
+    def __post_init__(self):
+        if not (math.isfinite(self.weight) and self.weight >= 0.0):
+            raise InvalidArgumentError(f"block weight {self.weight} is not finite and >= 0")
+        for name in ("comp1", "comp2"):
+            comp = _psd_matrices(getattr(self, name), 3, name)
+            tr = float(np.trace(comp, axis1=1, axis2=2).real.sum())
+            if abs(tr - 1.0) > 1e-10:
+                raise InvalidArgumentError(f"cq component traces sum to {tr}, not 1")
+            object.__setattr__(self, name, comp)
 
     @property
     def c1_dim(self) -> int:
-        return self.comp1[0].shape[0]
+        return self.comp1.shape[-1]
 
     @property
     def c2_dim(self) -> int:
-        return self.comp2[0].shape[0]
+        return self.comp2.shape[-1]
 
 
 @dataclass(frozen=True)
@@ -153,16 +181,16 @@ class CcqMarkovState:
     certified_k: Optional[Tuple[float, float]] = None
 
     def __post_init__(self):
+        if self.n1 < 0 or self.n2 < 0:
+            raise InvalidArgumentError("n1 and n2 must be non-negative")
+        if self.certified_k is not None and len(self.certified_k) != 2:
+            raise InvalidArgumentError("certified_k must be a pair")
         w = sum(b.weight for b in self.blocks)
         if abs(w - 1.0) > 1e-12:
             raise InvalidArgumentError(f"block weights sum to {w}, not 1")
         for b in self.blocks:
             if len(b.comp1) != 1 << self.n1 or len(b.comp2) != 1 << self.n2:
                 raise InvalidArgumentError("cq component length must be 2^n")
-            for comp in (b.comp1, b.comp2):
-                tr = sum(float(np.trace(a).real) for a in comp)
-                if abs(tr - 1.0) > 1e-10:
-                    raise InvalidArgumentError(f"cq component traces sum to {tr}, not 1")
 
     @property
     def c_dim(self) -> int:
@@ -192,16 +220,14 @@ def assemble(state: CcqMarkovState) -> DensityOperator:
 
 def from_markov_table(table) -> CcqMarkovState:
     """Embed a classical Markov table as a Markov state with 1-dimensional C-blocks."""
-    blocks = []
-    one = np.ones((1, 1), dtype=complex)
-    for z in range(table.z_card):
-        comp1 = tuple(table.px1_given_z[z, x] * one for x in range(1 << table.n1))
-        comp2 = tuple(table.px2_given_z[z, x] * one for x in range(1 << table.n2))
-        blocks.append(CcqBlock(weight=float(table.pz[z]), comp1=comp1, comp2=comp2))
+    blocks = tuple(
+        CcqBlock(weight=float(pz), comp1=p1[:, None, None], comp2=p2[:, None, None])
+        for pz, p1, p2 in zip(table.pz, table.px1_given_z, table.px2_given_z)
+    )
     return CcqMarkovState(
         n1=table.n1,
         n2=table.n2,
-        blocks=tuple(blocks),
+        blocks=blocks,
         certified_k=(sources.hmin_conditional(table, 1), sources.hmin_conditional(table, 2)),
     )
 
@@ -216,9 +242,8 @@ def markov_cmi(state: CcqMarkovState) -> float:
     total = 0.0
     for b in state.blocks:
         # the last row of each stack is the marginal rho_i^t = sum_x comp_i[x]
-        s1, s2 = np.stack(b.comp1), np.stack(b.comp2)
-        e1 = np.linalg.eigvalsh(np.concatenate([s1, s1.sum(axis=0, keepdims=True)]))
-        e2 = np.linalg.eigvalsh(np.concatenate([s2, s2.sum(axis=0, keepdims=True)]))
+        e1 = np.linalg.eigvalsh(np.concatenate([b.comp1, b.comp1.sum(axis=0, keepdims=True)]))
+        e2 = np.linalg.eigvalsh(np.concatenate([b.comp2, b.comp2.sum(axis=0, keepdims=True)]))
         (e1, ec1), (e2, ec2) = (e1[:-1], e1[-1]), (e2[:-1], e2[-1])
         w = b.weight
         total += (
@@ -245,8 +270,8 @@ def _output_blocks(state: CcqMarkovState, ext: ExtractorDescriptor) -> List[np.n
     out = []
     for b in state.blocks:
         # sum over x2 first, then the Kronecker product with A_t[x1] summed over x1
-        partial = np.einsum("uvy,vij->uyij", onehot, np.stack(b.comp2))
-        o = np.einsum("upq,uyij->ypiqj", np.stack(b.comp1), partial)
+        partial = np.einsum("uvy,vij->uyij", onehot, b.comp2)
+        o = np.einsum("upq,uyij->ypiqj", b.comp1, partial)
         d = b.c1_dim * b.c2_dim
         out.append(b.weight * o.reshape(-1, d, d))
     return out
@@ -298,33 +323,29 @@ def hmin_cq(components: Sequence[np.ndarray]) -> float:
     Supports |X| = 2 (Helstrom closed form) and classical C (all operators
     diagonal; averaging identity). Other cases are unsupported.
     """
-    comps = [np.asarray(c, dtype=complex) for c in components]
-    tr = sum(float(c.trace().real) for c in comps)
+    comps = _psd_matrices(components, 3, "cq components")
+    tr = float(np.trace(comps, axis1=1, axis2=2).real.sum())
     if abs(tr - 1.0) > 1e-9:
         raise InvalidArgumentError(f"component traces sum to {tr}, not 1")
     if len(comps) == 2:
         eig = np.linalg.eigvalsh(comps[0] - comps[1])
         p_guess = 0.5 * (1.0 + float(np.abs(eig).sum()))
         return -math.log2(p_guess)
-    diag_err = max(float(np.abs(c - np.diag(np.diagonal(c))).max(initial=0.0)) for c in comps)
-    if diag_err <= HERMITIAN_TOL:
-        stacked = np.stack([np.diagonal(c).real for c in comps])
-        p_guess = float(stacked.max(axis=0).sum())
+    off_diagonal = comps[:, ~np.eye(comps.shape[-1], dtype=bool)]
+    if np.abs(off_diagonal).max(initial=0.0) <= HERMITIAN_TOL:
+        p_guess = float(np.diagonal(comps, axis1=1, axis2=2).real.max(axis=0).sum())
         return -math.log2(p_guess)
     raise CertificationError("p_guess for |X| > 2 with quantum C is unsupported")
 
 
-def _marginal_components(state: CcqMarkovState, source: int) -> List[np.ndarray]:
-    """Subnormalized operators on C for each value of X_source."""
-    parts = []
-    for b in state.blocks:
-        if source == 1:
-            other = sum(b.comp2)
-            parts.append([b.weight * np.kron(a, other) for a in b.comp1])
-        else:
-            other = sum(b.comp1)
-            parts.append([b.weight * np.kron(other, a) for a in b.comp2])
-    return [_block_diagonal(per_x) for per_x in zip(*parts)]
+def _marginal_components(state: CcqMarkovState, source: int) -> np.ndarray:
+    """(2^n_source, D, D) stack of the subnormalized operators on C, one per x_source."""
+    # builtin sum adds the x-slices in order; ndarray.sum may reorder and move the last bit
+    return _block_diagonal([
+        b.weight * (np.kron(b.comp1, sum(b.comp2)) if source == 1
+                    else np.kron(sum(b.comp1), b.comp2))
+        for b in state.blocks
+    ])
 
 
 def certify_hmin(state: CcqMarkovState, source: int) -> float:
@@ -396,16 +417,8 @@ def channel_monotonicity_check(
 # Serialization
 # ---------------------------------------------------------------------------
 
-def _matrix_to_pairs(m: np.ndarray) -> list:
-    return [[[float(v.real), float(v.imag)] for v in row] for row in np.asarray(m, complex)]
-
-
-def _matrix_from_pairs(rows: list) -> np.ndarray:
-    return np.array([[complex(re, im) for re, im in row] for row in rows])
-
-
 def state_to_dict(state: CcqMarkovState) -> dict:
-    """Structured-text form: block weights, per-x matrices as (re, im) pairs."""
+    """Structured-text form: block weights, each component stack as nested (re, im) pairs."""
     return {
         "n1": state.n1,
         "n2": state.n2,
@@ -413,8 +426,8 @@ def state_to_dict(state: CcqMarkovState) -> dict:
         "blocks": [
             {
                 "weight": b.weight,
-                "comp1": [_matrix_to_pairs(a) for a in b.comp1],
-                "comp2": [_matrix_to_pairs(a) for a in b.comp2],
+                "comp1": b.comp1.view(float).reshape(b.comp1.shape + (2,)).tolist(),
+                "comp2": b.comp2.view(float).reshape(b.comp2.shape + (2,)).tolist(),
             }
             for b in state.blocks
         ],
@@ -422,21 +435,27 @@ def state_to_dict(state: CcqMarkovState) -> dict:
 
 
 def state_from_dict(d: dict) -> CcqMarkovState:
-    blocks = tuple(
-        CcqBlock(
-            weight=float(b["weight"]),
-            comp1=tuple(_matrix_from_pairs(a) for a in b["comp1"]),
-            comp2=tuple(_matrix_from_pairs(a) for a in b["comp2"]),
+    """Inverse of `state_to_dict`; a malformed dict raises InvalidArgumentError."""
+    try:
+        blocks = tuple(
+            CcqBlock(
+                weight=float(b["weight"]),
+                comp1=np.ascontiguousarray(b["comp1"], float).view(complex)[..., 0],
+                comp2=np.ascontiguousarray(b["comp2"], float).view(complex)[..., 0],
+            )
+            for b in d["blocks"]
         )
-        for b in d["blocks"]
-    )
-    ck = d.get("certified_k")
-    return CcqMarkovState(
-        n1=int(d["n1"]),
-        n2=int(d["n2"]),
-        blocks=blocks,
-        certified_k=tuple(ck) if ck else None,
-    )
+        ck = d.get("certified_k")
+        return CcqMarkovState(
+            n1=int(d["n1"]),
+            n2=int(d["n2"]),
+            blocks=blocks,
+            certified_k=tuple(map(float, ck)) if ck else None,
+        )
+    except InvalidArgumentError:
+        raise
+    except (IndexError, KeyError, TypeError, ValueError, OverflowError) as e:
+        raise InvalidArgumentError(f"malformed state: {e!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -473,11 +492,9 @@ def random_ccq_markov_state(
 
         def flat_component(n, sigma):
             size = int(rng.integers(1, (1 << n) + 1))
-            support = rng.choice(1 << n, size=size, replace=False)
-            comp = [np.zeros_like(sigma) for _ in range(1 << n)]
-            for x in support:
-                comp[x] = sigma / size
-            return tuple(comp), size
+            comp = np.zeros((1 << n,) + sigma.shape, dtype=complex)
+            comp[rng.choice(1 << n, size=size, replace=False)] = sigma / size
+            return comp, size
 
         comp1, s1 = flat_component(n1, sigma1)
         comp2, s2 = flat_component(n2, sigma2)

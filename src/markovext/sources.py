@@ -53,6 +53,8 @@ class MarkovSourceTable:
         self.pz = np.asarray(pz, dtype=float)
         self.px1_given_z = np.asarray(px1_given_z, dtype=float)
         self.px2_given_z = np.asarray(px2_given_z, dtype=float)
+        if self.pz.ndim != 1 or self.px1_given_z.ndim != 2 or self.px2_given_z.ndim != 2:
+            raise InvalidArgumentError("pz must be a vector and each conditional table a matrix")
         zc = self.pz.shape[0]
         if self.px1_given_z.shape[0] != zc or self.px2_given_z.shape[0] != zc:
             raise InvalidArgumentError("conditional tables must have one row per z")
@@ -92,7 +94,11 @@ class MarkovSourceTable:
 
     @classmethod
     def from_dict(cls, d: dict) -> "MarkovSourceTable":
-        return cls(np.array(d["pz"]), np.array(d["px1_given_z"]), np.array(d["px2_given_z"]))
+        try:
+            arrays = [np.array(d[k], dtype=float) for k in ("pz", "px1_given_z", "px2_given_z")]
+        except (KeyError, TypeError, ValueError) as e:
+            raise InvalidArgumentError(f"malformed table: {e!r}") from None
+        return cls(*arrays)
 
 
 def hmin_conditional(table: MarkovSourceTable, source: int) -> float:

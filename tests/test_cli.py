@@ -210,6 +210,8 @@ _PLAN = ["plan", "--model", "quantum-markov", "--family", "deor"]
       "--n2", "3", "--m", "2"], 3),
     (["extract", "{tmp}/a", "{tmp}/a", "{tmp}/y", "--family", "trevisan", "--n1", "8",
       "--n2", "8", "--m", "3", "--eps", "0.75"], 3),
+    (["extract", "{tmp}/a", "{tmp}/a", "{tmp}/y", "--descriptor", "{tmp}/bytes"], 3),
+    (["report", "{tmp}/bytes", "--format", "json"], 3),
 ], ids=["k1_nan", "k2_inf", "eps_nan", "k1_gt_n1", "k1_negative", "deor_n1_ne_n2",
         "deor_no_modulus", "m_gt_n", "missing_input", "missing_descriptor", "unwritable_output",
         "descriptor_not_json", "missing_report", "unwritable_report", "trevisan_no_modulus",
@@ -217,9 +219,10 @@ _PLAN = ["plan", "--model", "quantum-markov", "--family", "deor"]
         "l1_without_eps", "inner_product_m_ne_1", "extract_inner_product_m_ne_1",
         "extract_parity_m_ne_1", "plain_l3", "subnormalized_l3", "smooth_markov_l3",
         "extract_inner_product_n1_negative", "extract_composed_n2_ne_seed",
-        "extract_trevisan_n2_ne_seed"])
+        "extract_trevisan_n2_ne_seed", "extract_descriptor_not_utf8", "report_not_utf8"])
 def test_malformed_request_exit_code(tmp_path, capsys, argv, code):
     (tmp_path / "a").write_bytes(bytes(64))
+    (tmp_path / "bytes").write_bytes(bytes(range(256)))
     (tmp_path / "nan.json").write_text('{"version": "1", "records": [{"distance": NaN}]}')
     (tmp_path / "inf.csv").write_text("key,value\nrecords.0.distance,-Infinity\n")
     argv = [a.format(tmp=tmp_path) for a in argv]

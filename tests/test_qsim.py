@@ -1,17 +1,28 @@
+import dataclasses
+import json
 import math
+import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from markovext.bitfield import BitString
 from markovext.errors import CertificationError, InvalidArgumentError
-from markovext.extractors import ExtractorDescriptor, ExtractorFamily, deor_descriptor
+from markovext.extractors import (
+    ExtractorDescriptor,
+    ExtractorFamily,
+    deor_descriptor,
+    inner_product_descriptor,
+)
 from markovext.qsim import (
     CcqBlock,
     CcqMarkovState,
     DensityOperator,
     apply_extractor_channel,
     assemble,
+    certify_hmin,
     channel_monotonicity_check,
     conditional_mutual_information,
     from_markov_table,
@@ -27,7 +38,13 @@ from markovext.qsim import (
     trace_distance,
     verify_quantum_bound,
 )
-from markovext.sources import build_markov_table, statistical_distance_from_uniform
+from markovext.sources import (
+    MarkovSourceTable,
+    build_markov_table,
+    statistical_distance_from_uniform,
+)
+
+DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
 
 def _ket(dim, i):
@@ -170,6 +187,162 @@ def test_state_serialization_roundtrip():
         assert b1.weight == pytest.approx(b2.weight)
         for a, b in zip(b1.comp1, b2.comp1):
             assert np.allclose(a, b)
+
+
+def _state_json(state):
+    return json.dumps(state_to_dict(state), indent=2, sort_keys=True) + "\n"
+
+
+def test_state_format_matches_golden_file():
+    state = random_ccq_markov_state(2, 2, 3, 3, np.random.default_rng(5))
+    with open(os.path.join(DATA_DIR, "golden_state.json")) as fh:
+        golden = fh.read()
+    assert _state_json(state) == golden
+    again = state_from_dict(json.loads(golden))
+    assert _state_json(again) == golden
+    for b1, b2 in zip(state.blocks, again.blocks):
+        assert b1.weight == b2.weight
+        assert b1.comp1.tobytes() == b2.comp1.tobytes()  # signed zeros included
+        assert b1.comp2.tobytes() == b2.comp2.tobytes()
+
+
+_ONE = np.ones((1, 1))
+_HALF_I2 = [0.25 * np.eye(2), 0.25 * np.eye(2)]
+
+
+def _valid_state_dict():
+    return state_to_dict(CcqMarkovState(1, 1, (CcqBlock(1.0, _HALF_I2, [_ONE, 0 * _ONE]),)))
+
+
+def _edited(edit):
+    d = _valid_state_dict()
+    edit(d["blocks"][0])
+    return d
+
+
+@pytest.mark.parametrize("build", [
+    lambda: CcqBlock(1.0, [[[-0.5]], [[1.5]]], [_ONE, 0 * _ONE]),
+    lambda: CcqBlock(1.0, [[[0.25, 1.0], [0.0, 0.25]], 0.25 * np.eye(2)], [_ONE, 0 * _ONE]),
+    lambda: CcqMarkovState(1, 1, (CcqBlock(1.5, _HALF_I2, [_ONE, 0 * _ONE]),
+                                  CcqBlock(-0.5, _HALF_I2, [_ONE, 0 * _ONE]))),
+    lambda: CcqBlock(1.0, [[[math.nan]], [[1.0]]], [_ONE, 0 * _ONE]),
+    lambda: CcqBlock(math.inf, [_ONE, 0 * _ONE], [_ONE, 0 * _ONE]),
+    lambda: CcqBlock(1.0, [0.5 * _ONE, 0.25 * np.eye(2)], [_ONE, 0 * _ONE]),
+    lambda: state_from_dict(_edited(lambda b: [m.pop() for m in b["comp1"]])),
+    lambda: state_from_dict(_edited(lambda b: b.pop("comp2"))),
+    lambda: state_from_dict(_edited(lambda b: b.update(weight="one"))),
+    lambda: state_from_dict({**_valid_state_dict(), "n1": -1}),
+    lambda: state_from_dict({**_valid_state_dict(), "certified_k": [1.0]}),
+    lambda: hmin_cq([0.5 * np.eye(1), 0.25 * np.eye(2)]),
+], ids=["negative_component", "not_hermitian", "weights_1.5_-0.5", "nan_entry", "inf_weight",
+        "ragged_source", "dict_non_square", "dict_missing_comp2", "dict_string_weight",
+        "dict_negative_n", "dict_certified_k_not_pair", "hmin_cq_ragged"])
+def test_malformed_state_refused_when_built(build):
+    with pytest.raises(InvalidArgumentError):
+        build()
+
+
+def test_components_are_read_only_stacks():
+    state = random_ccq_markov_state(2, 2, 2, 3, np.random.default_rng(1))
+    b = state.blocks[0]
+    assert b.comp1.shape == (4, b.c1_dim, b.c1_dim) and b.comp1.dtype == complex
+    with pytest.raises(ValueError):
+        b.comp1[0, 0, 0] = 1.0
+    source = np.zeros((2, 1, 1))
+    source[0] = 1.0
+    block = CcqBlock(1.0, source, source)
+    source[0] = 0.5  # the block keeps its own copy
+    assert block.comp1[0, 0, 0] == 1.0
+
+
+# Values around the edge of the valid domain: inside the 1e-10 tolerances,
+# outside them, and not numbers at all.
+_ODD = st.sampled_from([-0.5, -1e-9, -1e-11, 1e-11, 0.3, 1.5, math.nan, math.inf, "x"])
+
+
+@st.composite
+def _malformed_state_dicts(draw):
+    n = draw(st.integers(1, 2))
+    rng = np.random.default_rng(draw(st.integers(0, 1 << 16)))
+    d = state_to_dict(random_ccq_markov_state(n, n, draw(st.integers(1, 3)), 2, rng))
+    block = draw(st.sampled_from(d["blocks"]))
+    comp = block[draw(st.sampled_from(["comp1", "comp2"]))]
+    x = draw(st.integers(0, len(comp) - 1))
+    i, j = draw(st.integers(0, len(comp[x]) - 1)), draw(st.integers(0, len(comp[x]) - 1))
+    kind = draw(st.sampled_from(
+        ["none", "entry", "asymmetric", "ragged", "row", "weight", "shift", "missing", "n"]))
+    if kind == "entry":
+        comp[x][i][j][draw(st.integers(0, 1))] = draw(_ODD)
+    elif kind == "asymmetric":
+        comp[x][i][j][1] += draw(st.sampled_from([1e-12, 1e-3, 0.5]))
+    elif kind == "ragged":
+        comp[x] = np.eye(len(comp[x]) % 2 + 1)[..., None].repeat(2, axis=-1).tolist()
+    elif kind == "row":
+        for m in comp:
+            m.pop()
+    elif kind == "weight":
+        block["weight"] = draw(_ODD)
+    elif kind == "shift":  # weights that still sum to 1, e.g. 1.5 and -0.5
+        delta = draw(st.sampled_from([0.5, 1.0, -2.0]))
+        d["blocks"][0]["weight"] += delta
+        d["blocks"][-1]["weight"] -= delta
+    elif kind == "missing":
+        del block[draw(st.sampled_from(["weight", "comp1", "comp2"]))]
+    elif kind == "n":
+        d["n1"] = d["n2"] = draw(st.sampled_from([-1, 0, n + 1, "two"]))
+    return d
+
+
+@st.composite
+def _malformed_table_dicts(draw):
+    n, z_card = draw(st.integers(1, 2)), draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 1 << 16)))
+    d = {"pz": rng.dirichlet(np.ones(z_card)).tolist(),
+         "px1_given_z": rng.dirichlet(np.ones(1 << n), size=z_card).tolist(),
+         "px2_given_z": rng.dirichlet(np.ones(1 << n), size=z_card).tolist()}
+    name = draw(st.sampled_from(["px1_given_z", "px2_given_z"]))
+    row = draw(st.sampled_from(d[name]))
+    kind = draw(st.sampled_from(["none", "entry", "ragged", "shift", "missing", "nested"]))
+    if kind == "entry":
+        row[draw(st.integers(0, len(row) - 1))] = draw(_ODD)
+    elif kind == "ragged":
+        row.append(0.0)
+    elif kind == "shift":
+        delta = draw(st.sampled_from([0.5, 1.0]))
+        d["pz"][0] += delta
+        d["pz"][-1] -= delta
+    elif kind == "missing":
+        del d[draw(st.sampled_from(sorted(d)))]
+    elif kind == "nested":
+        d["pz"] = [d["pz"]]
+    return d
+
+
+def _runs_to_finite_values(build):
+    try:
+        state = build()
+    except InvalidArgumentError:
+        return
+    n = state.n1
+    ext = inner_product_descriptor(1) if n == 1 else deor_descriptor(n, 1)
+    assert math.isfinite(markov_cmi(state))
+    chk = channel_monotonicity_check(state, ext, [np.eye(state.c_dim)])
+    assert math.isfinite(chk.before) and math.isfinite(chk.after)
+    if n == 1:
+        plain = dataclasses.replace(state, certified_k=None)
+        assert math.isfinite(certify_hmin(plain, 1)) and math.isfinite(certify_hmin(plain, 2))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_malformed_state_dicts())
+def test_state_dict_that_builds_also_runs(d):
+    _runs_to_finite_values(lambda: state_from_dict(d))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_malformed_table_dicts())
+def test_table_dict_that_builds_also_runs(d):
+    _runs_to_finite_values(lambda: from_markov_table(MarkovSourceTable.from_dict(d)))
 
 
 # ---------------------------------------------------------------------------
