@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
 
+import numpy as np
 from mpmath import mp
 
 from .bitfield import IRREDUCIBLE_POLY, BitString, gf_mul, parity
@@ -398,28 +399,17 @@ def _parity_flat_error(n: int, d: int, k: float) -> float:
     size = math.ceil(2.0 ** k - 1e-12)
     if not 1 <= size <= 1 << n:
         raise DomainError(f"entropy k={k} out of range for n={n}")
-    D = 1 << d
-    cap = 1 << (n - d)
-    best = 0.0
-    for sigma in range(1 << D):
-        vals = sorted(
-            (
-                sum(
-                    (1 if (sigma >> s) & 1 else -1) * (-1 if (v & s).bit_count() & 1 else 1)
-                    for s in range(D)
-                )
-                for v in range(D)
-            ),
-            reverse=True,
-        )
-        remaining, acc = size, 0
-        for val in vals:
-            take = min(cap, remaining)
-            acc += take * val
-            remaining -= take
-            if not remaining:
-                break
-        best = max(best, acc)
+    D, cap = 1 << d, 1 << (n - d)
+    v = np.arange(D)
+    chi = 1 - 2 * parity(v[:, None] & v, d)  # chi[v, s] = (-1)^<v, s>
+    signs = 2 * ((np.arange(1 << D)[:, None] >> v) & 1) - 1  # signs[sigma, s]
+    vals = np.sort(signs @ chi.T, axis=1)[:, ::-1]  # per sigma, descending
+    # The greedy fill takes cap points at each of the q largest values, then r
+    # at the next. Python ints: the sum reaches 2^(n+d), past int64 near n = 64.
+    q, r = divmod(size, cap)
+    top = vals[:, :q].sum(axis=1).astype(object)
+    nxt = vals[:, min(q, D - 1)].astype(object)  # r = 0 when q = D
+    best = max(0, (cap * top + r * nxt).max())
     return min(1.0, best / (2.0 * D * size))
 
 

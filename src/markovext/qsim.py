@@ -219,10 +219,15 @@ def assemble(state: CcqMarkovState) -> DensityOperator:
 
 
 def from_markov_table(table) -> CcqMarkovState:
-    """Embed a classical Markov table as a Markov state with 1-dimensional C-blocks."""
+    """Embed a classical Markov table as a Markov state with 1-dimensional C-blocks.
+
+    Entries the table admitted down to -sources.ROW_SUM_TOL become 0.0: a block
+    refuses any negative weight.
+    """
+    pz, px1, px2 = (np.maximum(a, 0.0) for a in (table.pz, table.px1_given_z, table.px2_given_z))
     blocks = tuple(
-        CcqBlock(weight=float(pz), comp1=p1[:, None, None], comp2=p2[:, None, None])
-        for pz, p1, p2 in zip(table.pz, table.px1_given_z, table.px2_given_z)
+        CcqBlock(weight=float(w), comp1=p1[:, None, None], comp2=p2[:, None, None])
+        for w, p1, p2 in zip(pz, px1, px2)
     )
     return CcqMarkovState(
         n1=table.n1,

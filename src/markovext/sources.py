@@ -8,6 +8,7 @@ are double-precision with a 1e-12 row-sum tolerance.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Optional
@@ -33,8 +34,11 @@ class FlatSource:
             raise InvalidArgumentError("support must be non-empty")
         if len(set(self.support)) != len(self.support):
             raise InvalidArgumentError("support contains duplicates")
-        if any(not 0 <= x < (1 << self.n) for x in self.support):
-            raise InvalidArgumentError("support element out of range")
+        try:
+            if any(not 0 <= operator.index(x) < (1 << self.n) for x in self.support):
+                raise InvalidArgumentError("support element out of range")
+        except TypeError:
+            raise InvalidArgumentError("support elements must be integers") from None
 
     @property
     def hmin(self) -> float:
@@ -143,27 +147,24 @@ def statistical_distance_from_uniform(
     T = extractor_output_table(ext, n1, n2)
     M = 1 << ext.m
 
-    x1_idx = np.repeat(np.arange(1 << n1), 1 << n2)
-    x2_idx = np.tile(np.arange(1 << n2), 1 << n1)
-    y_idx = T.ravel()
+    # Only the cells (x1, x2) with mass under some z: a skipped cell weighs 0
+    # in every z, so each bin still adds the same terms in (x1, x2) order.
+    p1, p2 = table.px1_given_z, table.px2_given_z
+    s1, s2 = np.flatnonzero(p1.any(axis=0)), np.flatnonzero(p2.any(axis=0))
+    xkey, ksize = 0, 1
+    if "X1" in cond:
+        xkey, ksize = s1[:, None], 1 << n1
+    if "X2" in cond:
+        xkey, ksize = xkey * (1 << n2) + s2, ksize << n2
+    # bin (x1 * 2^n2 + x2) * 2^m + y, keeping whichever of x1, x2 is conditioned on
+    key = (T[np.ix_(s1, s2)] + (xkey << ext.m)).ravel()
 
     per_z = "Z" in cond
-    kdims = []
-    if "X1" in cond:
-        kdims.append((x1_idx, 1 << n1))
-    if "X2" in cond:
-        kdims.append((x2_idx, 1 << n2))
-    key = np.zeros_like(y_idx)
-    ksize = 1
-    for idx, size in kdims:
-        key = key * size + idx
-        ksize *= size
-
     total = 0.0
     acc = np.zeros((ksize, M))
     for z in range(table.z_card):
-        w = table.pz[z] * np.outer(table.px1_given_z[z], table.px2_given_z[z]).ravel()
-        hist = np.bincount(key * M + y_idx, weights=w, minlength=ksize * M).reshape(ksize, M)
+        w = table.pz[z] * np.outer(p1[z, s1], p2[z, s2]).ravel()
+        hist = np.bincount(key, weights=w, minlength=ksize * M).reshape(ksize, M)
         if per_z:
             total += 0.5 * np.abs(hist - hist.sum(axis=1, keepdims=True) / M).sum()
         else:
@@ -247,7 +248,7 @@ def random_flat_source(n: int, k: int, rng: np.random.Generator) -> FlatSource:
     if not 0 <= k <= n:
         raise InvalidArgumentError(f"need 0 <= k <= n, got k={k}, n={n}")
     support = rng.choice(1 << n, size=1 << k, replace=False)
-    return FlatSource(n, tuple(int(x) for x in support))
+    return FlatSource(n, tuple(support.tolist()))
 
 
 def random_joint(n1: int, n2: int, rng: np.random.Generator) -> np.ndarray:

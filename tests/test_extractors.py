@@ -1,3 +1,4 @@
+import functools
 import math
 import pickle
 import random
@@ -245,6 +246,67 @@ def test_parity_error_law_uniform_source():
     ks = [3, 4, 5, 6, 7, 8]
     errs = [d.error_law(k) for k in ks]
     assert all(a >= b - 1e-15 for a, b in zip(errs, errs[1:]))
+
+
+@functools.cache
+def _sorted_character_sums(d: int) -> list:
+    """For each sign pattern sigma over the 2^d seeds, the sums
+    sum_s sigma_s (-1)^<v, s> over v, in descending order; they depend on d alone."""
+    D = 1 << d
+    return [
+        sorted(
+            (
+                sum(
+                    (1 if (sigma >> s) & 1 else -1) * (-1 if (v & s).bit_count() & 1 else 1)
+                    for s in range(D)
+                )
+                for v in range(D)
+            ),
+            reverse=True,
+        )
+        for sigma in range(1 << D)
+    ]
+
+
+def _parity_flat_error_loop(n: int, d: int, k: float) -> float:
+    """The parity law as a Python loop over sign patterns, each with a greedy fill."""
+    size = math.ceil(2.0 ** k - 1e-12)
+    D = 1 << d
+    cap = 1 << (n - d)
+    best = 0.0
+    for vals in _sorted_character_sums(d):
+        remaining, acc = size, 0
+        for val in vals:
+            take = min(cap, remaining)
+            acc += take * val
+            remaining -= take
+            if not remaining:
+                break
+        best = max(best, acc)
+    return min(1.0, best / (2.0 * D * size))
+
+
+def test_parity_error_law_matches_the_loop():
+    for n in range(1, 9):
+        for d in range(1, min(n, 3) + 1):
+            law = parity_seeded_descriptor(n, d).error_law
+            for size in range(1, (1 << n) + 1):
+                k = math.log2(size)
+                assert law(k) == _parity_flat_error_loop(n, d, k), (n, d, size)
+    # near n = 64 the fill reaches 2^(n+d), beyond int64
+    for n, d in [(59, 3), (60, 3), (62, 2), (64, 1), (64, 2), (64, 3)]:
+        for k in (1.0, 4.7, n - 3.3, n - 0.5, n - 1e-9, n):
+            assert parity_seeded_descriptor(n, d).error_law(k) == _parity_flat_error_loop(n, d, k)
+
+
+@pytest.mark.parametrize("n,d,k,expected", [
+    (8, 4, 7, 0.125),
+    (8, 4, math.log2(200), 0.0825),
+    (4, 4, math.log2(7), 0.15178571428571427),
+])
+def test_parity_error_law_at_d4_keeps_the_loop_values(n, d, k, expected):
+    # the loop's values; it takes seconds a call at d = 4
+    assert parity_seeded_descriptor(n, d).error_law(k) == expected
 
 
 @pytest.mark.parametrize("k", [math.nan, math.inf, -math.inf])

@@ -302,9 +302,16 @@ def _malformed_table_dicts(draw):
          "px2_given_z": rng.dirichlet(np.ones(1 << n), size=z_card).tolist()}
     name = draw(st.sampled_from(["px1_given_z", "px2_given_z"]))
     row = draw(st.sampled_from(d[name]))
-    kind = draw(st.sampled_from(["none", "entry", "ragged", "shift", "missing", "nested"]))
+    kind = draw(st.sampled_from(
+        ["none", "entry", "tiny", "ragged", "shift", "missing", "nested"]))
     if kind == "entry":
         row[draw(st.integers(0, len(row) - 1))] = draw(_ODD)
+    elif kind == "tiny":  # -1e-13, inside the table's tolerance, moved between two entries
+        vec = d["pz"] if z_card > 1 and draw(st.booleans()) else row
+        i = draw(st.integers(0, len(vec) - 1))
+        j = (i + draw(st.integers(1, len(vec) - 1))) % len(vec)
+        vec[j] += vec[i] + 1e-13
+        vec[i] = -1e-13
     elif kind == "ragged":
         row.append(0.0)
     elif kind == "shift":
@@ -318,13 +325,13 @@ def _malformed_table_dicts(draw):
     return d
 
 
-def _runs_to_finite_values(build):
-    try:
-        state = build()
-    except InvalidArgumentError:
-        return
+def _one_bit_extractor(n):
+    return inner_product_descriptor(1) if n == 1 else deor_descriptor(n, 1)
+
+
+def _runs_to_finite_values(state):
     n = state.n1
-    ext = inner_product_descriptor(1) if n == 1 else deor_descriptor(n, 1)
+    ext = _one_bit_extractor(n)
     assert math.isfinite(markov_cmi(state))
     chk = channel_monotonicity_check(state, ext, [np.eye(state.c_dim)])
     assert math.isfinite(chk.before) and math.isfinite(chk.after)
@@ -336,13 +343,23 @@ def _runs_to_finite_values(build):
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(_malformed_state_dicts())
 def test_state_dict_that_builds_also_runs(d):
-    _runs_to_finite_values(lambda: state_from_dict(d))
+    try:
+        state = state_from_dict(d)
+    except InvalidArgumentError:
+        return
+    _runs_to_finite_values(state)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(_malformed_table_dicts())
 def test_table_dict_that_builds_also_runs(d):
-    _runs_to_finite_values(lambda: from_markov_table(MarkovSourceTable.from_dict(d)))
+    # only the table may refuse the dict: a table that builds embeds and runs
+    try:
+        table = MarkovSourceTable.from_dict(d)
+    except InvalidArgumentError:
+        return
+    assert math.isfinite(statistical_distance_from_uniform(_one_bit_extractor(table.n1), table))
+    _runs_to_finite_values(from_markov_table(table))
 
 
 # ---------------------------------------------------------------------------

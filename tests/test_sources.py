@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -57,6 +58,10 @@ def test_flat_source_basics():
         FlatSource(3, (1, 1))
     with pytest.raises(InvalidArgumentError):
         FlatSource(3, (8,))
+    with pytest.raises(InvalidArgumentError):
+        FlatSource(2, (0, 1.5))
+    with pytest.raises(InvalidArgumentError):
+        FlatSource(2, (0.0, 1.0))
 
 
 def test_markov_table_validation():
@@ -167,6 +172,77 @@ def test_distance_conditioning_args():
     assert 0 <= d_plain <= d_z <= d_zx1 <= 1 + 1e-12
     with pytest.raises(InvalidArgumentError):
         statistical_distance_from_uniform(ext, t, conditioned_on=("Q",))
+
+
+def _distance_repeat_tile(ext, table, conditioned_on) -> float:
+    """The distance over every cell (x1, x2), keyed by repeat/tile index arrays."""
+    cond = set(conditioned_on)
+    n1, n2 = table.n1, table.n2
+    T = extractor_output_table(ext, n1, n2)
+    M = 1 << ext.m
+    x1_idx = np.repeat(np.arange(1 << n1), 1 << n2)
+    x2_idx = np.tile(np.arange(1 << n2), 1 << n1)
+    y_idx = T.ravel()
+    per_z = "Z" in cond
+    kdims = []
+    if "X1" in cond:
+        kdims.append((x1_idx, 1 << n1))
+    if "X2" in cond:
+        kdims.append((x2_idx, 1 << n2))
+    key = np.zeros_like(y_idx)
+    ksize = 1
+    for idx, size in kdims:
+        key = key * size + idx
+        ksize *= size
+    total = 0.0
+    acc = np.zeros((ksize, M))
+    for z in range(table.z_card):
+        w = table.pz[z] * np.outer(table.px1_given_z[z], table.px2_given_z[z]).ravel()
+        hist = np.bincount(key * M + y_idx, weights=w, minlength=ksize * M).reshape(ksize, M)
+        if per_z:
+            total += 0.5 * np.abs(hist - hist.sum(axis=1, keepdims=True) / M).sum()
+        else:
+            acc += hist
+    if not per_z:
+        total = 0.5 * np.abs(acc - acc.sum(axis=1, keepdims=True) / M).sum()
+    return float(total)
+
+
+def _reference_tables(n: int, rng: np.random.Generator):
+    """Flat pairs with k < n, generated Markov tables with |Z| = 1..5, and
+    Dirichlet tables with zero columns and entries of -5e-13 and -0.0."""
+    for _ in range(2):
+        k1, k2 = rng.integers(0, n, size=2)
+        yield MarkovSourceTable.from_flat_pair(
+            random_flat_source(n, int(k1), rng), random_flat_source(n, int(k2), rng))
+    for z_card in range(1, 6):
+        yield build_markov_table(n, n, z_card, rng.uniform(0, n), rng.uniform(0, n),
+                                 seed=int(rng.integers(1 << 16)))
+    for z_card in (2, 4):
+        pz = rng.dirichlet(np.ones(z_card))
+        p1, p2 = rng.dirichlet(np.ones(1 << n), size=(2, z_card))
+        for p in (p1, p2):
+            p[:, rng.random(1 << n) < 0.5] = 0.0
+        p1[:, -1] = -5e-13
+        p2[p2 == 0.0] = -0.0
+        for p in (p1, p2):
+            p[:, 0] = 1.0 - p[:, 1:].sum(axis=1)
+        yield MarkovSourceTable(pz, p1, p2)
+
+
+@pytest.mark.parametrize("ext", [
+    # not m = 8 at n = 8: given X1 and X2 that is 2^24 bins, ~13 s a table
+    *[deor_descriptor(n, m) for n in (2, 3, 4, 6, 8) for m in sorted({1, 2, n}) if m < 8],
+    *[inner_product_descriptor(n) for n in (2, 3, 4, 6, 8)],
+    compose(parity_seeded_descriptor(8, 3), deor_descriptor(8, 3)),
+], ids=lambda e: f"{e.family.value}-n{e.n1}-m{e.m}")
+def test_distance_matches_the_repeat_tile_reference(ext):
+    rng = np.random.default_rng(ext.n1 * 8 + ext.m)
+    subsets = [c for r in range(4) for c in itertools.combinations(("Z", "X1", "X2"), r)]
+    for table in _reference_tables(ext.n1, rng):
+        for cond in subsets:
+            assert (statistical_distance_from_uniform(ext, table, cond)
+                    == _distance_repeat_tile(ext, table, cond)), cond
 
 
 def test_enumeration_budget_enforced():
