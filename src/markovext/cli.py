@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import functools
 import io
 import json
@@ -115,112 +116,63 @@ _MODELS = {
 
 
 def _plan_assessment(args) -> dict:
-    if not (0 <= args.k1 <= args.n1 and 0 <= args.k2 <= args.n2):
-        raise DomainError(f"need 0 <= k1 <= n1 and 0 <= k2 <= n2, got k1={args.k1}, k2={args.k2}")
+    k1, k2, m, l, model = args.k1, args.k2, args.m, args.l, args.model
+    if not (0 <= k1 <= args.n1 and 0 <= k2 <= args.n2):
+        raise DomainError(f"need 0 <= k1 <= n1 and 0 <= k2 <= n2, got k1={k1}, k2={k2}")
+    if args.family in ("raz", "trevisan-composition") and (model != "quantum-markov" or l != 2):
+        raise DomainError(f"{args.family} is stated for the quantum-markov model with two "
+                          f"sources; got --model {model}, --l {l}")
+    quantum = paramcalc.SecurityModel.QUANTUM_MARKOV.value
     if args.family == "raz":
         if args.delta_prime is None:
             raise DomainError("raz planning requires --delta-prime")
-        rep = paramcalc.raz_quantum_feasible(
-            args.n1, args.n2, args.k1, args.k2, args.m, args.delta_prime
-        )
-        return {
-            "model": paramcalc.SecurityModel.QUANTUM_MARKOV.value,
-            "family": "raz",
-            "feasible": rep.feasible,
-            "error": rep.error,
-            "violated": list(rep.violated),
-            "required_k": [args.k1, args.k2],
-            "m": args.m,
-        }
+        rep = paramcalc.raz_quantum_feasible(args.n1, args.n2, k1, k2, m, args.delta_prime)
+        return {**dataclasses.asdict(rep), "model": quantum, "family": "raz",
+                "required_k": [k1, k2], "m": m}
     if args.family == "trevisan-composition":
         if args.eps is None or args.outer_m is None or args.outer_eps is None:
             raise DomainError(
                 "trevisan-composition planning requires --eps, --outer-m, --outer-eps"
             )
         plan = paramcalc.trevisan_composition_plan(
-            args.n1, args.k1, args.k2, args.eps, args.outer_m, args.outer_eps
+            args.n1, k1, k2, args.eps, args.outer_m, args.outer_eps
         )
-        return {
-            "model": paramcalc.SecurityModel.QUANTUM_MARKOV.value,
-            "family": "trevisan-composition",
-            "feasible": plan.feasible,
-            "m_inner": plan.m_inner,
-            "m_total": plan.m_total,
-            "error": plan.error,
-            "violated": list(plan.violated),
-            "required_k": list(plan.required_k),
-        }
+        return {**dataclasses.asdict(plan), "model": quantum, "family": "trevisan-composition"}
 
-    law = build_descriptor(args.family, args.n1, args.n2, args.m).error_law
-    k1, k2, m, l = args.k1, args.k2, args.m, args.l
-    model = args.model
+    law = build_descriptor(args.family, args.n1, args.n2, m).error_law
     if model in ("plain", "smooth-markov", "subnormalized") and l != 2:
         raise DomainError(f"the {model} model is stated for two sources; got l={l}")
-    if model in ("plain", "subnormalized"):  # direct laws: no self-consistent solve
-        if model == "plain":
-            error = law(k1, k2)
-        else:
-            error = paramcalc.subnormalized_transfer(law(k1 + 1, k2 + 1))
-        a = paramcalc.SecurityAssessment(
-            model=_MODELS[model],
-            l=2,
-            required_k=(k1, k2),
-            error=error,
-            m=m,
-            strong_in=frozenset({1, 2}),
-        )
-        return a.to_dict()
-
-    if args.eps is not None:
-        # user-supplied base error: asserted entropies are the base thresholds
-        eps = args.eps
-        base_k = [k1, k2] + [k1] * (l - 2)
+    if model == "plain":  # direct laws: no self-consistent solve
+        error = law(k1, k2)
+    elif model == "subnormalized":
+        error = paramcalc.subnormalized_transfer(law(k1 + 1, k2 + 1))
     else:
-        if l != 2:
+        if args.eps is not None:
+            # user-supplied base error: asserted entropies are the base thresholds
+            eps, base_k = args.eps, [k1, k2] + [k1] * (l - 2)
+        elif l != 2:
             raise DomainError(f"the self-consistent solve is for l = 2; pass --eps for l={l}")
-        eps = paramcalc.solve_self_consistent_error(law, k1, k2)
-        base_k = [k1 + math.log2(eps), k2 + math.log2(eps)]
-    if eps >= 1.0:
-        return {
-            "model": _MODELS[model].value,
-            "l": l,
-            "required_k": [k1, k2],
-            "error": 1.0,
-            "m": m,
-            "strong_in": [1, 2],
-        }
-    if model == "classical-markov":
-        return paramcalc.classical_markov_transfer(base_k, eps, l, m, {1, 2}).to_dict()
-    if model == "quantum-markov":
-        return paramcalc.quantum_markov_transfer(base_k, eps, l, m, {1, 2}).to_dict()
-    if model == "smooth-markov":
-        base = paramcalc.quantum_markov_transfer(base_k[:2], eps, 2, m, {1, 2})
-        smooth = paramcalc.SmoothParams(args.delta1, args.delta2, args.eps1, args.eps2)
-        return paramcalc.smooth_transfer(base, smooth).to_dict()
-    raise DomainError(f"unknown model {model!r}")
+        else:
+            eps = paramcalc.solve_self_consistent_error(law, k1, k2)
+            base_k = [k1 + math.log2(eps), k2 + math.log2(eps)]
+        if eps < 1.0:
+            transfer = (paramcalc.classical_markov_transfer if model == "classical-markov"
+                        else paramcalc.quantum_markov_transfer)
+            a = transfer(base_k, eps, l, m, {1, 2})
+            if model == "smooth-markov":
+                smooth = paramcalc.SmoothParams(args.delta1, args.delta2, args.eps1, args.eps2)
+                a = paramcalc.smooth_transfer(a, smooth)
+            return a.to_dict()
+        error = 1.0
+    return paramcalc.SecurityAssessment(
+        _MODELS[model], l, (k1, k2), error, m, frozenset({1, 2})).to_dict()
 
 
 def cmd_plan(args) -> int:
-    request = {
-        "command": "plan",
-        "model": args.model,
-        "family": args.family,
-        "n1": args.n1,
-        "n2": args.n2,
-        "m": args.m,
-        "k1": args.k1,
-        "k2": args.k2,
-        "l": args.l,
-        "eps": args.eps,
-        "delta1": args.delta1,
-        "delta2": args.delta2,
-        "eps1": args.eps1,
-        "eps2": args.eps2,
-        "delta_prime": args.delta_prime,
-    }
+    request = {k: v for k, v in vars(args).items() if k not in ("cmd", "out")}
     report = {
         "version": REPORT_VERSION,
-        "request": request,
+        "request": {**request, "command": "plan"},
         "assessment": _plan_assessment(args),
         "records": [],
         "timing": None,
@@ -247,8 +199,7 @@ def cmd_extract(args) -> int:
     else:
         if args.n1 is None:
             raise DomainError("extract needs --n1 (or a --descriptor file)")
-        m = args.m if args.m is not None else 1
-        ext = build_descriptor(args.family, args.n1, args.n2, m, args.eps)
+        ext = build_descriptor(args.family, args.n1, args.n2, args.m, args.eps)
     x1 = _read_bits(args.in1, ext.n1)
     x2 = _read_bits(args.in2, ext.n2)
     y = ext.extract(x1, x2)
@@ -270,87 +221,63 @@ def _record(seed: int, distance: float, bound: float) -> dict:
     }
 
 
-def _suite_classical(seed: int, budget: int):
+def _suite_classical(seeds):
     ext = extractors.deor_descriptor(6, 2)
-    records = []
-    for i in range(budget):
-        s = seed + i
+    for s in seeds:
         table = sources.build_markov_table(6, 6, 2, 5.0, 5.0, s)
         k1p = sources.hmin_conditional(table, 1)
         k2p = sources.hmin_conditional(table, 2)
         eps = paramcalc.solve_self_consistent_error(ext.error_law, k1p, k2p)
         dist = sources.statistical_distance_from_uniform(ext, table, conditioned_on=("Z",))
-        records.append(_record(s, dist, min(1.0, 3.0 * eps)))
-    return records
+        yield s, dist, min(1.0, 3.0 * eps)
 
 
-def _suite_quantum(seed: int, budget: int):
+def _suite_quantum(seeds):
     ext = extractors.deor_descriptor(3, 2)
-    records = []
-    for i in range(budget):
-        s = seed + i
+    for s in seeds:
         rng = np.random.default_rng(s)
         state = qsim.random_ccq_markov_state(3, 3, int(rng.integers(1, 4)), 2, rng)
         chk = qsim.verify_quantum_bound(state, ext, *state.certified_k)
-        records.append(_record(s, chk.distance, chk.bound))
-    return records
+        yield s, chk.distance, chk.bound
 
 
-def _suite_distinguishing(seed: int, budget: int):
+def _suite_distinguishing(seeds):
     ext = extractors.deor_descriptor(3, 2)
-    records = []
-    for i in range(budget):
-        s = seed + i
+    for s in seeds:
         joint = sources.random_joint(3, 3, np.random.default_rng(s))
         stat = sources.distinguishing_event_statistic(ext, joint)
-        dist = sources.conditional_distance_given_guess(ext, joint)
-        records.append(_record(s, stat, dist))
-    return records
+        yield s, stat, sources.conditional_distance_given_guess(ext, joint)
 
 
-def _suite_monotonicity(seed: int, budget: int):
+def _suite_monotonicity(seeds):
     ext = extractors.deor_descriptor(2, 1)
-    records = []
-    for i in range(budget):
-        s = seed + i
+    for s in seeds:
         rng = np.random.default_rng(s)
         state = qsim.random_ccq_markov_state(2, 2, int(rng.integers(1, 3)), 2, rng)
         kraus = qsim.random_channel(state.c_dim, int(rng.integers(1, 4)), rng)
         chk = qsim.channel_monotonicity_check(state, ext, kraus)
-        records.append(_record(s, chk.after, chk.before))
-    return records
+        yield s, chk.after, chk.before
 
 
-def _suite_composition(seed: int, budget: int):
+def _suite_composition(seeds):
     ext = build_descriptor("composed", 8, 8, 3)
     bound = ext.error_law(7.0, 7.0)
-    records = []
-    for i in range(budget):
-        s = seed + i
+    for s in seeds:
         rng = np.random.default_rng(s)
         s1 = sources.random_flat_source(8, 7, rng)
         s2 = sources.random_flat_source(8, 7, rng)
         table = sources.MarkovSourceTable.from_flat_pair(s1, s2)
-        dist = sources.statistical_distance_from_uniform(ext, table, conditioned_on=())
-        records.append(_record(s, dist, bound))
-    return records
-
-
-_SUITE_RUNNERS = {
-    "classical": _suite_classical,
-    "quantum": _suite_quantum,
-    "distinguishing": _suite_distinguishing,
-    "monotonicity": _suite_monotonicity,
-    "composition": _suite_composition,
-}
+        yield s, sources.statistical_distance_from_uniform(ext, table, conditioned_on=()), bound
 
 
 def cmd_verify(args) -> int:
+    """Run the suite ``_suite_<name>``, a generator of (seed, distance, bound) per instance."""
     if args.budget < 1 or args.budget > MAX_VERIFY_BUDGET:
         raise ResourceBudgetError(
             f"budget must lie in [1, {MAX_VERIFY_BUDGET}], got {args.budget}"
         )
-    records = _SUITE_RUNNERS[args.suite](args.seed, args.budget)
+    suite = globals()["_suite_" + args.suite]
+    records = [_record(*r) for r in suite(range(args.seed, args.seed + args.budget))]
     report = {
         "version": REPORT_VERSION,
         "request": {"command": "verify", "suite": args.suite, "seed": args.seed, "budget": args.budget},
@@ -489,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
         "deor", "inner-product", "parity", "trevisan", "composed"])
     ext.add_argument("--n1", type=int, default=None)
     ext.add_argument("--n2", type=int, default=None)
-    ext.add_argument("--m", type=int, default=None)
+    ext.add_argument("--m", type=int, default=1)
     ext.add_argument("--eps", type=_finite_float, default=None)
 
     ver = sub.add_parser("verify", help="run a seeded verification suite")

@@ -68,26 +68,23 @@ class SmoothParams:
                 raise DomainError("smoothing parameters must lie in [0, 1]")
 
 
-def _check_transfer_args(k: Sequence[float], eps: float, l: int):
+def _markov_transfer(
+    model: SecurityModel, error_of: Callable, k: Sequence[float], eps: float, l: int, m: int,
+    strong_in,
+) -> SecurityAssessment:
+    """k_i -> k_i + log(1/eps); the error is error_of(mpf(eps)), clamped to 1."""
     if not 0 < eps < 1:
         raise DomainError(f"need 0 < eps < 1, got {eps}")
     if l < 2:
         raise DomainError(f"need at least two sources, got l={l}")
     if len(k) != l:
         raise DomainError(f"got {len(k)} entropy thresholds for l={l} sources")
-
-
-def classical_markov_transfer(
-    k: Sequence[float], eps: float, l: int, m: int, strong_in=frozenset()
-) -> SecurityAssessment:
-    """k_i -> k_i + log(1/eps), error -> (l+1) * eps."""
-    _check_transfer_args(k, eps, l)
     with mp.workprec(120):
         shift = -mp.log(mp.mpf(eps), 2)
         required = tuple(float(mp.mpf(ki) + shift) for ki in k)
-        error = min(1.0, float((l + 1) * mp.mpf(eps)))
+        error = min(1.0, float(error_of(mp.mpf(eps))))
     return SecurityAssessment(
-        model=SecurityModel.CLASSICAL_MARKOV,
+        model=model,
         l=l,
         required_k=required,
         error=error,
@@ -96,22 +93,22 @@ def classical_markov_transfer(
     )
 
 
+def classical_markov_transfer(
+    k: Sequence[float], eps: float, l: int, m: int, strong_in=frozenset()
+) -> SecurityAssessment:
+    """k_i -> k_i + log(1/eps), error -> (l+1) * eps."""
+    return _markov_transfer(
+        SecurityModel.CLASSICAL_MARKOV, lambda e: (l + 1) * e, k, eps, l, m, strong_in
+    )
+
+
 def quantum_markov_transfer(
     k: Sequence[float], eps: float, l: int, m: int, strong_in=frozenset()
 ) -> SecurityAssessment:
     """k_i -> k_i + log(1/eps), error -> sqrt((l+1) * eps * 2^(m-2))."""
-    _check_transfer_args(k, eps, l)
-    with mp.workprec(120):
-        shift = -mp.log(mp.mpf(eps), 2)
-        required = tuple(float(mp.mpf(ki) + shift) for ki in k)
-        error = min(1.0, float(mp.sqrt((l + 1) * mp.mpf(eps) * mp.mpf(2) ** (m - 2))))
-    return SecurityAssessment(
-        model=SecurityModel.QUANTUM_MARKOV,
-        l=l,
-        required_k=required,
-        error=error,
-        m=m,
-        strong_in=frozenset(strong_in),
+    return _markov_transfer(
+        SecurityModel.QUANTUM_MARKOV, lambda e: mp.sqrt((l + 1) * e * mp.mpf(2) ** (m - 2)),
+        k, eps, l, m, strong_in,
     )
 
 

@@ -73,7 +73,8 @@ class MarkovSourceTable:
                 raise InvalidArgumentError(f"{name} has non-finite entries")
             if np.any(arr < -ROW_SUM_TOL):
                 raise InvalidArgumentError(f"{name} has negative entries")
-            if np.any(np.abs(arr.sum(axis=1) - 1.0) > ROW_SUM_TOL):
+            # the rows as qsim.from_markov_table embeds them, tiny negatives clipped to 0
+            if np.any(np.abs(np.maximum(arr, 0.0).sum(axis=1) - 1.0) > ROW_SUM_TOL):
                 raise InvalidArgumentError(f"{name} rows must sum to 1 within {ROW_SUM_TOL}")
         self.n1 = int(math.log2(self.px1_given_z.shape[1]))
         self.n2 = int(math.log2(self.px2_given_z.shape[1]))

@@ -1,4 +1,5 @@
 import contextlib
+import importlib.util
 import io
 import json
 import math
@@ -82,6 +83,32 @@ def test_plan_at_error_1_reports_the_model_value(capsys, model, value):
     assert json.loads(out)["assessment"] == {
         "model": value, "l": 2, "required_k": [1.0, 1.0], "error": 1.0, "m": 1,
         "strong_in": [1, 2]}
+
+
+def test_plan_request_records_the_outer_flags(capsys):
+    argv = ["plan", "--model", "quantum-markov", "--family", "trevisan-composition",
+            "--n1", "65536", "--n2", "65536", "--m", "4", "--k1", "62000", "--k2", "59000",
+            "--eps", "1e-6", "--outer-eps", "1e-3"]
+    reports = []
+    for outer_m in ("16", "32"):
+        rc, out = _run(capsys, [*argv, "--outer-m", outer_m])
+        assert rc == 0
+        reports.append(json.loads(out))
+    assert reports[0]["assessment"]["m_total"] != reports[1]["assessment"]["m_total"]
+    assert reports[0]["request"] != reports[1]["request"]
+    assert [r["request"]["outer_m"] for r in reports] == [16, 32]
+    assert reports[0]["request"]["outer_eps"] == 1e-3
+
+
+def test_plan_request_records_every_flag_but_out(tmp_path, capsys):
+    out = tmp_path / "r.json"
+    assert main(["plan", "--model", "plain", "--family", "deor", "--n1", "8", "--n2", "8",
+                 "--m", "2", "--k1", "6", "--k2", "6", "--out", str(out)]) == 0
+    request = json.loads(out.read_text())["request"]
+    assert request == {
+        "command": "plan", "model": "plain", "family": "deor", "n1": 8, "n2": 8, "m": 2,
+        "k1": 6.0, "k2": 6.0, "l": 2, "eps": None, "delta1": 0.0, "delta2": 0.0, "eps1": 0.0,
+        "eps2": 0.0, "delta_prime": None, "outer_m": None, "outer_eps": None}
 
 
 def test_plan_usage_error_is_exit_2():
@@ -212,6 +239,11 @@ _PLAN = ["plan", "--model", "quantum-markov", "--family", "deor"]
       "--n2", "8", "--m", "3", "--eps", "0.75"], 3),
     (["extract", "{tmp}/a", "{tmp}/a", "{tmp}/y", "--descriptor", "{tmp}/bytes"], 3),
     (["report", "{tmp}/bytes", "--format", "json"], 3),
+    *[(["plan", "--model", model, "--family", family, "--n1", "4096", "--n2", "4096", "--m", "4",
+        "--k1", "4000", "--k2", "3900", "--delta-prime", "0.2", "--eps", "1e-6",
+        "--outer-m", "16", "--outer-eps", "1e-3", "--l", l], 3)
+      for family in ("raz", "trevisan-composition")
+      for model, l in (("plain", "2"), ("quantum-markov", "5"))],
 ], ids=["k1_nan", "k2_inf", "eps_nan", "k1_gt_n1", "k1_negative", "deor_n1_ne_n2",
         "deor_no_modulus", "m_gt_n", "missing_input", "missing_descriptor", "unwritable_output",
         "descriptor_not_json", "missing_report", "unwritable_report", "trevisan_no_modulus",
@@ -219,7 +251,8 @@ _PLAN = ["plan", "--model", "quantum-markov", "--family", "deor"]
         "l1_without_eps", "inner_product_m_ne_1", "extract_inner_product_m_ne_1",
         "extract_parity_m_ne_1", "plain_l3", "subnormalized_l3", "smooth_markov_l3",
         "extract_inner_product_n1_negative", "extract_composed_n2_ne_seed",
-        "extract_trevisan_n2_ne_seed", "extract_descriptor_not_utf8", "report_not_utf8"])
+        "extract_trevisan_n2_ne_seed", "extract_descriptor_not_utf8", "report_not_utf8",
+        "raz_plain", "raz_l5", "trevisan_composition_plain", "trevisan_composition_l5"])
 def test_malformed_request_exit_code(tmp_path, capsys, argv, code):
     (tmp_path / "a").write_bytes(bytes(64))
     (tmp_path / "bytes").write_bytes(bytes(range(256)))
@@ -488,3 +521,15 @@ def test_main_resolves_the_command_at_call_time(capsys, monkeypatch):
     monkeypatch.setattr(cli, "cmd_report", lambda args: seen.append(args.format) or 5)
     assert main(["report", path, "--format", "csv"]) == 5
     assert seen == ["csv"]
+
+
+def test_every_name_the_benchmark_traces_exists():
+    """bench/tracing.py wraps each (owner, attr) through owner.__dict__[attr]."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "tracing.py")
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = [(getattr(owner, "__name__", owner), attr)
+               for owner, attr, _ in tracing.TRACED + tracing.COUNTED
+               if attr not in owner.__dict__]
+    assert missing == []

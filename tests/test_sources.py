@@ -73,6 +73,22 @@ def test_markov_table_validation():
         MarkovSourceTable(np.array([1.0]), np.ones((1, 3)) / 3, np.ones((1, 4)) / 4)
 
 
+@pytest.mark.parametrize("name", ["pz", "px1_given_z"])
+def test_markov_table_checks_the_row_sums_it_embeds(name):
+    # each entry lies within ROW_SUM_TOL of 0 and the raw rows sum to 1, but
+    # with the negatives clipped to 0, as qsim.from_markov_table embeds them,
+    # a row sums to 1 + 2e-12
+    arrays = {"pz": np.full(3, 1 / 3), "px1_given_z": np.full((3, 2), 0.5),
+              "px2_given_z": np.full((3, 2), 0.5)}
+    if name == "pz":
+        arrays["pz"] = np.array([-1e-12, -1e-12, 1 + 2e-12])
+    else:
+        arrays["px1_given_z"] = np.full((3, 4), 0.25)
+        arrays["px1_given_z"][1] = [-1e-12, -1e-12, 0.5 + 1e-12, 0.5 + 1e-12]
+    with pytest.raises(InvalidArgumentError):
+        MarkovSourceTable(arrays["pz"], arrays["px1_given_z"], arrays["px2_given_z"])
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("name", ["pz", "px1_given_z", "px2_given_z"])
 def test_markov_table_refuses_non_finite_entries(name, value):
