@@ -53,31 +53,26 @@ VERIFY_SUITES = ("classical", "quantum", "distinguishing", "monotonicity", "comp
 # Descriptors
 # ---------------------------------------------------------------------------
 
+_FAMILIES = {"deor": "DEOR", "inner-product": "InnerProduct", "parity": "ParitySeeded",
+             "trevisan": "TrevisanSeeded", "composed": "Composed"}  # ExtractorFamily values
+
+
 def build_descriptor(family: str, n1: int, n2: Optional[int], m: int,
                      eps: Optional[float] = None):
-    """The descriptor of a CLI family. An n2 of None takes the family's own n2
-    (n1, or the seed length of trevisan and composed); a given n2 must equal it."""
-    if family in ("inner-product", "parity") and m != 1:
-        raise DomainError(f"{family} outputs one bit; got m={m}")
-    if family == "deor":
-        ext = extractors.deor_descriptor(n1, m)
-    elif family == "inner-product":
-        ext = extractors.inner_product_descriptor(n1)
-    elif family == "parity":
-        ext = extractors.parity_seeded_descriptor(n1, n1 if n2 is None else n2)
-    elif family == "trevisan":
-        if eps is None:
-            raise DomainError("trevisan requires --eps")
-        ext = extractors.trevisan_descriptor(n1, m, eps)
-    elif family == "composed":
-        inner = extractors.deor_descriptor(n1, m)
-        outer = extractors.parity_seeded_descriptor(n1, m)
-        ext = extractors.compose(outer, inner)
+    """The descriptor of a CLI family, built by `from_dict` as a descriptor file is. An n2 of
+    None takes the family's own n2 (n1, or the seed length of trevisan and composed)."""
+    if family == "composed":
+        d = {"params": {"outer": {"family": "ParitySeeded", "n1": n1, "n2": m},
+                        "inner": {"family": "DEOR", "n1": n1, "m": m}}}
     else:
-        raise DomainError(f"unknown extractor family {family!r}")
-    if n2 is not None and n2 != ext.n2:
-        raise DomainError(f"{family} with n1={n1} takes n2={ext.n2}, got n2={n2}")
-    return ext
+        d = {"n1": n1, "m": m, "params": {}}
+    if family == "parity" and n2 is None:
+        n2 = n1
+    if n2 is not None:
+        d["n2"] = n2
+    if eps is not None:
+        d["params"]["eps"] = eps
+    return extractors.ExtractorDescriptor.from_dict({"family": _FAMILIES.get(family, family), **d})
 
 
 def _reject_constant(name: str):
@@ -140,8 +135,7 @@ def _plan_assessment(args) -> dict:
         return {**dataclasses.asdict(plan), "model": quantum, "family": "trevisan-composition"}
 
     law = build_descriptor(args.family, args.n1, args.n2, m).error_law
-    if model in ("plain", "smooth-markov", "subnormalized") and l != 2:
-        raise DomainError(f"the {model} model is stated for two sources; got l={l}")
+    ks = [k1, k2] + [k1] * (l - 2)
     if model == "plain":  # direct laws: no self-consistent solve
         error = law(k1, k2)
     elif model == "subnormalized":
@@ -149,7 +143,7 @@ def _plan_assessment(args) -> dict:
     else:
         if args.eps is not None:
             # user-supplied base error: asserted entropies are the base thresholds
-            eps, base_k = args.eps, [k1, k2] + [k1] * (l - 2)
+            eps, base_k = args.eps, ks
         elif l != 2:
             raise DomainError(f"the self-consistent solve is for l = 2; pass --eps for l={l}")
         else:
@@ -165,7 +159,7 @@ def _plan_assessment(args) -> dict:
             return a.to_dict()
         error = 1.0
     return paramcalc.SecurityAssessment(
-        _MODELS[model], l, (k1, k2), error, m, frozenset({1, 2})).to_dict()
+        _MODELS[model], l, tuple(ks), error, m, frozenset({1, 2})).to_dict()
 
 
 def cmd_plan(args) -> int:

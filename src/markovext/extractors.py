@@ -133,9 +133,10 @@ class ExtractorDescriptor:
         # nested descriptors were checked by their own from_dict
         scalars = {k: v for k, v in params.items() if not isinstance(v, dict)}
         given = {**built, **d, "params": {**built["params"], **scalars}}
-        wrong = [k for k in built if given[k] != built[k]]
+        wrong = [f"{k}: {family.value} takes {built[k]}, got {given[k]}"
+                 for k in built if given[k] != built[k]]
         if wrong:
-            raise DomainError(f"{family.value} fields {wrong} disagree with its constructor")
+            raise DomainError("; ".join(wrong))
         return ext
 
 

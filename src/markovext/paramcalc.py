@@ -39,6 +39,13 @@ class SecurityAssessment:
     strong_in: frozenset = frozenset()
 
     def __post_init__(self):
+        if self.l < 2:
+            raise DomainError(f"need at least two sources, got l={self.l}")
+        if len(self.required_k) != self.l:
+            raise DomainError(f"got {len(self.required_k)} entropy thresholds for l={self.l} sources")
+        two_source = (SecurityModel.PLAIN, SecurityModel.SMOOTH_MARKOV, SecurityModel.SUBNORMALIZED)
+        if self.l != 2 and self.model in two_source:
+            raise DomainError(f"the {self.model.value} model is stated for two sources; got l={self.l}")
         if not 0.0 <= self.error <= 1.0:
             raise DomainError(f"error {self.error} outside [0, 1]")
         if any(k < 0 for k in self.required_k):
@@ -75,14 +82,11 @@ def _markov_transfer(
     """k_i -> k_i + log(1/eps); the error is error_of(mpf(eps)), clamped to 1."""
     if not 0 < eps < 1:
         raise DomainError(f"need 0 < eps < 1, got {eps}")
-    if l < 2:
-        raise DomainError(f"need at least two sources, got l={l}")
-    if len(k) != l:
-        raise DomainError(f"got {len(k)} entropy thresholds for l={l} sources")
     with mp.workprec(120):
         shift = -mp.log(mp.mpf(eps), 2)
         required = tuple(float(mp.mpf(ki) + shift) for ki in k)
-        error = min(1.0, float(error_of(mp.mpf(eps))))
+        # .real: the quantum law is complex for l < -1, which the assessment refuses
+        error = min(1.0, float(error_of(mp.mpf(eps)).real))
     return SecurityAssessment(
         model=model,
         l=l,
@@ -116,14 +120,12 @@ def smooth_transfer(base: SecurityAssessment, s: SmoothParams) -> SecurityAssess
     """Error 6*delta1 + 6*delta2 + 2*eps1 + 2*eps2 + 2*eps for two sources."""
     if base.model is not SecurityModel.QUANTUM_MARKOV:
         raise DomainError("smooth transfer applies to a quantum-Markov base assessment")
-    if base.l != 2:
-        raise DomainError("smooth transfer is stated for two sources only")
     error = min(
         1.0, 6 * s.delta1 + 6 * s.delta2 + 2 * s.eps1 + 2 * s.eps2 + 2 * base.error
     )
     return SecurityAssessment(
         model=SecurityModel.SMOOTH_MARKOV,
-        l=2,
+        l=base.l,
         required_k=base.required_k,
         error=error,
         m=base.m,

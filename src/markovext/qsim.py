@@ -17,14 +17,13 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import sources
-from .errors import CertificationError, InvalidArgumentError
+from .errors import CertificationError, InvalidArgumentError, ResourceBudgetError
 from .extractors import ExtractorDescriptor
 from .paramcalc import quantum_markov_transfer, solve_self_consistent_error
 
 HERMITIAN_TOL = 1e-10
 EIGENVALUE_TOL = 1e-10
 TRACE_TOL = 1e-10
-CMI_TOL = 1e-8
 DISTANCE_SLACK = 1e-9
 
 
@@ -158,7 +157,7 @@ class CcqBlock:
         for name in ("comp1", "comp2"):
             comp = _psd_matrices(getattr(self, name), 3, name)
             tr = float(np.trace(comp, axis1=1, axis2=2).real.sum())
-            if abs(tr - 1.0) > 1e-10:
+            if abs(tr - 1.0) > TRACE_TOL:
                 raise InvalidArgumentError(f"cq component traces sum to {tr}, not 1")
             object.__setattr__(self, name, comp)
 
@@ -186,7 +185,7 @@ class CcqMarkovState:
         if self.certified_k is not None and len(self.certified_k) != 2:
             raise InvalidArgumentError("certified_k must be a pair")
         w = sum(b.weight for b in self.blocks)
-        if abs(w - 1.0) > 1e-12:
+        if abs(w - 1.0) > sources.ROW_SUM_TOL:
             raise InvalidArgumentError(f"block weights sum to {w}, not 1")
         for b in self.blocks:
             if len(b.comp1) != 1 << self.n1 or len(b.comp2) != 1 << self.n2:
@@ -210,7 +209,11 @@ class CcqMarkovState:
 
 
 def assemble(state: CcqMarkovState) -> DensityOperator:
-    """Dense density operator on X1 (x) X2 (x) C with orthogonal C-blocks."""
+    """Dense density operator on X1 (x) X2 (x) C with orthogonal C-blocks; refused before
+    allocating when it would hold more than 2^ENUMERATION_BUDGET_BITS entries."""
+    rows = (1 << (state.n1 + state.n2)) * state.c_dim
+    if 2 * math.log2(rows) > sources.ENUMERATION_BUDGET_BITS:
+        raise ResourceBudgetError(f"dense state of {rows} rows exceeds the enumeration budget")
     return DensityOperator(_block_diagonal([
         state.conditional_side_information(x1, x2)
         for x1 in range(1 << state.n1)
@@ -219,15 +222,10 @@ def assemble(state: CcqMarkovState) -> DensityOperator:
 
 
 def from_markov_table(table) -> CcqMarkovState:
-    """Embed a classical Markov table as a Markov state with 1-dimensional C-blocks.
-
-    Entries the table admitted down to -sources.ROW_SUM_TOL become 0.0: a block
-    refuses any negative weight.
-    """
-    pz, px1, px2 = (np.maximum(a, 0.0) for a in (table.pz, table.px1_given_z, table.px2_given_z))
+    """Embed a classical Markov table as a Markov state with 1-dimensional C-blocks."""
     blocks = tuple(
         CcqBlock(weight=float(w), comp1=p1[:, None, None], comp2=p2[:, None, None])
-        for w, p1, p2 in zip(pz, px1, px2)
+        for w, p1, p2 in zip(table.pz, table.px1_given_z, table.px2_given_z)
     )
     return CcqMarkovState(
         n1=table.n1,

@@ -51,31 +51,29 @@ class FlatSource:
 
 
 class MarkovSourceTable:
-    """Joint distribution p(z) * p(x1|z) * p(x2|z); conditionally independent by construction."""
+    """Joint distribution p(z) * p(x1|z) * p(x2|z); conditionally independent by construction.
+
+    Holds read-only copies of the arrays as checked, admitted tiny negatives as 0.0."""
 
     def __init__(self, pz: np.ndarray, px1_given_z: np.ndarray, px2_given_z: np.ndarray):
-        self.pz = np.asarray(pz, dtype=float)
-        self.px1_given_z = np.asarray(px1_given_z, dtype=float)
-        self.px2_given_z = np.asarray(px2_given_z, dtype=float)
-        if self.pz.ndim != 1 or self.px1_given_z.ndim != 2 or self.px2_given_z.ndim != 2:
+        pz, px1, px2 = (np.asarray(a, dtype=float) for a in (pz, px1_given_z, px2_given_z))
+        if pz.ndim != 1 or px1.ndim != 2 or px2.ndim != 2:
             raise InvalidArgumentError("pz must be a vector and each conditional table a matrix")
-        zc = self.pz.shape[0]
-        if self.px1_given_z.shape[0] != zc or self.px2_given_z.shape[0] != zc:
+        zc = pz.shape[0]
+        if px1.shape[0] != zc or px2.shape[0] != zc:
             raise InvalidArgumentError("conditional tables must have one row per z")
         if zc == 0:
             raise InvalidArgumentError("empty table")
-        for name, arr in (
-            ("pz", self.pz[None, :]),
-            ("px1_given_z", self.px1_given_z),
-            ("px2_given_z", self.px2_given_z),
-        ):
+        for name, arr in (("pz", pz), ("px1_given_z", px1), ("px2_given_z", px2)):
             if not np.isfinite(arr).all():
                 raise InvalidArgumentError(f"{name} has non-finite entries")
             if np.any(arr < -ROW_SUM_TOL):
                 raise InvalidArgumentError(f"{name} has negative entries")
-            # the rows as qsim.from_markov_table embeds them, tiny negatives clipped to 0
-            if np.any(np.abs(np.maximum(arr, 0.0).sum(axis=1) - 1.0) > ROW_SUM_TOL):
+            kept = np.maximum(arr, 0.0)
+            if np.any(np.abs(kept.sum(axis=-1) - 1.0) > ROW_SUM_TOL):
                 raise InvalidArgumentError(f"{name} rows must sum to 1 within {ROW_SUM_TOL}")
+            kept.flags.writeable = False
+            setattr(self, name, kept)
         self.n1 = int(math.log2(self.px1_given_z.shape[1]))
         self.n2 = int(math.log2(self.px2_given_z.shape[1]))
         if (1 << self.n1) != self.px1_given_z.shape[1] or (1 << self.n2) != self.px2_given_z.shape[1]:

@@ -44,6 +44,15 @@ def test_bitstring_xor_truncate_concat():
         a ^ BitString(0, 3)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: BitString(0, -1),
+    lambda: BitString(1, 2).truncate(3),
+], ids=["negative_length", "truncate_beyond_length"])
+def test_bitstring_refuses_out_of_range_lengths(build):
+    with pytest.raises(InvalidArgumentError):
+        build()
+
+
 def test_bitstring_bytes_roundtrip_little_endian():
     # bit 0 of the string is the least-significant bit of byte 0
     b = BitString(0x1234, 13)

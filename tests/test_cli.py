@@ -85,6 +85,16 @@ def test_plan_at_error_1_reports_the_model_value(capsys, model, value):
         "strong_in": [1, 2]}
 
 
+def test_plan_at_error_1_carries_one_threshold_per_source(capsys):
+    rc, out = _run(capsys, [
+        "plan", "--model", "classical-markov", "--family", "deor", "--n1", "8", "--n2", "8",
+        "--m", "2", "--k1", "6", "--k2", "5", "--l", "3", "--eps", "2.0"])
+    assert rc == 0
+    assessment = json.loads(out)["assessment"]
+    assert assessment["l"] == 3 and assessment["error"] == 1.0
+    assert assessment["required_k"] == [6.0, 5.0, 6.0]
+
+
 def test_plan_request_records_the_outer_flags(capsys):
     argv = ["plan", "--model", "quantum-markov", "--family", "trevisan-composition",
             "--n1", "65536", "--n2", "65536", "--m", "4", "--k1", "62000", "--k2", "59000",
@@ -244,6 +254,15 @@ _PLAN = ["plan", "--model", "quantum-markov", "--family", "deor"]
         "--outer-m", "16", "--outer-eps", "1e-3", "--l", l], 3)
       for family in ("raz", "trevisan-composition")
       for model, l in (("plain", "2"), ("quantum-markov", "5"))],
+    ([*_PLAN, "--n1", "64", "--n2", "64", "--m", "4", "--k1", "abc", "--k2", "50"], 2),
+    (["plan", "--model", "quantum-markov", "--family", "raz", "--n1", "4096", "--n2", "4096",
+      "--m", "4", "--k1", "4000", "--k2", "3900"], 3),
+    (["extract", "{tmp}/a", "{tmp}/a", "{tmp}/y", "--family", "deor"], 3),
+    *[(["plan", "--model", "classical-markov", "--family", "deor", "--n1", "8", "--n2", "8",
+        "--m", "2", "--k1", "6", "--k2", "6", "--l", l, "--eps", eps], 3)
+      for l, eps in (("1", "2.0"), ("-3", "1.5"))],
+    (["extract", "{tmp}/a", "{tmp}/a", "{tmp}/y", "--family", "deor", "--n1", "8", "--m", "4",
+      "--eps", "0.9"], 3),
 ], ids=["k1_nan", "k2_inf", "eps_nan", "k1_gt_n1", "k1_negative", "deor_n1_ne_n2",
         "deor_no_modulus", "m_gt_n", "missing_input", "missing_descriptor", "unwritable_output",
         "descriptor_not_json", "missing_report", "unwritable_report", "trevisan_no_modulus",
@@ -252,7 +271,9 @@ _PLAN = ["plan", "--model", "quantum-markov", "--family", "deor"]
         "extract_parity_m_ne_1", "plain_l3", "subnormalized_l3", "smooth_markov_l3",
         "extract_inner_product_n1_negative", "extract_composed_n2_ne_seed",
         "extract_trevisan_n2_ne_seed", "extract_descriptor_not_utf8", "report_not_utf8",
-        "raz_plain", "raz_l5", "trevisan_composition_plain", "trevisan_composition_l5"])
+        "raz_plain", "raz_l5", "trevisan_composition_plain", "trevisan_composition_l5",
+        "k1_not_a_number", "raz_no_delta_prime", "extract_no_n1", "error_1_l1",
+        "error_1_l_negative", "extract_deor_eps"])
 def test_malformed_request_exit_code(tmp_path, capsys, argv, code):
     (tmp_path / "a").write_bytes(bytes(64))
     (tmp_path / "bytes").write_bytes(bytes(range(256)))

@@ -115,6 +115,30 @@ def test_weak_design_bad_t():
         weak_design_build(4, 2)
 
 
+def test_weak_design_layout_search_takes_a_second_block():
+    # one block of 16 polynomials over GF(4) is too few for 200 sets
+    d = weak_design_build(200, 4)
+    assert d.d_universe == 2 * 4 * 4
+    for i in range(d.m):
+        assert d.overlap_statistic(i) <= WEAK_DESIGN_OVERLAP * (d.m - 1) + 1e-9
+
+
+@pytest.mark.parametrize("build,error", [
+    (lambda: weak_design_build(0, 4), ConstructionError),
+    (lambda: weak_design_build(200, 4, universe_blocks=1), ConstructionError),
+    (lambda: trevisan_extract(BitString(0, 8), BitString(0, 100), *_toy_trevisan().trevisan),
+     InvalidArgumentError),
+    (lambda: trevisan_extract(BitString(0, 8), BitString(0, 16),
+                              _toy_trevisan().trevisan[0], weak_design_build(3, 4)),
+     InvalidArgumentError),
+    (lambda: parity_seeded_descriptor(4, 2).error_law(5.0), DomainError),
+], ids=["design_no_sets", "design_one_block_of_200", "trevisan_seed_length",
+        "trevisan_design_t", "parity_k_above_n"])
+def test_constructions_refuse_out_of_range_input(build, error):
+    with pytest.raises(error):
+        build()
+
+
 # ---------------------------------------------------------------------------
 # Trevisan parameters
 # ---------------------------------------------------------------------------

@@ -79,6 +79,29 @@ def test_transfer_domain_errors():
         quantum_markov_transfer((5, 5, 5), 0.1, 2, 1)
 
 
+_CLASSICAL = SecurityModel.CLASSICAL_MARKOV
+
+
+@pytest.mark.parametrize("build", [
+    lambda: SecurityAssessment(_CLASSICAL, 2, (5.0, 5.0), 1.5, 1),
+    lambda: SecurityAssessment(_CLASSICAL, 2, (5.0, -1.0), 0.1, 1),
+    lambda: SecurityAssessment(_CLASSICAL, 1, (5.0,), 0.1, 1),
+    lambda: SecurityAssessment(_CLASSICAL, 3, (5.0, 5.0), 0.1, 1),
+    lambda: SecurityAssessment(SecurityModel.PLAIN, 3, (5.0, 5.0, 5.0), 0.1, 1),
+    lambda: SecurityAssessment(SecurityModel.SUBNORMALIZED, 3, (5.0, 5.0, 5.0), 0.1, 1),
+    lambda: smooth_transfer(quantum_markov_transfer((5, 5, 5), 2 ** -20, 3, 1),
+                            SmoothParams(0, 0, 0, 0)),
+    lambda: quantum_markov_transfer((5, 5), 0.1, -3, 1),
+    lambda: deor_quantum_corollary(8, 6, 6, 0),
+    lambda: trevisan_composition_plan(1 << 20, 700000, 700000, 1.5, 256, 2 ** -40),
+], ids=["error_1.5", "negative_threshold", "l1", "two_thresholds_for_l3", "plain_l3",
+        "subnormalized_l3", "smooth_l3", "quantum_l_negative", "corollary_m0",
+        "composition_eps_1.5"])
+def test_calculus_refuses_out_of_domain_input(build):
+    with pytest.raises(DomainError):
+        build()
+
+
 def test_transfer_monotonicity_grid():
     rnd = random.Random(4)
     for _ in range(100):

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from markovext.bitfield import BitString
-from markovext.errors import CertificationError, InvalidArgumentError
+from markovext.errors import CertificationError, InvalidArgumentError, ResourceBudgetError
 from markovext.extractors import (
     ExtractorDescriptor,
     ExtractorFamily,
@@ -169,6 +169,13 @@ def test_assemble_invariants_and_cmi():
         )
 
 
+def test_assemble_refuses_a_state_beyond_the_enumeration_budget():
+    # 2^16 rows: the dense matrix would hold 2^32 complex entries (64 GiB)
+    state = random_ccq_markov_state(8, 8, 1, 1, np.random.default_rng(0))
+    with pytest.raises(ResourceBudgetError):
+        assemble(state)
+
+
 def test_classical_embedding_matches_sources_distance():
     table = build_markov_table(3, 3, 2, 2, 2, seed=13)
     state = from_markov_table(table)
@@ -234,9 +241,15 @@ def _edited(edit):
     lambda: state_from_dict({**_valid_state_dict(), "n1": -1}),
     lambda: state_from_dict({**_valid_state_dict(), "certified_k": [1.0]}),
     lambda: hmin_cq([0.5 * np.eye(1), 0.25 * np.eye(2)]),
+    lambda: partial_trace(DensityOperator(np.eye(4) / 4), [2, 2], 2),
+    lambda: conditional_mutual_information(DensityOperator(np.eye(4) / 4), (2, 2, 2)),
+    lambda: apply_extractor_channel(DensityOperator(np.eye(16) / 16), deor_descriptor(2, 1),
+                                    (2, 8, 1)),
+    lambda: hmin_cq([0.3 * _ONE, 0.3 * _ONE]),
 ], ids=["negative_component", "not_hermitian", "weights_1.5_-0.5", "nan_entry", "inf_weight",
         "ragged_source", "dict_non_square", "dict_missing_comp2", "dict_string_weight",
-        "dict_negative_n", "dict_certified_k_not_pair", "hmin_cq_ragged"])
+        "dict_negative_n", "dict_certified_k_not_pair", "hmin_cq_ragged",
+        "partial_trace_index_2_of_2", "cmi_dims", "channel_dims", "hmin_cq_traces_0.6"])
 def test_malformed_state_refused_when_built(build):
     with pytest.raises(InvalidArgumentError):
         build()

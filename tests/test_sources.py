@@ -99,6 +99,36 @@ def test_markov_table_refuses_non_finite_entries(name, value):
         MarkovSourceTable(arrays["pz"], arrays["px1_given_z"], arrays["px2_given_z"])
 
 
+def test_markov_table_keeps_read_only_copies_of_the_rows_it_checked():
+    pz, px1 = np.array([0.5, 0.5]), np.array([[0.5, 0.5, 0, 0], [0.25, 0.25, 0.25, 0.25]])
+    px2 = np.array([[-1e-13, 1 + 1e-13, 0, 0], [0.25, 0.25, 0.25, 0.25]])
+    t = MarkovSourceTable(pz, px1, px2)
+    ext = deor_descriptor(2, 1)
+    before = (statistical_distance_from_uniform(ext, t), hmin_conditional(t, 1))
+    pz[0], px1[0, 0] = 7.0, -3.0
+    assert (statistical_distance_from_uniform(ext, t), hmin_conditional(t, 1)) == before
+    assert t.px2_given_z[0, 0] == 0.0  # admitted within ROW_SUM_TOL, stored as 0.0
+    for arr in (t.pz, t.px1_given_z, t.px2_given_z):
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
+
+
+@pytest.mark.parametrize("build,error", [
+    (lambda: MarkovSourceTable(np.ones(0), np.ones((0, 2)), np.ones((0, 2))),
+     InvalidArgumentError),
+    (lambda: hmin_conditional(build_markov_table(2, 2, 1, 1, 1, seed=0), 3),
+     InvalidArgumentError),
+    (lambda: extractor_output_table(deor_descriptor(4, 2), 4, 3), InvalidArgumentError),
+    (lambda: extractor_output_table(inner_product_descriptor(14), 14, 14), ResourceBudgetError),
+    (lambda: distinguishing_event_statistic(deor_descriptor(3, 2), np.full((8, 8, 64), 1 / 4096)),
+     InvalidArgumentError),
+], ids=["empty_table", "hmin_source_3", "output_table_n", "output_table_28_bits",
+        "joint_shape"])
+def test_sources_refuse_malformed_input(build, error):
+    with pytest.raises(error):
+        build()
+
+
 def test_markov_table_from_dict_refuses_nan():
     d = build_markov_table(2, 2, 1, 1, 1, seed=0).to_dict()
     d["px2_given_z"][0][0] = math.nan
