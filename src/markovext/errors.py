@@ -1,4 +1,5 @@
-"""Exception hierarchy shared by all modules."""
+"""Exception hierarchy shared by all modules, and the integer-argument check."""
+import operator
 
 
 class MarkovExtError(Exception):
@@ -27,3 +28,14 @@ class ResourceBudgetError(MarkovExtError):
 
 class CertificationError(MarkovExtError):
     """A min-entropy claim cannot be certified for the given state."""
+
+
+def checked_index(value, what: str) -> int:
+    """`value` as an int through `operator.index`; a bool, float or string raises
+    InvalidArgumentError instead of being truncated or escaping as TypeError."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise InvalidArgumentError(f"{what} must be an integer, got {value!r}")

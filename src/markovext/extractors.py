@@ -22,7 +22,13 @@ import numpy as np
 from mpmath import mp
 
 from .bitfield import IRREDUCIBLE_POLY, BitString, gf_mul, parity
-from .errors import CompositionError, ConstructionError, DomainError, InvalidArgumentError
+from .errors import (
+    CompositionError,
+    ConstructionError,
+    DomainError,
+    InvalidArgumentError,
+    checked_index,
+)
 
 WEAK_DESIGN_OVERLAP = 2 * math.e  # declared overlap parameter r
 
@@ -228,8 +234,10 @@ def weak_design_build(m: int, t: int, universe_blocks: Optional[int] = None) -> 
     block is the graph {(x, p_i(x))} of a polynomial over GF(t). Distinct
     polynomials of degree < c intersect in at most c-1 points, and sets in
     different blocks are disjoint, which yields the declared overlap bound
-    r = 2e. Infeasible (m, t) combinations raise ConstructionError.
+    r = 2e. Infeasible (m, t) combinations raise ConstructionError; a non-integer
+    argument or universe_blocks < 1 raises InvalidArgumentError.
     """
+    m, t = checked_index(m, "m"), checked_index(t, "t")
     if m < 1:
         raise ConstructionError("need at least one set")
     s = _gf_t_params(t)
@@ -253,7 +261,9 @@ def weak_design_build(m: int, t: int, universe_blocks: Optional[int] = None) -> 
         while n_blocks < m and not sound(n_blocks):
             n_blocks += 1
     else:
-        n_blocks = universe_blocks
+        n_blocks = checked_index(universe_blocks, "universe_blocks")
+        if n_blocks < 1:
+            raise InvalidArgumentError(f"universe_blocks must be at least 1, got {n_blocks}")
     if not sound(n_blocks):
         raise ConstructionError(f"no sound block layout for m={m}, t={t}, blocks={n_blocks}")
 

@@ -17,7 +17,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import sources
-from .errors import CertificationError, InvalidArgumentError, ResourceBudgetError
+from .errors import CertificationError, InvalidArgumentError, ResourceBudgetError, checked_index
 from .extractors import ExtractorDescriptor
 from .paramcalc import quantum_markov_transfer, solve_self_consistent_error
 
@@ -52,7 +52,15 @@ def _psd_matrices(a, ndim: int, what: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DensityOperator:
-    """Hermitian positive semidefinite matrix with 0 < trace <= 1 (+ tolerance)."""
+    """Hermitian positive semidefinite matrix with 0 < trace <= 1 (+ tolerance).
+
+    `DensityOperator(m)` checks all of this and holds a read-only copy of m.
+    The results of `tensor`, `partial_trace`, `assemble` and
+    `apply_extractor_channel` are not checked again: each is PSD by
+    construction from checked inputs, and its trace carries their accumulated
+    tolerance (a tensor of two operators of trace 1 + TRACE_TOL has trace up to
+    about 1 + 2 * TRACE_TOL).
+    """
 
     matrix: np.ndarray
 
@@ -62,6 +70,14 @@ class DensityOperator:
         tr = float(m.trace().real)
         if not 0.0 < tr <= 1.0 + TRACE_TOL:
             raise InvalidArgumentError(f"trace {tr} outside (0, 1]")
+
+    @classmethod
+    def _derived(cls, m: np.ndarray) -> "DensityOperator":
+        """Wrap m, made read-only, without the check: m is PSD by construction."""
+        m.flags.writeable = False
+        rho = object.__new__(cls)
+        object.__setattr__(rho, "matrix", m)
+        return rho
 
     @property
     def dim(self) -> int:
@@ -73,7 +89,7 @@ class DensityOperator:
 
 
 def tensor(a: DensityOperator, b: DensityOperator) -> DensityOperator:
-    return DensityOperator(np.kron(a.matrix, b.matrix))
+    return DensityOperator._derived(np.kron(a.matrix, b.matrix))
 
 
 def partial_trace(rho: DensityOperator, dims: Sequence[int], traced: int) -> DensityOperator:
@@ -86,7 +102,7 @@ def partial_trace(rho: DensityOperator, dims: Sequence[int], traced: int) -> Den
     t = rho.matrix.reshape(dims + dims)
     t = np.trace(t, axis1=traced, axis2=traced + k)
     d_rest = rho.dim // dims[traced]
-    return DensityOperator(t.reshape(d_rest, d_rest))
+    return DensityOperator._derived(t.reshape(d_rest, d_rest))
 
 
 def trace_distance(rho: DensityOperator, sigma: DensityOperator) -> float:
@@ -180,6 +196,8 @@ class CcqMarkovState:
     certified_k: Optional[Tuple[float, float]] = None
 
     def __post_init__(self):
+        for name in ("n1", "n2"):
+            object.__setattr__(self, name, checked_index(getattr(self, name), name))
         if self.n1 < 0 or self.n2 < 0:
             raise InvalidArgumentError("n1 and n2 must be non-negative")
         if self.certified_k is not None and len(self.certified_k) != 2:
@@ -211,14 +229,16 @@ class CcqMarkovState:
 def assemble(state: CcqMarkovState) -> DensityOperator:
     """Dense density operator on X1 (x) X2 (x) C with orthogonal C-blocks; refused before
     allocating when it would hold more than 2^ENUMERATION_BUDGET_BITS entries."""
-    rows = (1 << (state.n1 + state.n2)) * state.c_dim
-    if 2 * math.log2(rows) > sources.ENUMERATION_BUDGET_BITS:
-        raise ResourceBudgetError(f"dense state of {rows} rows exceeds the enumeration budget")
-    return DensityOperator(_block_diagonal([
-        state.conditional_side_information(x1, x2)
-        for x1 in range(1 << state.n1)
-        for x2 in range(1 << state.n2)
-    ]))
+    xs, dc = 1 << (state.n1 + state.n2), state.c_dim
+    if 2 * math.log2(xs * dc) > sources.ENUMERATION_BUDGET_BITS:
+        raise ResourceBudgetError(f"dense state of {xs * dc} rows exceeds the enumeration budget")
+    # np.kron of the (2^n1, c1, c1) and (2^n2, c2, c2) stacks is the stack of every
+    # kron(comp1[x1], comp2[x2]), x1 major: rho_C(x1, x2) for all pairs in one product
+    cond = _block_diagonal([b.weight * np.kron(b.comp1, b.comp2) for b in state.blocks])
+    dense = np.zeros((xs, dc, xs, dc), dtype=complex)
+    x = np.arange(xs)
+    dense[x, :, x, :] = cond
+    return DensityOperator._derived(dense.reshape(xs * dc, xs * dc))
 
 
 def from_markov_table(table) -> CcqMarkovState:
@@ -313,7 +333,7 @@ def apply_extractor_channel(
     x = np.arange(d1 * d2)
     onehot = _one_hot_outputs(ext, ext.n1, ext.n2).reshape(d1 * d2, -1)
     out = np.einsum("xy,xij->yij", onehot, t[x, :, x, :])
-    return DensityOperator(_block_diagonal(list(out)))
+    return DensityOperator._derived(_block_diagonal(list(out)))
 
 
 # ---------------------------------------------------------------------------
@@ -450,8 +470,8 @@ def state_from_dict(d: dict) -> CcqMarkovState:
         )
         ck = d.get("certified_k")
         return CcqMarkovState(
-            n1=int(d["n1"]),
-            n2=int(d["n2"]),
+            n1=d["n1"],
+            n2=d["n2"],
             blocks=blocks,
             certified_k=tuple(map(float, ck)) if ck else None,
         )

@@ -15,7 +15,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .errors import ConstructionError, InvalidArgumentError, ResourceBudgetError
+from .errors import ConstructionError, InvalidArgumentError, ResourceBudgetError, checked_index
 from .extractors import ExtractorDescriptor
 
 ROW_SUM_TOL = 1e-12
@@ -30,6 +30,9 @@ class FlatSource:
     support: tuple
 
     def __post_init__(self):
+        object.__setattr__(self, "n", checked_index(self.n, "n"))
+        if self.n < 0:
+            raise InvalidArgumentError(f"n must be non-negative, got {self.n}")
         if len(self.support) == 0:
             raise InvalidArgumentError("support must be non-empty")
         if len(set(self.support)) != len(self.support):

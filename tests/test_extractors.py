@@ -132,8 +132,13 @@ def test_weak_design_layout_search_takes_a_second_block():
                               _toy_trevisan().trevisan[0], weak_design_build(3, 4)),
      InvalidArgumentError),
     (lambda: parity_seeded_descriptor(4, 2).error_law(5.0), DomainError),
+    (lambda: weak_design_build(4, 4, universe_blocks=0), InvalidArgumentError),
+    (lambda: weak_design_build(4, 4, universe_blocks=-1), InvalidArgumentError),
+    (lambda: weak_design_build(4.0, 4), InvalidArgumentError),
+    (lambda: weak_design_build(4, True), InvalidArgumentError),
 ], ids=["design_no_sets", "design_one_block_of_200", "trevisan_seed_length",
-        "trevisan_design_t", "parity_k_above_n"])
+        "trevisan_design_t", "parity_k_above_n", "design_zero_blocks", "design_negative_blocks",
+        "design_float_m", "design_bool_t"])
 def test_constructions_refuse_out_of_range_input(build, error):
     with pytest.raises(error):
         build()

@@ -17,6 +17,7 @@ from markovext.extractors import (
     inner_product_descriptor,
 )
 from markovext.qsim import (
+    TRACE_TOL,
     CcqBlock,
     CcqMarkovState,
     DensityOperator,
@@ -169,6 +170,74 @@ def test_assemble_invariants_and_cmi():
         )
 
 
+def _assemble_by_pairs(state):
+    """The dense state built one (x1, x2) pair and one block at a time with np.kron."""
+    dense = np.zeros(((1 << (state.n1 + state.n2)) * state.c_dim,) * 2, dtype=complex)
+    off = 0
+    for x1 in range(1 << state.n1):
+        for x2 in range(1 << state.n2):
+            for b in state.blocks:
+                d = b.c1_dim * b.c2_dim
+                dense[off : off + d, off : off + d] = b.weight * np.kron(b.comp1[x1], b.comp2[x2])
+                off += d
+    return dense
+
+
+@pytest.mark.parametrize("n1,n2,blocks,max_c_dim", [
+    (2, 2, 2, 2), (1, 3, 3, 3), (3, 1, 4, 3), (0, 2, 2, 2), (2, 3, 1, 3), (3, 3, 3, 2),
+])
+def test_assemble_matches_the_pairwise_kron_loop(n1, n2, blocks, max_c_dim):
+    dims_seen = set()
+    for seed in range(8):
+        state = random_ccq_markov_state(n1, n2, blocks, max_c_dim, np.random.default_rng(seed))
+        dims_seen.update(b.c1_dim * b.c2_dim for b in state.blocks)
+        assert assemble(state).matrix.tobytes() == _assemble_by_pairs(state).tobytes()
+    assert len(dims_seen) > 1  # blocks of different C dimensions
+
+
+def test_assemble_of_a_classical_table_matches_the_pairwise_kron_loop():
+    for seed, (n1, n2, z) in enumerate([(1, 1, 1), (2, 3, 2), (3, 2, 4), (3, 3, 3)]):
+        state = from_markov_table(build_markov_table(n1, n2, z, 1, 1, seed=seed))
+        assert assemble(state).matrix.tobytes() == _assemble_by_pairs(state).tobytes()
+
+
+def test_derived_operators_skip_the_check_and_are_read_only(monkeypatch):
+    rng = np.random.default_rng(4)
+    a, b = DensityOperator(random_density(2, rng)), DensityOperator(random_density(3, rng))
+    state = random_ccq_markov_state(2, 2, 2, 2, rng)
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return eigvalsh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    ab = tensor(a, b)
+    rho = assemble(state)
+    derived = [ab, partial_trace(ab, [2, 3], 0), rho,
+               apply_extractor_channel(rho, deor_descriptor(2, 1), (4, 4, state.c_dim))]
+    assert calls == []
+    for op in derived:
+        with pytest.raises(ValueError):
+            op.matrix[0, 0] = 1.0
+
+
+def test_state_at_the_trace_tolerance_runs_its_dense_path():
+    # component traces sum to 1 + 0.9e-10, inside TRACE_TOL; the dense state and a tensor
+    # of two such operators have trace 1 + 1.8e-10, beyond what DensityOperator admits
+    comp = np.stack([(0.5 + 4.5e-11) * np.eye(2) / 2] * 2)
+    state = CcqMarkovState(1, 1, (CcqBlock(1.0, comp, comp),))
+    rho = assemble(state)
+    assert rho.trace > 1.0 + TRACE_TOL
+    out = apply_extractor_channel(rho, inner_product_descriptor(1), (2, 2, 4))
+    assert out.trace == pytest.approx(rho.trace, abs=1e-15)
+    assert conditional_mutual_information(rho, (2, 2, 4)) == pytest.approx(0.0, abs=1e-9)
+    edge = DensityOperator(np.diag([0.5 + 4.5e-11] * 2))
+    assert tensor(edge, edge).trace > 1.0 + TRACE_TOL
+    _runs_to_finite_values(state)
+
+
 def test_assemble_refuses_a_state_beyond_the_enumeration_budget():
     # 2^16 rows: the dense matrix would hold 2^32 complex entries (64 GiB)
     state = random_ccq_markov_state(8, 8, 1, 1, np.random.default_rng(0))
@@ -240,6 +309,11 @@ def _edited(edit):
     lambda: state_from_dict(_edited(lambda b: b.update(weight="one"))),
     lambda: state_from_dict({**_valid_state_dict(), "n1": -1}),
     lambda: state_from_dict({**_valid_state_dict(), "certified_k": [1.0]}),
+    lambda: state_from_dict({**_valid_state_dict(), "n1": 1.7}),
+    lambda: state_from_dict({**_valid_state_dict(), "n1": 1.0}),
+    lambda: state_from_dict({**_valid_state_dict(), "n2": "1"}),
+    lambda: state_from_dict({**_valid_state_dict(), "n2": True}),
+    lambda: CcqMarkovState(1.0, 1, (CcqBlock(1.0, _HALF_I2, [_ONE, 0 * _ONE]),)),
     lambda: hmin_cq([0.5 * np.eye(1), 0.25 * np.eye(2)]),
     lambda: partial_trace(DensityOperator(np.eye(4) / 4), [2, 2], 2),
     lambda: conditional_mutual_information(DensityOperator(np.eye(4) / 4), (2, 2, 2)),
@@ -248,7 +322,8 @@ def _edited(edit):
     lambda: hmin_cq([0.3 * _ONE, 0.3 * _ONE]),
 ], ids=["negative_component", "not_hermitian", "weights_1.5_-0.5", "nan_entry", "inf_weight",
         "ragged_source", "dict_non_square", "dict_missing_comp2", "dict_string_weight",
-        "dict_negative_n", "dict_certified_k_not_pair", "hmin_cq_ragged",
+        "dict_negative_n", "dict_certified_k_not_pair", "dict_n_1.7", "dict_n_1.0",
+        "dict_n_string", "dict_n_bool", "state_float_n", "hmin_cq_ragged",
         "partial_trace_index_2_of_2", "cmi_dims", "channel_dims", "hmin_cq_traces_0.6"])
 def test_malformed_state_refused_when_built(build):
     with pytest.raises(InvalidArgumentError):
@@ -348,6 +423,13 @@ def _runs_to_finite_values(state):
     assert math.isfinite(markov_cmi(state))
     chk = channel_monotonicity_check(state, ext, [np.eye(state.c_dim)])
     assert math.isfinite(chk.before) and math.isfinite(chk.after)
+    # the dense path; every drawn state fits the enumeration budget
+    rho = assemble(state)
+    dims = (1 << n, 1 << n, state.c_dim)
+    out = apply_extractor_channel(rho, ext, dims)
+    ideal = tensor(DensityOperator(np.eye(2) / 2), partial_trace(out, [2, state.c_dim], 0))
+    assert trace_distance(out, ideal) == pytest.approx(chk.before, abs=1e-9)
+    assert math.isfinite(conditional_mutual_information(rho, dims))
     if n == 1:
         plain = dataclasses.replace(state, certified_k=None)
         assert math.isfinite(certify_hmin(plain, 1)) and math.isfinite(certify_hmin(plain, 2))

@@ -122,8 +122,10 @@ def test_markov_table_keeps_read_only_copies_of_the_rows_it_checked():
     (lambda: extractor_output_table(inner_product_descriptor(14), 14, 14), ResourceBudgetError),
     (lambda: distinguishing_event_statistic(deor_descriptor(3, 2), np.full((8, 8, 64), 1 / 4096)),
      InvalidArgumentError),
+    (lambda: FlatSource(-1, (0,)), InvalidArgumentError),
+    (lambda: FlatSource(True, (0, 1)), InvalidArgumentError),
 ], ids=["empty_table", "hmin_source_3", "output_table_n", "output_table_28_bits",
-        "joint_shape"])
+        "joint_shape", "flat_negative_n", "flat_bool_n"])
 def test_sources_refuse_malformed_input(build, error):
     with pytest.raises(error):
         build()
