@@ -29,12 +29,10 @@ import math
 import sys
 from typing import Optional
 
-import numpy as np
-
 from . import __version__
 from .errors import DomainError, MarkovExtError, ResourceBudgetError
 from .bitfield import BitString
-from . import extractors, paramcalc, qsim, sources
+from . import extractors, paramcalc
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -215,62 +213,16 @@ def _record(seed: int, distance: float, bound: float) -> dict:
     }
 
 
-def _suite_classical(seeds):
-    ext = extractors.deor_descriptor(6, 2)
-    for s in seeds:
-        table = sources.build_markov_table(6, 6, 2, 5.0, 5.0, s)
-        k1p = sources.hmin_conditional(table, 1)
-        k2p = sources.hmin_conditional(table, 2)
-        eps = paramcalc.solve_self_consistent_error(ext.error_law, k1p, k2p)
-        dist = sources.statistical_distance_from_uniform(ext, table, conditioned_on=("Z",))
-        yield s, dist, min(1.0, 3.0 * eps)
-
-
-def _suite_quantum(seeds):
-    ext = extractors.deor_descriptor(3, 2)
-    for s in seeds:
-        rng = np.random.default_rng(s)
-        state = qsim.random_ccq_markov_state(3, 3, int(rng.integers(1, 4)), 2, rng)
-        chk = qsim.verify_quantum_bound(state, ext, *state.certified_k)
-        yield s, chk.distance, chk.bound
-
-
-def _suite_distinguishing(seeds):
-    ext = extractors.deor_descriptor(3, 2)
-    for s in seeds:
-        joint = sources.random_joint(3, 3, np.random.default_rng(s))
-        stat = sources.distinguishing_event_statistic(ext, joint)
-        yield s, stat, sources.conditional_distance_given_guess(ext, joint)
-
-
-def _suite_monotonicity(seeds):
-    ext = extractors.deor_descriptor(2, 1)
-    for s in seeds:
-        rng = np.random.default_rng(s)
-        state = qsim.random_ccq_markov_state(2, 2, int(rng.integers(1, 3)), 2, rng)
-        kraus = qsim.random_channel(state.c_dim, int(rng.integers(1, 4)), rng)
-        chk = qsim.channel_monotonicity_check(state, ext, kraus)
-        yield s, chk.after, chk.before
-
-
-def _suite_composition(seeds):
-    ext = build_descriptor("composed", 8, 8, 3)
-    bound = ext.error_law(7.0, 7.0)
-    for s in seeds:
-        rng = np.random.default_rng(s)
-        s1 = sources.random_flat_source(8, 7, rng)
-        s2 = sources.random_flat_source(8, 7, rng)
-        table = sources.MarkovSourceTable.from_flat_pair(s1, s2)
-        yield s, sources.statistical_distance_from_uniform(ext, table, conditioned_on=()), bound
-
-
 def cmd_verify(args) -> int:
-    """Run the suite ``_suite_<name>``, a generator of (seed, distance, bound) per instance."""
+    """Run the suite ``suites.<name>``, a generator of (seed, distance, bound) per instance.
+    The suites need numpy, so they load here and not with the CLI."""
     if args.budget < 1 or args.budget > MAX_VERIFY_BUDGET:
         raise ResourceBudgetError(
             f"budget must lie in [1, {MAX_VERIFY_BUDGET}], got {args.budget}"
         )
-    suite = globals()["_suite_" + args.suite]
+    from . import suites
+
+    suite = getattr(suites, args.suite)
     records = [_record(*r) for r in suite(range(args.seed, args.seed + args.budget))]
     report = {
         "version": REPORT_VERSION,

@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
 
-import numpy as np
 from mpmath import mp
 
 from .bitfield import IRREDUCIBLE_POLY, BitString, gf_mul, parity
@@ -169,6 +168,7 @@ def deor_error(n: int, k1: float, k2: float, m: int) -> float:
 
 
 def deor_descriptor(n: int, m: int) -> ExtractorDescriptor:
+    n, m = checked_index(n, "n"), checked_index(m, "m")  # 8.0 in IRREDUCIBLE_POLY holds
     if n not in IRREDUCIBLE_POLY:
         raise InvalidArgumentError(f"unsupported input length {n}")
     if not 1 <= m <= n:
@@ -185,6 +185,7 @@ def deor_descriptor(n: int, m: int) -> ExtractorDescriptor:
 
 def inner_product_descriptor(n: int) -> ExtractorDescriptor:
     """One-bit inner-product extractor over GF(2)^n."""
+    n = checked_index(n, "n")
     if n < 1:
         raise InvalidArgumentError(f"input length {n} must be at least 1")
     return ExtractorDescriptor(
@@ -313,6 +314,7 @@ class TrevisanParams:
 
 
 def trevisan_params(n: int, m: int, eps: float) -> TrevisanParams:
+    n, m = checked_index(n, "n"), checked_index(m, "m")
     if not (n >= m >= 1):
         raise DomainError(f"need n >= m >= 1, got n={n}, m={m}")
     if not 0 < eps < 1:
@@ -378,6 +380,7 @@ def trevisan_extract(
 
 def trevisan_descriptor(n: int, m: int, eps: float) -> ExtractorDescriptor:
     """Seeded descriptor with a design whose universe covers params.d; needs GF(t), GF(2^{t/2})."""
+    n, m = checked_index(n, "n"), checked_index(m, "m")
     params = trevisan_params(n, m, eps)
     blocks = -(-params.d // (params.t * params.t))
     design = weak_design_build(m, params.t, universe_blocks=blocks)
@@ -410,6 +413,8 @@ def _parity_flat_error(n: int, d: int, k: float) -> float:
     size = math.ceil(2.0 ** k - 1e-12)
     if not 1 <= size <= 1 << n:
         raise DomainError(f"entropy k={k} out of range for n={n}")
+    import numpy as np  # this law is the module's only numpy user
+
     D, cap = 1 << d, 1 << (n - d)
     v = np.arange(D)
     chi = 1 - 2 * parity(v[:, None] & v, d)  # chi[v, s] = (-1)^<v, s>
@@ -430,6 +435,7 @@ def parity_seeded_descriptor(n: int, d: int) -> ExtractorDescriptor:
     Deliberately tiny; it exists to exercise the composition combinator at
     enumerable sizes. Strong in the seed by construction of the error law.
     """
+    n, d = checked_index(n, "n"), checked_index(d, "d")
     if not 1 <= d <= 4 or d > n:
         raise InvalidArgumentError(f"need 1 <= d <= 4 and d <= n, got d={d}, n={n}")
     return ExtractorDescriptor(

@@ -11,6 +11,7 @@ cross-check.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
@@ -24,6 +25,7 @@ from .paramcalc import quantum_markov_transfer, solve_self_consistent_error
 HERMITIAN_TOL = 1e-10
 EIGENVALUE_TOL = 1e-10
 TRACE_TOL = 1e-10
+ENTROPY_TOL = 1e-9  # a certified or asserted min-entropy may pass its range by this
 DISTANCE_SLACK = 1e-9
 
 
@@ -153,6 +155,10 @@ def _block_diagonal(parts: Sequence[np.ndarray]) -> np.ndarray:
     return out
 
 
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class CcqBlock:
     """One direct-sum block: weight p(t) >= 0 and per-source cq components.
@@ -168,7 +174,7 @@ class CcqBlock:
     comp2: np.ndarray
 
     def __post_init__(self):
-        if not (math.isfinite(self.weight) and self.weight >= 0.0):
+        if not (_is_real(self.weight) and math.isfinite(self.weight) and self.weight >= 0.0):
             raise InvalidArgumentError(f"block weight {self.weight} is not finite and >= 0")
         for name in ("comp1", "comp2"):
             comp = _psd_matrices(getattr(self, name), 3, name)
@@ -200,8 +206,17 @@ class CcqMarkovState:
             object.__setattr__(self, name, checked_index(getattr(self, name), name))
         if self.n1 < 0 or self.n2 < 0:
             raise InvalidArgumentError("n1 and n2 must be non-negative")
-        if self.certified_k is not None and len(self.certified_k) != 2:
-            raise InvalidArgumentError("certified_k must be a pair")
+        if self.certified_k is not None:
+            try:
+                ks = tuple(self.certified_k)
+            except TypeError:
+                ks = ()
+            # -log2(p_guess) may pass n by a few ulp; nan fails both comparisons
+            if len(ks) != 2 or not all(_is_real(k) and -ENTROPY_TOL <= k <= n + ENTROPY_TOL
+                                       for k, n in zip(ks, (self.n1, self.n2))):
+                raise InvalidArgumentError(
+                    f"certified_k must be a pair of reals in [0, n_i], got {self.certified_k!r}")
+            object.__setattr__(self, "certified_k", tuple(map(float, ks)))
         w = sum(b.weight for b in self.blocks)
         if abs(w - 1.0) > sources.ROW_SUM_TOL:
             raise InvalidArgumentError(f"block weights sum to {w}, not 1")
@@ -399,7 +414,7 @@ def verify_quantum_bound(
     be certified by the state.
     """
     cert1, cert2 = certify_hmin(state, 1), certify_hmin(state, 2)
-    if k1 > cert1 + 1e-9 or k2 > cert2 + 1e-9:
+    if k1 > cert1 + ENTROPY_TOL or k2 > cert2 + ENTROPY_TOL:
         raise CertificationError(
             f"asserted entropies ({k1}, {k2}) exceed certified ({cert1:.6f}, {cert2:.6f})"
         )

@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import importlib.util
 import io
 import json
@@ -13,8 +14,18 @@ from hypothesis import strategies as st
 from markovext import cli
 from markovext.bitfield import BitString
 from markovext.cli import csv_to_report, main, report_to_csv, report_to_json
-from markovext.extractors import compose, deor_descriptor, deor_extract, parity_seeded_descriptor
+from markovext.errors import MarkovExtError
+from markovext.extractors import (
+    ExtractorDescriptor,
+    compose,
+    deor_descriptor,
+    deor_extract,
+    inner_product_descriptor,
+    parity_seeded_descriptor,
+    trevisan_descriptor,
+)
 from markovext.paramcalc import deor_quantum_corollary
+from markovext.sources import extractor_output_table
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
@@ -381,6 +392,74 @@ def test_extract_fuzz_exits_with_a_documented_code(flags):
         assert rc in (0, 2, 3, 4, 5)
         assert "Traceback" not in err.getvalue() and out.getvalue() == ""
         assert os.path.exists(y) == (rc == 0)
+
+
+_DESCRIPTORS = [deor_descriptor(8, 2), deor_descriptor(4, 4), inner_product_descriptor(4),
+                parity_seeded_descriptor(8, 3), trevisan_descriptor(8, 3, 0.9),
+                compose(parity_seeded_descriptor(8, 2), deor_descriptor(8, 2))]
+
+
+def _numeric_paths(d, prefix=()):
+    for k, v in d.items():
+        if isinstance(v, dict):
+            yield from _numeric_paths(v, prefix + (k,))
+        elif isinstance(v, (int, float)) and not isinstance(v, bool):
+            yield prefix + (k,)
+
+
+@st.composite
+def _descriptor_dict(draw):
+    """A valid descriptor dict in which up to two numeric fields, nested ones too, become
+    a JSON scalar of another kind or value, and which may lack the fields from_dict can
+    do without."""
+    d = draw(st.sampled_from(_DESCRIPTORS)).to_dict()
+    paths = list(_numeric_paths(d))
+    for path in draw(st.lists(st.sampled_from(paths), max_size=2, unique=True)):
+        *outer, key = path
+        owner = functools.reduce(dict.__getitem__, outer, d)
+        value = owner[key]
+        owner[key] = draw(st.sampled_from([float(value), value + 0.5, value - 1, True, False,
+                                           str(value), None, 1e300, -0.0]))
+    drop = draw(st.sets(st.sampled_from(["n2", "m", "strong_in"])))
+    return {k: v for k, v in d.items() if k not in drop}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_descriptor_dict())
+def test_descriptor_dict_that_builds_also_extracts(d):
+    """Integer fields given as floats, bools, strings or null are refused when built, so
+    every descriptor dict that builds extracts; `extract --descriptor` exits 0 on exactly
+    those dicts and 3 on the rest."""
+    try:
+        ext = ExtractorDescriptor.from_dict(d)
+    except MarkovExtError:
+        ext = None
+    if ext is not None:
+        assert all(type(v) is int for v in (ext.n1, ext.n2, ext.m))
+        x1, x2 = BitString((1 << ext.n1) - 1, ext.n1), BitString(5 % (1 << ext.n2), ext.n2)
+        y = ext.extract(x1, x2)
+        assert y.length == ext.m
+        if ext.n1 + ext.n2 <= 16:  # a table that fits the budget, kept small in memory
+            table = extractor_output_table(ext, ext.n1, ext.n2)
+            assert int(table[x1.value, x2.value]) == y.value
+    with tempfile.TemporaryDirectory() as tmp:
+        x, desc, y_path = (os.path.join(tmp, name) for name in ("x", "d.json", "y"))
+        with open(x, "wb") as fh:
+            fh.write(bytes(range(256)) * 64)
+        with open(desc, "w") as fh:
+            json.dump(d, fh)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            rc = main(["extract", x, x, y_path, "--descriptor", desc])
+        assert rc == (0 if ext is not None else 3)
+        assert "Traceback" not in err.getvalue()
+        if rc == 0:
+            with open(x, "rb") as fh:
+                data = fh.read()
+            expect = ext.extract(BitString.from_bytes(data, ext.n1),
+                                 BitString.from_bytes(data, ext.n2))
+            with open(y_path, "rb") as fh:
+                assert fh.read() == expect.to_bytes()
 
 
 # ---------------------------------------------------------------------------

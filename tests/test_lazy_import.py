@@ -1,0 +1,95 @@
+"""numpy loads only with the oracles: `import markovext` and the `plan`, `extract` and
+`report` commands run without it, and every public name still resolves to its owner's
+object."""
+import importlib
+import os
+import subprocess
+import sys
+import textwrap
+
+import pytest
+
+import markovext
+
+SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+
+# Every public name of the package, by the module that owns it.
+PUBLIC = {
+    "bitfield": ["BitString", "gf_mul", "gf_pow", "inner_product_mod2"],
+    "errors": ["CertificationError", "CompositionError", "ConstructionError", "DomainError",
+               "InvalidArgumentError", "MarkovExtError", "ResourceBudgetError"],
+    "extractors": ["ExtractorDescriptor", "ExtractorFamily", "TrevisanParams", "WeakDesign",
+                   "compose", "deor_descriptor", "deor_error", "deor_extract",
+                   "inner_product_descriptor", "parity_seeded_descriptor", "rsh_one_bit",
+                   "trevisan_descriptor", "trevisan_extract", "trevisan_params",
+                   "weak_design_build"],
+    "paramcalc": ["CompositionPlan", "FeasibilityReport", "SecurityAssessment", "SecurityModel",
+                  "SmoothParams", "classical_markov_transfer", "deor_quantum_corollary",
+                  "quantum_markov_transfer", "raz_quantum_feasible", "smooth_transfer",
+                  "solve_self_consistent_error", "subnormalized_transfer",
+                  "trevisan_composition_plan"],
+    "sources": ["FlatSource", "MarkovSourceTable", "build_markov_table",
+                "conditional_distance_given_guess", "distinguishing_event_statistic",
+                "hmin_conditional", "random_flat_source", "random_joint",
+                "statistical_distance_from_uniform"],
+    "qsim": ["CcqBlock", "CcqMarkovState", "DensityOperator", "apply_extractor_channel",
+             "assemble", "channel_monotonicity_check", "conditional_mutual_information",
+             "from_markov_table", "hmin_cq", "markov_cmi", "partial_trace",
+             "random_ccq_markov_state", "random_channel", "tensor", "trace_distance",
+             "verify_quantum_bound", "von_neumann_entropy"],
+}
+
+_NO_NUMPY = textwrap.dedent("""
+    import contextlib, io, os, sys
+    import markovext, markovext.cli
+    from markovext.cli import main
+
+    tmp = sys.argv[1]
+    x = os.path.join(tmp, "x")
+    with open(x, "wb") as fh:
+        fh.write(bytes(range(256)) * 16)
+    report = os.path.join(tmp, "plan.json")
+    requests = [
+        ["plan", "--model", "quantum-markov", "--family", "deor", "--n1", "64", "--n2", "64",
+         "--m", "4", "--k1", "60", "--k2", "60", "--out", report],
+        ["extract", x, x, os.path.join(tmp, "y1"), "--family", "deor", "--n1", "64", "--m", "4"],
+        ["extract", x, x, os.path.join(tmp, "y2"), "--family", "inner-product", "--n1", "8"],
+        ["extract", x, x, os.path.join(tmp, "y3"), "--family", "composed", "--n1", "8",
+         "--m", "2"],
+        ["extract", x, x, os.path.join(tmp, "y4"), "--family", "trevisan", "--n1", "8",
+         "--m", "3", "--eps", "0.9"],
+        ["report", report, "--format", "csv"],
+        ["report", report, "--format", "json"],
+    ]
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes = [main(argv) for argv in requests]
+    print(codes, "numpy" in sys.modules)
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(["verify", "--suite", "distinguishing", "--budget", "1"])
+    print(code, "numpy" in sys.modules)
+""")
+
+
+def test_plan_extract_and_report_run_without_numpy(tmp_path):
+    env = {**os.environ, "PYTHONPATH": SRC}
+    proc = subprocess.run([sys.executable, "-c", _NO_NUMPY, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[0, 0, 0, 0, 0, 0, 0] False", "0 True"]
+
+
+@pytest.mark.parametrize("owner", sorted(PUBLIC))
+def test_every_public_name_is_its_owners_object(owner):
+    module = importlib.import_module(f"markovext.{owner}")
+    assert getattr(markovext, owner) is module
+    listed = dir(markovext)
+    assert owner in listed
+    for name in PUBLIC[owner]:
+        assert getattr(markovext, name) is getattr(module, name), name
+        assert name in listed, name
+
+
+def test_an_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        markovext.no_such_name
+    assert not hasattr(markovext, "cli_") and not hasattr(markovext, "numpy")

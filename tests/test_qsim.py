@@ -320,14 +320,35 @@ def _edited(edit):
     lambda: apply_extractor_channel(DensityOperator(np.eye(16) / 16), deor_descriptor(2, 1),
                                     (2, 8, 1)),
     lambda: hmin_cq([0.3 * _ONE, 0.3 * _ONE]),
+    lambda: CcqBlock("x", _HALF_I2, [_ONE, 0 * _ONE]),
+    lambda: CcqBlock(None, _HALF_I2, [_ONE, 0 * _ONE]),
+    *[lambda ck=ck: CcqMarkovState(1, 1, (CcqBlock(1.0, _HALF_I2, [_ONE, 0 * _ONE]),),
+                                   certified_k=ck)
+      for ck in [("a", "b"), (math.nan, 5.0), (5.0, 0.5), (0.5, 1 + 2e-9), (-0.5, 0.5),
+                 (True, 0.5), 0.5, (0.5, 0.5, 0.5)]],
 ], ids=["negative_component", "not_hermitian", "weights_1.5_-0.5", "nan_entry", "inf_weight",
         "ragged_source", "dict_non_square", "dict_missing_comp2", "dict_string_weight",
         "dict_negative_n", "dict_certified_k_not_pair", "dict_n_1.7", "dict_n_1.0",
         "dict_n_string", "dict_n_bool", "state_float_n", "hmin_cq_ragged",
-        "partial_trace_index_2_of_2", "cmi_dims", "channel_dims", "hmin_cq_traces_0.6"])
+        "partial_trace_index_2_of_2", "cmi_dims", "channel_dims", "hmin_cq_traces_0.6",
+        "string_weight", "null_weight", "certified_k_strings", "certified_k_nan",
+        "certified_k_above_n", "certified_k_past_tolerance", "certified_k_negative",
+        "certified_k_bool", "certified_k_scalar", "certified_k_triple"])
 def test_malformed_state_refused_when_built(build):
     with pytest.raises(InvalidArgumentError):
         build()
+
+
+def test_certified_k_may_pass_its_range_by_rounding():
+    block = CcqBlock(1.0, _HALF_I2, [_ONE, 0 * _ONE])
+    state = CcqMarkovState(1, 1, (block,), certified_k=[np.float64(1 + 5e-10), -5e-10])
+    assert state.certified_k == (1 + 5e-10, -5e-10)
+    assert all(type(k) is float for k in state.certified_k)
+    # a full-support flat block: -log2 of the guess sum lands on n up to rounding
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        state = random_ccq_markov_state(3, 2, int(rng.integers(1, 4)), 2, rng)
+        assert all(-1e-9 <= k <= n + 1e-9 for k, n in zip(state.certified_k, (3, 2)))
 
 
 def test_components_are_read_only_stacks():
