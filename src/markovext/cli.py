@@ -3,8 +3,9 @@
 Subcommands: ``plan`` (security-parameter calculus), ``extract`` (run an
 extractor over raw-bit files), ``verify`` (seeded numeric verification
 suites), ``report`` (re-render a report as json or csv). ``main`` builds the
-parser once per process and runs each request through the ``cmd_<subcommand>``
-function that the module holds at call time, so a wrapper installed later runs.
+parser once per process, parses a request with the parser of the subcommand it
+names, and runs it through the ``cmd_<subcommand>`` function that the module
+holds at call time, so a wrapper installed later runs.
 
 Exit codes: 0 success, 2 usage (also a file that cannot be read or written),
 3 domain (also a report or descriptor file holding NaN or Infinity, or not
@@ -43,6 +44,7 @@ EXIT_VERIFY = 5
 REPORT_VERSION = "1"
 HOLDS_TOL = 1e-9
 MAX_VERIFY_BUDGET = 5000
+MAX_PLAN_SOURCES = 5000  # --l ceiling: a plan holds one threshold per source
 
 VERIFY_SUITES = ("classical", "quantum", "distinguishing", "monotonicity", "composition")
 
@@ -133,6 +135,8 @@ def _plan_assessment(args) -> dict:
         return {**dataclasses.asdict(plan), "model": quantum, "family": "trevisan-composition"}
 
     law = build_descriptor(args.family, args.n1, args.n2, m).error_law
+    if l > MAX_PLAN_SOURCES:
+        raise ResourceBudgetError(f"--l must be at most {MAX_PLAN_SOURCES}, got {l}")
     ks = [k1, k2] + [k1] * (l - 2)
     if model == "plain":  # direct laws: no self-consistent solve
         error = law(k1, k2)
@@ -259,22 +263,38 @@ def report_to_csv(report: dict) -> str:
     return buf.getvalue()
 
 
+class _Branch(dict):
+    """A dotted-key prefix of a CSV report, told apart from a leaf value that is a dict."""
+
+
 def csv_to_report(text: str) -> dict:
-    rows = list(csv.reader(io.StringIO(text)))
+    try:
+        rows = list(csv.reader(io.StringIO(text)))
+    except csv.Error as e:  # a field beyond csv.field_size_limit()
+        raise DomainError(f"csv report: {e}") from None
     if not rows or rows[0] != ["key", "value"]:
         raise DomainError("csv report must start with a 'key,value' header")
-    root: dict = {}
-    for key, raw in rows[1:]:
-        parts = key.split(".")
+    root = _Branch()
+    for row in rows[1:]:
+        if len(row) != 2:
+            raise DomainError(f"csv report row must hold a key and a value, got {row!r}")
+        key, raw = row
+        *path, last = key.split(".")
         node = root
-        for j, part in enumerate(parts[:-1]):
-            node = node.setdefault(part, {})
-        node[parts[-1]] = _loads(raw)
+        for part in path:
+            node = node.setdefault(part, _Branch())
+            if type(node) is not _Branch:
+                raise DomainError(f"csv report key {key!r} extends a leaf")
+        if last in node:
+            raise DomainError(f"csv report key {key!r} is given twice or as a prefix")
+        node[last] = _loads(raw)
 
     def densify(node):
         if not isinstance(node, dict):
             return node
         if node and all(k.isdigit() for k in node):
+            if set(node) != {str(i) for i in range(len(node))}:
+                raise DomainError(f"csv report list indices {sorted(node)} are not 0..n-1")
             return [densify(node[str(i)]) for i in range(len(node))]
         return {k: densify(v) for k, v in node.items()}
 
@@ -323,6 +343,17 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _seed(text: str) -> int:
+    """argparse type for --seed: a non-negative integer, as numpy's seeding takes."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a non-negative integer")
+    return value
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
@@ -331,6 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--version", action="version", version=f"xtract {__version__}")
     sub = p.add_subparsers(dest="cmd", required=True)
+    p.commands = sub.choices  # name -> subcommand parser, read by main
 
     plan = sub.add_parser("plan", help="security-parameter calculus for a request")
     plan.add_argument("--model", required=True, choices=list(_MODELS))
@@ -367,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ver = sub.add_parser("verify", help="run a seeded verification suite")
     ver.add_argument("--suite", required=True, choices=list(VERIFY_SUITES))
-    ver.add_argument("--seed", type=int, default=0)
+    ver.add_argument("--seed", type=_seed, default=0)
     ver.add_argument("--budget", type=int, default=20, help="number of instances")
     ver.add_argument("--out", default=None, help="write the report here instead of stdout")
 
@@ -379,7 +411,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    """A request whose first word names a subcommand is parsed by that subcommand's parser
+    alone, the parser the full one would hand the rest to; any other argv (``--version``,
+    ``-h``, none, an unknown command) goes to the full parser."""
+    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is None:
+        args = parser.parse_args(argv)
+    else:
+        args = command.parse_args(argv[1:], argparse.Namespace(cmd=argv[0]))
     try:
         return globals()["cmd_" + args.cmd](args)
     except OSError as e:

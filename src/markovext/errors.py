@@ -1,4 +1,5 @@
-"""Exception hierarchy shared by all modules, and the integer-argument check."""
+"""Exception hierarchy shared by all modules, and the integer and real argument checks."""
+import numbers
 import operator
 
 
@@ -39,3 +40,8 @@ def checked_index(value, what: str) -> int:
         except TypeError:
             pass
     raise InvalidArgumentError(f"{what} must be an integer, got {value!r}")
+
+
+def is_real(value) -> bool:
+    """A real number (numpy's included) that is not a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)

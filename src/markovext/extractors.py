@@ -27,6 +27,7 @@ from .errors import (
     DomainError,
     InvalidArgumentError,
     checked_index,
+    is_real,
 )
 
 WEAK_DESIGN_OVERLAP = 2 * math.e  # declared overlap parameter r
@@ -317,8 +318,11 @@ def trevisan_params(n: int, m: int, eps: float) -> TrevisanParams:
     n, m = checked_index(n, "n"), checked_index(m, "m")
     if not (n >= m >= 1):
         raise DomainError(f"need n >= m >= 1, got n={n}, m={m}")
+    if not is_real(eps):
+        raise DomainError(f"eps must be a real number, got {eps!r}")
     if not 0 < eps < 1:
         raise DomainError(f"need 0 < eps < 1, got {eps}")
+    eps = float(eps)  # mpmath takes no Fraction
     if m <= math.e:
         raise DomainError(f"m={m} <= e leaves log(m - e) undefined")
     with mp.workprec(120):

@@ -11,14 +11,19 @@ cross-check.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import sources
-from .errors import CertificationError, InvalidArgumentError, ResourceBudgetError, checked_index
+from .errors import (
+    CertificationError,
+    InvalidArgumentError,
+    ResourceBudgetError,
+    checked_index,
+    is_real,
+)
 from .extractors import ExtractorDescriptor
 from .paramcalc import quantum_markov_transfer, solve_self_consistent_error
 
@@ -155,10 +160,6 @@ def _block_diagonal(parts: Sequence[np.ndarray]) -> np.ndarray:
     return out
 
 
-def _is_real(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
 @dataclass(frozen=True)
 class CcqBlock:
     """One direct-sum block: weight p(t) >= 0 and per-source cq components.
@@ -174,7 +175,7 @@ class CcqBlock:
     comp2: np.ndarray
 
     def __post_init__(self):
-        if not (_is_real(self.weight) and math.isfinite(self.weight) and self.weight >= 0.0):
+        if not (is_real(self.weight) and math.isfinite(self.weight) and self.weight >= 0.0):
             raise InvalidArgumentError(f"block weight {self.weight} is not finite and >= 0")
         for name in ("comp1", "comp2"):
             comp = _psd_matrices(getattr(self, name), 3, name)
@@ -212,7 +213,7 @@ class CcqMarkovState:
             except TypeError:
                 ks = ()
             # -log2(p_guess) may pass n by a few ulp; nan fails both comparisons
-            if len(ks) != 2 or not all(_is_real(k) and -ENTROPY_TOL <= k <= n + ENTROPY_TOL
+            if len(ks) != 2 or not all(is_real(k) and -ENTROPY_TOL <= k <= n + ENTROPY_TOL
                                        for k, n in zip(ks, (self.n1, self.n2))):
                 raise InvalidArgumentError(
                     f"certified_k must be a pair of reals in [0, n_i], got {self.certified_k!r}")

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import functools
 import importlib.util
@@ -13,8 +14,8 @@ from hypothesis import strategies as st
 
 from markovext import cli
 from markovext.bitfield import BitString
-from markovext.cli import csv_to_report, main, report_to_csv, report_to_json
-from markovext.errors import MarkovExtError
+from markovext.cli import VERIFY_SUITES, csv_to_report, main, report_to_csv, report_to_json
+from markovext.errors import DomainError, MarkovExtError
 from markovext.extractors import (
     ExtractorDescriptor,
     compose,
@@ -633,3 +634,186 @@ def test_every_name_the_benchmark_traces_exists():
                for owner, attr, _ in tracing.TRACED + tracing.COUNTED
                if attr not in owner.__dict__]
     assert missing == []
+
+
+# ---------------------------------------------------------------------------
+# a request is parsed once, by the parser of the subcommand it names
+# ---------------------------------------------------------------------------
+
+_K = ["--k1", "55.5", "--k2", "60.25"]
+_DEOR64 = ["--family", "deor", "--n1", "64", "--n2", "64", "--m", "3", *_K]
+_EXTRACT = ["extract", "x1", "x2", "y"]
+
+# The request shapes of the benchmark's `requests` workload, malformed ones included, then
+# the argv that only the full parser reads and the ones that test argparse's edges.
+_PARSE_GRID = [
+    ["plan", "--model", "quantum-markov", *_DEOR64],
+    ["plan", "--model", "smooth-markov", *_DEOR64, "--delta1", "1e-5", "--delta2", "2e-6",
+     "--eps1", "3e-7", "--eps2", "4e-8"],
+    ["plan", "--model", "subnormalized", *_DEOR64],
+    ["plan", "--model", "classical-markov", *_DEOR64, "--eps", "1e-9", "--l", "3"],
+    ["plan", "--model", "plain", *_DEOR64],
+    ["plan", "--model", "quantum-markov", "--family", "raz", "--n1", "2048", "--n2", "2048",
+     "--m", "2", "--k1", "1900.5", "--k2", "1800.25", "--delta-prime", "0.3"],
+    ["plan", "--model", "quantum-markov", "--family", "trevisan-composition", "--n1", "4096",
+     "--n2", "4096", "--m", "2", "--k1", "4000", "--k2", "3900", "--eps", "1e-6",
+     "--outer-m", "16", "--outer-eps", "1e-3", "--out", "r.json"],
+    [*_EXTRACT, "--family", "deor", "--n1", "64", "--m", "5"],
+    [*_EXTRACT, "--family", "deor", "--n1", "16", "--m", "16"],
+    [*_EXTRACT, "--family", "inner-product", "--n1", "64"],
+    [*_EXTRACT, "--family", "composed", "--n1", "8", "--m", "2"],
+    [*_EXTRACT, "--family", "trevisan", "--n1", "8", "--n2", "256", "--m", "3", "--eps", "0.9"],
+    [*_EXTRACT, "--descriptor", "d.json"],
+    ["report", "r.json", "--format", "csv"],
+    ["verify", "--suite", "distinguishing", "--seed", "12345", "--budget", "3"],
+    [*_EXTRACT, "--family", "deor", "--n1", "8", "--n2", "16"],
+    [*_EXTRACT, "--family", "trevisan", "--n1", "8", "--m", "3"],
+    ["verify", "--suite", "distinguishing", "--budget", "0"],
+    ["plan", "--model", "quantum-markov", "--family", "deor", "--n1", "64", "--n2", "64",
+     "--m", "4", "--k1", "50"],
+    ["plan", "--model", "quantum-markov", "--family", "deor", "--n1", "64", "--n2", "64",
+     "--m", "4", "--k1", "nan", "--k2", "50"],
+    ["plan", "--model", "quantum-markov", "--family", "deor", "--n1", "7", "--n2", "64",
+     "--m", "4", "--k1", "60", "--k2", "50"],
+    ["plan", "--model", "quantum-markov", "--family", "deor", "--n1", "64", "--n2", "64",
+     "--m", "100", "--k1", "50", "--k2", "50"],
+    ["plan", "--model", "no-such-model", *_DEOR64],
+    ["verify", "--suite", "no-such-suite"],
+    ["verify", "--suite", "classical", "--seed", "-1"],
+    ["verify", "--suite", "classical", "--seed", "abc"],
+    ["plan"], ["extract"], ["extract", "x1"], ["verify"], ["report"],
+    *[[command, "-h"] for command in ("plan", "extract", "verify", "report")],
+    [*_EXTRACT, "--help", "--n1", "8"],
+    ["--version"], ["-h"], ["--help"], [], ["no-such-command"], ["--vers"], ["-x"],
+    ["--version", "plan"], ["-h", "extract"],
+    [*_EXTRACT, "--desc", "d.json"],
+    [*_EXTRACT, "--fam", "parity", "--n1", "4"],
+    ["plan", "--mod", "plain", *_DEOR64],
+    ["extract", "--", "x1", "x2", "y"],
+    ["extract", "x1", "x2", "--", "y", "--n1", "8"],
+    ["report", "--format", "csv", "--", "r.json"],
+    ["extract", "x1", "x2", "y", "--"],
+    [*_EXTRACT, "--n1", "8", "extra"],
+    [*_EXTRACT, "--n1", "8", "--bogus", "1"],
+    ["verify", "--suite", "classical", "--version"],
+    ["report", "r.json", "--format", "csv", "r2.json"],
+    ["plan", "--model", "plain", *_DEOR64, "--eps"],
+    [*_EXTRACT, "--m", "2", "--m", "3"],
+    ["plan", "--model=plain", "--family=deor", "--n1=64", "--n2=64", "--m=3", *_K],
+]
+
+
+def _outcome_of(call):
+    """('returned', value, stdout, stderr), or ('exit', code, stdout, stderr) on SystemExit."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            return "returned", call(), out.getvalue(), err.getvalue()
+        except SystemExit as exc:
+            return "exit", exc.code, out.getvalue(), err.getvalue()
+
+
+def _stub_commands(monkeypatch):
+    """Replace every cmd_<x> by a stub that records (x, vars(args)) and returns 0."""
+    reached = []
+    for name in ("plan", "extract", "verify", "report"):
+        monkeypatch.setattr(cli, "cmd_" + name,
+                            lambda args, name=name: reached.append((name, vars(args))) or 0)
+    return reached
+
+
+@pytest.mark.parametrize("argv", _PARSE_GRID, ids=lambda argv: " ".join(argv) or "(empty)")
+def test_main_parses_as_the_full_parser_does(monkeypatch, argv):
+    """`main` reaches cmd_<x> with the namespace the full parser builds, or exits with its
+    code, stdout and stderr; leftover arguments alone are reported with the usage line of
+    the subcommand."""
+    reached = _stub_commands(monkeypatch)
+    expected = _outcome_of(lambda: vars(cli.build_parser().parse_args(argv)))
+    got = _outcome_of(lambda: main(argv))
+    if expected[0] == "returned":
+        assert got == ("returned", 0, "", "")
+        assert reached == [(expected[1]["cmd"], expected[1])]
+        return
+    assert reached == [] and got[:3] == expected[:3]
+    kind, code, out, err = got
+    if "error: unrecognized arguments:" not in expected[3]:
+        assert err == expected[3]
+    else:
+        command = cli.build_parser().commands[argv[0]]
+        message = expected[3].split(": error: ", 1)[1]
+        assert err == f"{command.format_usage()}{command.prog}: error: {message}"
+
+
+@pytest.mark.parametrize("argv", [
+    ["plan", "--model", "quantum-markov", *_DEOR64],
+    [*_EXTRACT, "--family", "deor", "--n1", "64", "--m", "5"],
+    ["verify", "--suite", "distinguishing", "--seed", "12345", "--budget", "3"],
+    ["report", "r.json", "--format", "csv"],
+], ids=["plan", "extract", "verify", "report"])
+def test_a_request_is_parsed_in_one_pass(monkeypatch, argv):
+    reached = _stub_commands(monkeypatch)
+    calls = []
+    parse_known_args = argparse.ArgumentParser.parse_known_args
+
+    def counted(self, *args, **kwargs):
+        calls.append(self.prog)
+        return parse_known_args(self, *args, **kwargs)
+
+    cli.build_parser()  # built before counting: building parses nothing
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+    assert main(argv) == 0
+    assert calls == [f"xtract {argv[0]}"] and reached[0][0] == argv[0]
+
+
+# ---------------------------------------------------------------------------
+# refusals: a negative --seed, a malformed CSV report, an --l above the ceiling, a non-real eps
+# ---------------------------------------------------------------------------
+
+def _refused(argv):
+    """Exit code and stderr of a request that must write nothing to stdout."""
+    _, rc, out, err = _outcome_of(lambda: main(argv))
+    assert out == "" and "Traceback" not in err
+    return rc, err
+
+
+@pytest.mark.parametrize("suite", VERIFY_SUITES)
+def test_verify_refuses_a_negative_seed(suite):
+    rc, err = _refused(["verify", "--suite", suite, "--seed", "-1", "--budget", "1"])
+    assert rc == 2 and "argument --seed" in err
+
+
+@pytest.mark.parametrize("text", [
+    "key,value\nversion\n",
+    'key,value\nversion,"1",extra\n',
+    'key,value\nversion,"""1"""\nversion.x,2\n',
+    'key,value\nversion.x,2\nversion,"""1"""\n',
+    'key,value\nversion,"""1"""\nversion,"""2"""\n',
+    'key,value\nrequest,{}\nrequest.x,2\n',
+    "key,value\nrecords.0,1\nrecords.2,3\n",
+    "key,value\nversion,\"" + "x" * 200_000 + "\"\n",
+], ids=["one_field", "three_fields", "leaf_then_branch", "branch_then_leaf", "key_twice",
+        "dict_leaf_then_branch", "list_gap", "field_beyond_limit"])
+def test_report_refuses_a_malformed_csv(tmp_path, text):
+    path = tmp_path / "r.csv"
+    path.write_text(text)
+    with pytest.raises(DomainError):
+        csv_to_report(text)
+    rc, err = _refused(["report", str(path), "--format", "json"])
+    assert rc == 3 and err.startswith("error: ")
+
+
+def test_plan_refuses_an_l_above_the_ceiling():
+    argv = ["plan", "--model", "quantum-markov", *_DEOR64, "--eps", "1e-6", "--l"]
+    rc, err = _refused([*argv, "1000000000000"])
+    assert rc == 4 and str(cli.MAX_PLAN_SOURCES) in err
+
+
+def test_descriptor_file_with_a_string_eps_is_exit_3(tmp_path):
+    d = trevisan_descriptor(8, 3, 0.9).to_dict()
+    d["params"]["eps"] = "0.5"
+    (tmp_path / "d.json").write_text(json.dumps(d))
+    (tmp_path / "x").write_bytes(bytes(64))
+    x, desc = str(tmp_path / "x"), str(tmp_path / "d.json")
+    rc, err = _refused(["extract", x, x, str(tmp_path / "y"), "--descriptor", desc])
+    assert rc == 3 and "real number" in err
+    assert not (tmp_path / "y").exists()

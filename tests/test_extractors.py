@@ -484,3 +484,11 @@ def test_every_trevisan_descriptor_that_builds_extracts():
                 seed = BitString(rnd.getrandbits(d.n2), d.n2)
                 assert d.extract(x, seed).length == m
     assert built >= 3
+
+
+@pytest.mark.parametrize("eps", ["0.5", None, [0.5], True], ids=["string", "none", "list", "bool"])
+def test_trevisan_refuses_an_eps_that_is_not_a_real_number(eps):
+    with pytest.raises(DomainError, match="real number"):
+        trevisan_params(8, 3, eps)
+    with pytest.raises(DomainError, match="real number"):
+        trevisan_descriptor(8, 3, eps)
