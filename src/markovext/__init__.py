@@ -10,7 +10,7 @@ __version__ = "0.1.0"
 
 from importlib import import_module as _import_module
 
-from .bitfield import BitString, gf_mul, gf_pow, inner_product_mod2
+from .bitfield import BitString, gf_mul
 from .errors import (
     CertificationError,
     CompositionError,

@@ -13,9 +13,8 @@ out-of-band.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, checked_index
 
 # Low-weight irreducible polynomials over GF(2), value includes the x^n term.
 IRREDUCIBLE_POLY = {
@@ -37,35 +36,13 @@ class BitString:
     length: int
 
     def __post_init__(self):
-        if self.length < 0:
+        value, length = checked_index(self.value, "value"), checked_index(self.length, "length")
+        if length < 0:
             raise InvalidArgumentError("length must be non-negative")
-        if self.value < 0 or self.value >> self.length:
-            raise InvalidArgumentError(
-                f"value {self.value:#x} does not fit in {self.length} bits"
-            )
-
-    def bit(self, i: int) -> int:
-        if not 0 <= i < self.length:
-            raise InvalidArgumentError(f"bit index {i} out of range for length {self.length}")
-        return (self.value >> i) & 1
-
-    def __iter__(self) -> Iterator[int]:
-        return ((self.value >> i) & 1 for i in range(self.length))
-
-    def __xor__(self, other: "BitString") -> "BitString":
-        if self.length != other.length:
-            raise InvalidArgumentError("length mismatch in xor")
-        return BitString(self.value ^ other.value, self.length)
-
-    def truncate(self, m: int) -> "BitString":
-        """The m least-significant bits."""
-        if not 0 <= m <= self.length:
-            raise InvalidArgumentError(f"cannot truncate length {self.length} to {m}")
-        return BitString(self.value & ((1 << m) - 1), m)
-
-    def concat(self, other: "BitString") -> "BitString":
-        """self occupies the low bits, other the high bits."""
-        return BitString(self.value | (other.value << self.length), self.length + other.length)
+        if value < 0 or value >> length:
+            raise InvalidArgumentError(f"value {value:#x} does not fit in {length} bits")
+        object.__setattr__(self, "value", value)  # a numpy integer is kept as an int
+        object.__setattr__(self, "length", length)
 
     def to_bytes(self) -> bytes:
         """Packed little-endian bit order; pad bits of the last byte are zero."""
@@ -74,22 +51,13 @@ class BitString:
 
     @classmethod
     def from_bytes(cls, data: bytes, length: int) -> "BitString":
+        length = checked_index(length, "length")
         if length < 0:
             raise InvalidArgumentError("length must be non-negative")
         if len(data) * 8 < length:
             raise InvalidArgumentError(f"{len(data)} bytes supply fewer than {length} bits")
         value = int.from_bytes(data, "little") & ((1 << length) - 1)
         return cls(value, length)
-
-    @classmethod
-    def from_bits(cls, bits) -> "BitString":
-        bits = list(bits)
-        value = 0
-        for i, b in enumerate(bits):
-            if b not in (0, 1):
-                raise InvalidArgumentError("bits must be 0 or 1")
-            value |= b << i
-        return cls(value, len(bits))
 
 
 def poly_mod(p: int, modulus: int) -> int:
@@ -119,19 +87,6 @@ def gf_mul(a, b, n: int):
     return p
 
 
-def gf_pow(a: int, e: int, n: int) -> int:
-    """a^e in GF(2^n) by square-and-multiply; a^0 = 1."""
-    if e < 0:
-        raise InvalidArgumentError("exponent must be non-negative")
-    result = 1
-    while e:
-        if e & 1:
-            result = gf_mul(result, a, n)
-        a = gf_mul(a, a, n)
-        e >>= 1
-    return result
-
-
 def parity(x, n: int):
     """XOR of the n low bits of x, whose higher bits are zero; for ints or integer arrays."""
     shift = 1
@@ -139,13 +94,6 @@ def parity(x, n: int):
         x = x ^ (x >> shift)
         shift <<= 1
     return x & 1
-
-
-def inner_product_mod2(a: BitString, b: BitString) -> int:
-    """XOR over i of a_i * b_i."""
-    if a.length != b.length:
-        raise InvalidArgumentError(f"length mismatch: {a.length} vs {b.length}")
-    return parity(a.value & b.value, a.length)
 
 
 def is_irreducible(poly: int) -> bool:

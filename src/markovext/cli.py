@@ -15,8 +15,12 @@ explicit schema version and a null timing field.
 
 Raw-bit files are packed little-endian: bit i of the string is bit (i % 8)
 of byte (i // 8). CSV reports have two columns, ``key`` (dotted path, list
-indices numeric) and ``value`` (JSON-encoded leaf), which makes the
-json -> csv -> json round trip lossless.
+indices numeric) and ``value`` (JSON-encoded leaf; an empty object or list is
+a leaf). The CSV form takes a report that is a JSON object in which no key is
+empty or holds ``.`` or a carriage return, no non-empty object has only digit
+keys, and no key or value text is longer than ``csv.field_size_limit()``; any
+other report exits 3. For every report it takes, json -> csv -> json gives
+the report back unchanged.
 """
 from __future__ import annotations
 
@@ -243,23 +247,35 @@ def cmd_verify(args) -> int:
 # report rendering
 # ---------------------------------------------------------------------------
 
-def _flatten(obj, prefix=""):
-    if isinstance(obj, dict) and obj:
-        for k in sorted(obj):
-            yield from _flatten(obj[k], f"{prefix}{k}.")
-    elif isinstance(obj, list) and obj:
-        for i, v in enumerate(obj):
-            yield from _flatten(v, f"{prefix}{i}.")
+def _flatten(node, prefix=""):
+    """(dotted key, JSON text) rows below a dict or list; an empty dict or list is a leaf.
+    Raises DomainError for what `csv_to_report` would not read back as written."""
+    if isinstance(node, list):
+        items = [(str(i), v) for i, v in enumerate(node)]
+    elif node and all(k.isdigit() for k in node):  # csv_to_report would read a list
+        raise DomainError(f"csv report object {prefix!r} has only digit keys")
     else:
-        yield prefix.rstrip("."), obj
+        items = sorted(node.items())
+    limit = csv.field_size_limit()
+    for k, v in items:
+        if not k or "." in k or "\r" in k:
+            raise DomainError(f"csv report key {prefix + k!r} is empty or holds '.' or '\\r'")
+        if isinstance(v, (dict, list)) and v:
+            yield from _flatten(v, f"{prefix}{k}.")
+        else:
+            key, text = prefix + k, _dumps(v)
+            if max(len(key), len(text)) > limit:
+                raise DomainError(f"csv report field of {key!r} is beyond csv.field_size_limit()")
+            yield key, text
 
 
 def report_to_csv(report: dict) -> str:
+    if not isinstance(report, dict):
+        raise DomainError("a csv report must be a JSON object")
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(["key", "value"])
-    for key, value in _flatten(report):
-        w.writerow([key, _dumps(value)])
+    w.writerows(_flatten(report))
     return buf.getvalue()
 
 

@@ -90,6 +90,8 @@ class ExtractorDescriptor:
         """Error at min-entropies (k1, k2) for two-source families, at k1 for seeded ones."""
         family = self.family
         if family in (ExtractorFamily.DEOR, ExtractorFamily.INNER_PRODUCT):
+            if k2 is None:
+                raise DomainError(f"{family.value} error law needs the second entropy k2")
             return deor_error(self.n1, k1, k2, self.m)
         if family is ExtractorFamily.PARITY_SEEDED:
             return _parity_flat_error(self.n1, self.n2, k1)
@@ -207,14 +209,14 @@ def inner_product_descriptor(n: int) -> ExtractorDescriptor:
 class WeakDesign:
     """m subsets of [d_universe], each of size t, with bounded pairwise overlap.
 
-    The declared bound is: for every i, sum_{j<i} 2^{|S_i n S_j|} <= r * (m - 1).
+    The declared bound is: for every i,
+    sum_{j<i} 2^{|S_i n S_j|} <= WEAK_DESIGN_OVERLAP * (m - 1).
     """
 
     m: int
     t: int
     d_universe: int
     sets: tuple
-    r: float = WEAK_DESIGN_OVERLAP
 
     def overlap_statistic(self, i: int) -> float:
         return float(sum(2 ** len(self.sets[i] & self.sets[j]) for j in range(i)))

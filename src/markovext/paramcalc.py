@@ -24,7 +24,6 @@ class SecurityModel(str, Enum):
     PLAIN = "Plain"
     CLASSICAL_MARKOV = "ClassicalMarkov"
     QUANTUM_MARKOV = "QuantumMarkov"
-    PRODUCT_QUANTUM = "ProductQuantum"
     SMOOTH_MARKOV = "SmoothMarkov"
     SUBNORMALIZED = "Subnormalized"
 

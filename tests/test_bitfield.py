@@ -7,13 +7,12 @@ from markovext.bitfield import (
     IRREDUCIBLE_POLY,
     BitString,
     gf_mul,
-    gf_pow,
-    inner_product_mod2,
     is_irreducible,
     parity,
     poly_mod,
 )
 from markovext.errors import InvalidArgumentError
+from markovext.extractors import inner_product_descriptor
 
 
 # ---------------------------------------------------------------------------
@@ -22,35 +21,33 @@ from markovext.errors import InvalidArgumentError
 
 def test_bitstring_construction_and_bits():
     b = BitString(0b1011, 4)
-    assert [b.bit(i) for i in range(4)] == [1, 1, 0, 1]
-    assert list(b) == [1, 1, 0, 1]
+    assert (b.value, b.length) == (0b1011, 4)
     with pytest.raises(InvalidArgumentError):
         BitString(16, 4)  # does not fit
     with pytest.raises(InvalidArgumentError):
         BitString(-1, 4)
-    with pytest.raises(InvalidArgumentError):
-        b.bit(4)
-
-
-def test_bitstring_xor_truncate_concat():
-    a = BitString(0b1100, 4)
-    b = BitString(0b1010, 4)
-    assert (a ^ b).value == 0b0110
-    assert a.truncate(2).value == 0b00
-    assert b.truncate(3) == BitString(0b010, 3)
-    c = BitString(0b01, 2).concat(BitString(0b11, 2))
-    assert c == BitString(0b1101, 4)
-    with pytest.raises(InvalidArgumentError):
-        a ^ BitString(0, 3)
 
 
 @pytest.mark.parametrize("build", [
     lambda: BitString(0, -1),
-    lambda: BitString(1, 2).truncate(3),
-], ids=["negative_length", "truncate_beyond_length"])
+    lambda: BitString(2.0, 4),
+    lambda: BitString("3", 4),
+    lambda: BitString(1, 2.0),
+    lambda: BitString(True, 1),
+    lambda: BitString(0, False),
+    lambda: BitString.from_bytes(b"\x00", 2.0),
+], ids=["negative_length", "float_value", "string_value", "float_length", "bool_value",
+        "bool_length", "from_bytes_float_length"])
 def test_bitstring_refuses_out_of_range_lengths(build):
     with pytest.raises(InvalidArgumentError):
         build()
+
+
+def test_bitstring_takes_numpy_integers_as_ints():
+    b = BitString(np.int64(11), np.uint8(4))
+    assert b == BitString(11, 4)
+    assert type(b.value) is int and type(b.length) is int
+    assert b.to_bytes() == bytes([11])
 
 
 def test_bitstring_bytes_roundtrip_little_endian():
@@ -67,13 +64,6 @@ def test_bitstring_bytes_roundtrip_little_endian():
         BitString.from_bytes(b"\x00", -1)
 
 
-def test_bitstring_from_bits():
-    assert BitString.from_bits([1, 0, 1]).value == 0b101
-    assert BitString.from_bits([]).length == 0
-    with pytest.raises(InvalidArgumentError):
-        BitString.from_bits([0, 2])
-
-
 # ---------------------------------------------------------------------------
 # Field arithmetic
 # ---------------------------------------------------------------------------
@@ -84,11 +74,8 @@ def test_gf4_multiplication_example():
 
 
 def test_gf4_power_example():
-    # x^4 = x + 1 modulo x^4+x+1
-    assert gf_pow(0b0010, 4, 4) == 0b0011
-    assert gf_pow(0b0010, 0, 4) == 1
-    with pytest.raises(InvalidArgumentError):
-        gf_pow(0b0010, -1, 4)
+    # x^4 = x^2 * x^2 = x + 1 modulo x^4+x+1
+    assert gf_mul(0b0100, 0b0100, 4) == 0b0011
 
 
 def test_gf_mul_degree_mismatch():
@@ -166,13 +153,23 @@ def test_field_axioms_random(n):
         assert gf_mul(a, 1, n) == a
 
 
+def _field_power(a: int, e: int, n: int) -> int:
+    """a^e in GF(2^n), square-and-multiply over the bits of e from the top."""
+    result = 1
+    for i in reversed(range(e.bit_length())):
+        result = gf_mul(result, result, n)
+        if (e >> i) & 1:
+            result = gf_mul(result, a, n)
+    return result
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 8, 16])
 def test_nonzero_elements_have_unique_inverses(n):
     # a * a^(2^n - 2) = 1 for a != 0
     rnd = random.Random(n + 1)
     vals = range(1, 1 << n) if n <= 8 else [rnd.randrange(1, 1 << n) for _ in range(200)]
     for a in vals:
-        assert gf_mul(a, gf_pow(a, (1 << n) - 2, n), n) == 1
+        assert gf_mul(a, _field_power(a, (1 << n) - 2, n), n) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -180,14 +177,15 @@ def test_nonzero_elements_have_unique_inverses(n):
 # ---------------------------------------------------------------------------
 
 def test_inner_product_examples():
+    ip = inner_product_descriptor(4).extract
     zero = BitString(0, 4)
     b = BitString(0b1011, 4)
-    assert inner_product_mod2(zero, b) == 0
-    assert inner_product_mod2(b, b) == b.value.bit_count() & 1
+    assert ip(zero, b) == BitString(0, 1)
+    assert ip(b, b).value == b.value.bit_count() & 1
     # (1011, 1110): bitwise and = 1010, parity 0
-    assert inner_product_mod2(BitString(0b1011, 4), BitString(0b1110, 4)) == 0
+    assert ip(BitString(0b1011, 4), BitString(0b1110, 4)).value == 0
     with pytest.raises(InvalidArgumentError):
-        inner_product_mod2(BitString(0, 3), BitString(0, 4))
+        ip(BitString(0, 3), BitString(0, 4))
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 5, 8, 13, 64, 100])

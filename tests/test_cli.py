@@ -548,6 +548,43 @@ def test_report_writers_refuse_non_finite(value):
         report_to_csv(report)
 
 
+@pytest.mark.parametrize("report", [
+    [1, 2], "report", None, 3,
+    {"a": {"0": 1}}, {"0": 1, "1": 2},
+    {"a.b": 1}, {"a": [{"b.c": 1}]},
+    {"": 1}, {"a": {"": 1}},
+    {"a\rb": 1},
+    {"a": "x" * 200_000},
+], ids=["list", "string", "null", "number", "digit_keys", "digit_keys_at_top", "dotted_key",
+        "dotted_key_in_list", "empty_key", "empty_key_below", "carriage_return_key",
+        "field_beyond_limit"])
+def test_report_to_csv_refuses_what_it_cannot_read_back(tmp_path, report):
+    with pytest.raises(DomainError):
+        report_to_csv(report)
+    path = tmp_path / "r.json"
+    path.write_text(json.dumps(report))
+    rc, err = _refused(["report", str(path), "--format", "csv"])
+    assert rc == 3 and err.startswith("error: ")
+
+
+_JSON_KEYS = st.text(alphabet='ab01.,"\n ', min_size=1, max_size=3) | st.text(max_size=3)
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=4)
+    | st.floats(allow_nan=False, allow_infinity=False),
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(_JSON_KEYS, kids, max_size=3),
+    max_leaves=10)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.dictionaries(_JSON_KEYS, _JSON, max_size=4))
+def test_every_report_the_csv_form_accepts_reads_back_unchanged(report):
+    try:
+        text = report_to_csv(report)
+    except DomainError:
+        return
+    assert csv_to_report(text) == report
+
+
 def test_csv_report_requires_header():
     from markovext.errors import DomainError
 

@@ -6,7 +6,7 @@ import random
 import pytest
 from mpmath import mp
 
-from markovext.bitfield import BitString, gf_pow, gf_mul, inner_product_mod2
+from markovext.bitfield import BitString, gf_mul
 from markovext.errors import CompositionError, ConstructionError, DomainError, InvalidArgumentError
 from markovext.extractors import (
     WEAK_DESIGN_OVERLAP,
@@ -132,13 +132,18 @@ def test_weak_design_layout_search_takes_a_second_block():
                               _toy_trevisan().trevisan[0], weak_design_build(3, 4)),
      InvalidArgumentError),
     (lambda: parity_seeded_descriptor(4, 2).error_law(5.0), DomainError),
+    (lambda: deor_descriptor(8, 3).error_law(7.0), DomainError),
+    (lambda: inner_product_descriptor(8).error_law(7.0), DomainError),
+    (lambda: compose(parity_seeded_descriptor(8, 3), deor_descriptor(8, 3)).error_law(7.0),
+     DomainError),
     (lambda: weak_design_build(4, 4, universe_blocks=0), InvalidArgumentError),
     (lambda: weak_design_build(4, 4, universe_blocks=-1), InvalidArgumentError),
     (lambda: weak_design_build(4.0, 4), InvalidArgumentError),
     (lambda: weak_design_build(4, True), InvalidArgumentError),
 ], ids=["design_no_sets", "design_one_block_of_200", "trevisan_seed_length",
-        "trevisan_design_t", "parity_k_above_n", "design_zero_blocks", "design_negative_blocks",
-        "design_float_m", "design_bool_t"])
+        "trevisan_design_t", "parity_k_above_n", "deor_law_without_k2",
+        "inner_product_law_without_k2", "composed_law_without_k2", "design_zero_blocks",
+        "design_negative_blocks", "design_float_m", "design_bool_t"])
 def test_constructions_refuse_out_of_range_input(build, error):
     with pytest.raises(error):
         build()
@@ -184,13 +189,16 @@ def test_trevisan_params_domain_errors():
 def _rsh_oracle(x: BitString, seed: BitString) -> int:
     """Straight-line re-implementation: explicit powers of alpha, no Horner."""
     s = seed.length // 2
-    alpha = seed.truncate(s).value
-    beta = BitString(seed.value >> s, s)
+    alpha = seed.value & ((1 << s) - 1)
+    beta = seed.value >> s
     acc = 0
     for j in range(-(-x.length // s)):
         chunk = (x.value >> (j * s)) & ((1 << s) - 1)
-        acc ^= gf_mul(chunk, gf_pow(alpha, j, s), s)
-    return inner_product_mod2(BitString(acc, s), beta)
+        power = 1
+        for _ in range(j):  # alpha^j
+            power = gf_mul(power, alpha, s)
+        acc ^= gf_mul(chunk, power, s)
+    return (acc & beta).bit_count() & 1
 
 
 @pytest.mark.parametrize("t", [4, 6, 8, 16])
@@ -233,8 +241,10 @@ def test_trevisan_m1_reduces_to_single_rsh():
     x = BitString(rnd.randrange(256), 8)
     seed = BitString(rnd.randrange(1 << 256), 256)
     out = trevisan_extract(x, seed, params, design)
-    sub = BitString.from_bits(seed.bit(j) for j in sorted(design.sets[0]))
-    assert out.value == rsh_one_bit(x, sub)
+    sub = 0  # the seed bits at the positions of the set, lowest position lowest
+    for j in sorted(design.sets[0], reverse=True):
+        sub = (sub << 1) | ((seed.value >> j) & 1)
+    assert out.value == rsh_one_bit(x, BitString(sub, 16))
 
 
 def test_trevisan_output_bit_locality():
@@ -252,7 +262,7 @@ def test_trevisan_output_bit_locality():
     outside = [j for j in range(design.d_universe) if j not in design.sets[0]]
     for j in rnd.sample(outside, 20):
         flipped = BitString(seed_val ^ (1 << j), design.d_universe)
-        assert d.extract(x, flipped).bit(0) == base.bit(0)
+        assert d.extract(x, flipped).value & 1 == base.value & 1
 
 
 # ---------------------------------------------------------------------------
