@@ -19,12 +19,15 @@ indices numeric) and ``value`` (JSON-encoded leaf; an empty object or list is
 a leaf). The CSV form takes a report that is a JSON object in which no key is
 empty or holds ``.`` or a carriage return, no non-empty object has only digit
 keys, and no key or value text is longer than ``csv.field_size_limit()``; any
-other report exits 3. For every report it takes, json -> csv -> json gives
-the report back unchanged.
+other report exits 3. The writer owns these rules: the reader takes a CSV text
+only if the writer gives back the keys it read, each as often. So json -> csv
+-> json gives the report back, and csv -> json -> csv the rows, up to their
+order and the spelling of each JSON value.
 """
 from __future__ import annotations
 
 import argparse
+import collections
 import csv
 import dataclasses
 import functools
@@ -170,14 +173,7 @@ def _plan_assessment(args) -> dict:
 
 def cmd_plan(args) -> int:
     request = {k: v for k, v in vars(args).items() if k not in ("cmd", "out")}
-    report = {
-        "version": REPORT_VERSION,
-        "request": {**request, "command": "plan"},
-        "assessment": _plan_assessment(args),
-        "records": [],
-        "timing": None,
-    }
-    _emit(report, args.out)
+    _emit(_report({**request, "command": "plan"}, _plan_assessment(args), []), args.out)
     return EXIT_OK
 
 
@@ -232,14 +228,8 @@ def cmd_verify(args) -> int:
 
     suite = getattr(suites, args.suite)
     records = [_record(*r) for r in suite(range(args.seed, args.seed + args.budget))]
-    report = {
-        "version": REPORT_VERSION,
-        "request": {"command": "verify", "suite": args.suite, "seed": args.seed, "budget": args.budget},
-        "assessment": None,
-        "records": records,
-        "timing": None,
-    }
-    _emit(report, args.out)
+    request = {"command": "verify", "suite": args.suite, "seed": args.seed, "budget": args.budget}
+    _emit(_report(request, None, records), args.out)
     return EXIT_OK if all(r["holds"] for r in records) else EXIT_VERIFY
 
 
@@ -248,10 +238,12 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _flatten(node, prefix=""):
-    """(dotted key, JSON text) rows below a dict or list; an empty dict or list is a leaf.
+    """(dotted key, JSON text) rows of a report object; an empty dict or list is a leaf.
     Raises DomainError for what `csv_to_report` would not read back as written."""
-    if isinstance(node, list):
+    if isinstance(node, list) and prefix:
         items = [(str(i), v) for i, v in enumerate(node)]
+    elif not isinstance(node, dict):
+        raise DomainError("a csv report must be a JSON object")
     elif node and all(k.isdigit() for k in node):  # csv_to_report would read a list
         raise DomainError(f"csv report object {prefix!r} has only digit keys")
     else:
@@ -270,8 +262,6 @@ def _flatten(node, prefix=""):
 
 
 def report_to_csv(report: dict) -> str:
-    if not isinstance(report, dict):
-        raise DomainError("a csv report must be a JSON object")
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(["key", "value"])
@@ -279,18 +269,25 @@ def report_to_csv(report: dict) -> str:
     return buf.getvalue()
 
 
-class _Branch(dict):
-    """A dotted-key prefix of a CSV report, told apart from a leaf value that is a dict."""
+def _densify(node):
+    """`node` with every object whose keys are exactly 0..n-1 (n >= 1) read as a list."""
+    if not isinstance(node, dict):
+        return node
+    if node and node.keys() == {str(i) for i in range(len(node))}:
+        return [_densify(node[str(i)]) for i in range(len(node))]
+    return {k: _densify(v) for k, v in node.items()}
 
 
 def csv_to_report(text: str) -> dict:
+    """The report a CSV text holds. The rows are read into a tree, and the text is taken
+    only when `_flatten` writes that tree back with the keys read, each as often."""
     try:
         rows = list(csv.reader(io.StringIO(text)))
     except csv.Error as e:  # a field beyond csv.field_size_limit()
         raise DomainError(f"csv report: {e}") from None
     if not rows or rows[0] != ["key", "value"]:
         raise DomainError("csv report must start with a 'key,value' header")
-    root = _Branch()
+    root = {}
     for row in rows[1:]:
         if len(row) != 2:
             raise DomainError(f"csv report row must hold a key and a value, got {row!r}")
@@ -298,23 +295,23 @@ def csv_to_report(text: str) -> dict:
         *path, last = key.split(".")
         node = root
         for part in path:
-            node = node.setdefault(part, _Branch())
-            if type(node) is not _Branch:
+            node = node.setdefault(part, {})
+            if not isinstance(node, dict):
                 raise DomainError(f"csv report key {key!r} extends a leaf")
-        if last in node:
-            raise DomainError(f"csv report key {key!r} is given twice or as a prefix")
         node[last] = _loads(raw)
+    report = _densify(root)
+    read = collections.Counter(key for key, _ in rows[1:])
+    written = collections.Counter(key for key, _ in _flatten(report))
+    if read != written:
+        raise DomainError(f"csv report keys {sorted((read - written) + (written - read))} "
+                          "are given twice, extended or not written as read")
+    return report
 
-    def densify(node):
-        if not isinstance(node, dict):
-            return node
-        if node and all(k.isdigit() for k in node):
-            if set(node) != {str(i) for i in range(len(node))}:
-                raise DomainError(f"csv report list indices {sorted(node)} are not 0..n-1")
-            return [densify(node[str(i)]) for i in range(len(node))]
-        return {k: densify(v) for k, v in node.items()}
 
-    return densify(root)
+def _report(request: dict, assessment: Optional[dict], records: list) -> dict:
+    """The report object that plan and verify write, at schema REPORT_VERSION; timing is null."""
+    return {"version": REPORT_VERSION, "request": request, "assessment": assessment,
+            "records": records, "timing": None}
 
 
 def report_to_json(report: dict) -> str:

@@ -118,10 +118,10 @@ class ExtractorDescriptor:
         """Rebuild a descriptor through its family's constructor; the inverse of to_dict.
 
         Fields the constructor does not need may be left out. Raises DomainError
-        when a field is missing or disagrees with what the constructor builds.
+        when a field is missing, or is not one that to_dict writes with its value.
         """
-        try:
-            family, params = ExtractorFamily(d["family"]), dict(d.get("params", {}))
+        try:  # params must be an object
+            family, params = ExtractorFamily(d["family"]), {**d.get("params", {})}
         except (KeyError, TypeError, ValueError):
             raise DomainError(f"malformed descriptor {d!r}") from None
         try:
@@ -138,11 +138,12 @@ class ExtractorDescriptor:
         except (KeyError, TypeError) as e:
             raise DomainError(f"{family.value} descriptor lacks or mistypes {e}") from None
         built = ext.to_dict()
-        # nested descriptors were checked by their own from_dict
-        scalars = {k: v for k, v in params.items() if not isinstance(v, dict)}
-        given = {**built, **d, "params": {**built["params"], **scalars}}
-        wrong = [f"{k}: {family.value} takes {built[k]}, got {given[k]}"
-                 for k in built if given[k] != built[k]]
+        # each field given, params' too, must be written with the same repr (so 1, 1.0 and true
+        # differ); an object has its own check: params here, a nested descriptor in from_dict
+        wrong = [f"{pre}{k}: {family.value} takes {w[k] if k in w else 'no such field'}, got {v}"
+                 for pre, given, w in (("", d, built), ("params.", params, built["params"]))
+                 for k, v in given.items()
+                 if k not in w or not isinstance(w[k], dict) and repr(v) != repr(w[k])]
         if wrong:
             raise DomainError("; ".join(wrong))
         return ext

@@ -199,11 +199,13 @@ def raz_quantum_feasible(
 
     Checks the four printed inequalities; a logarithm of a non-positive
     argument makes the tuple infeasible rather than raising. delta' outside
-    (0, 19/32) is a domain error. The error on feasible tuples is
-    (sqrt(3)/2) * 2^{-m/4}.
+    (0, 19/32) and an output length m < 1 are domain errors. The error on
+    feasible tuples is (sqrt(3)/2) * 2^{-m/4}.
     """
     if not 0 < delta_p < 19 / 32:
         raise DomainError(f"need 0 < delta' < 19/32, got {delta_p}")
+    if m < 1:
+        raise DomainError(f"output length m must be at least 1, got {m}")
     violated = []
     with mp.workprec(120):
         log = lambda v: mp.log(mp.mpf(v), 2)

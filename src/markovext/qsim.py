@@ -162,7 +162,7 @@ def _block_diagonal(parts: Sequence[np.ndarray]) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CcqBlock:
-    """One direct-sum block: weight p(t) >= 0 and per-source cq components.
+    """One direct-sum block: weight p(t) >= 0, held as a float, and per-source cq components.
 
     comp_i is a read-only (2^n_i, c_i, c_i) complex array; comp_i[x] is the
     (subnormalized, PSD) operator p(x|t) * rho_i^t(x) on C_i^t, and the traces
@@ -177,6 +177,7 @@ class CcqBlock:
     def __post_init__(self):
         if not (is_real(self.weight) and math.isfinite(self.weight) and self.weight >= 0.0):
             raise InvalidArgumentError(f"block weight {self.weight} is not finite and >= 0")
+        object.__setattr__(self, "weight", float(self.weight))
         for name in ("comp1", "comp2"):
             comp = _psd_matrices(getattr(self, name), 3, name)
             tr = float(np.trace(comp, axis1=1, axis2=2).real.sum())
@@ -299,7 +300,11 @@ def markov_cmi(state: CcqMarkovState) -> float:
 # ---------------------------------------------------------------------------
 
 def _one_hot_outputs(ext: ExtractorDescriptor, n1: int, n2: int) -> np.ndarray:
-    """Array H of shape (2^n1, 2^n2, M) with H[x1, x2, y] = [Ext(x1, x2) = y]."""
+    """Array H of shape (2^n1, 2^n2, M) with H[x1, x2, y] = [Ext(x1, x2) = y]; refused before
+    the output table is built when H would hold more than 2^ENUMERATION_BUDGET_BITS entries."""
+    if n1 + n2 + ext.m > sources.ENUMERATION_BUDGET_BITS:
+        raise ResourceBudgetError(
+            f"one-hot output of {n1} + {n2} + {ext.m} bits exceeds the enumeration budget")
     return np.eye(1 << ext.m)[sources.extractor_output_table(ext, n1, n2)]
 
 
@@ -478,19 +483,14 @@ def state_from_dict(d: dict) -> CcqMarkovState:
     try:
         blocks = tuple(
             CcqBlock(
-                weight=float(b["weight"]),
+                weight=b["weight"],
                 comp1=np.ascontiguousarray(b["comp1"], float).view(complex)[..., 0],
                 comp2=np.ascontiguousarray(b["comp2"], float).view(complex)[..., 0],
             )
             for b in d["blocks"]
         )
-        ck = d.get("certified_k")
-        return CcqMarkovState(
-            n1=d["n1"],
-            n2=d["n2"],
-            blocks=blocks,
-            certified_k=tuple(map(float, ck)) if ck else None,
-        )
+        return CcqMarkovState(n1=d["n1"], n2=d["n2"], blocks=blocks,
+                              certified_k=d.get("certified_k"))
     except InvalidArgumentError:
         raise
     except (IndexError, KeyError, TypeError, ValueError, OverflowError) as e:

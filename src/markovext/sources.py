@@ -59,7 +59,10 @@ class MarkovSourceTable:
     Holds read-only copies of the arrays as checked, admitted tiny negatives as 0.0."""
 
     def __init__(self, pz: np.ndarray, px1_given_z: np.ndarray, px2_given_z: np.ndarray):
-        pz, px1, px2 = (np.asarray(a, dtype=float) for a in (pz, px1_given_z, px2_given_z))
+        try:
+            pz, px1, px2 = (np.asarray(a, dtype=float) for a in (pz, px1_given_z, px2_given_z))
+        except (TypeError, ValueError, OverflowError) as e:  # ragged rows, strings, huge ints
+            raise InvalidArgumentError(f"table entries are not an array of reals: {e}") from None
         if pz.ndim != 1 or px1.ndim != 2 or px2.ndim != 2:
             raise InvalidArgumentError("pz must be a vector and each conditional table a matrix")
         zc = pz.shape[0]
@@ -101,10 +104,9 @@ class MarkovSourceTable:
     @classmethod
     def from_dict(cls, d: dict) -> "MarkovSourceTable":
         try:
-            arrays = [np.array(d[k], dtype=float) for k in ("pz", "px1_given_z", "px2_given_z")]
-        except (KeyError, TypeError, ValueError) as e:
+            return cls(d["pz"], d["px1_given_z"], d["px2_given_z"])
+        except (KeyError, TypeError) as e:
             raise InvalidArgumentError(f"malformed table: {e!r}") from None
-        return cls(*arrays)
 
 
 def hmin_conditional(table: MarkovSourceTable, source: int) -> float:

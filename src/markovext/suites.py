@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import cli, extractors, paramcalc, qsim, sources
+from . import extractors, paramcalc, qsim, sources
 
 
 def classical(seeds):
@@ -52,7 +52,8 @@ def monotonicity(seeds):
 
 
 def composition(seeds):
-    ext = cli.build_descriptor("composed", 8, 8, 3)
+    ext = extractors.compose(extractors.parity_seeded_descriptor(8, 3),
+                             extractors.deor_descriptor(8, 3))
     bound = ext.error_law(7.0, 7.0)
     for s in seeds:
         rng = np.random.default_rng(s)

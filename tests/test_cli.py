@@ -1,5 +1,7 @@
 import argparse
+import collections
 import contextlib
+import csv
 import functools
 import importlib.util
 import io
@@ -275,6 +277,9 @@ _PLAN = ["plan", "--model", "quantum-markov", "--family", "deor"]
       for l, eps in (("1", "2.0"), ("-3", "1.5"))],
     (["extract", "{tmp}/a", "{tmp}/a", "{tmp}/y", "--family", "deor", "--n1", "8", "--m", "4",
       "--eps", "0.9"], 3),
+    *[(["plan", "--model", "quantum-markov", "--family", "raz", "--n1", "4096", "--n2", "4096",
+        "--k1", "4000", "--k2", "4000", "--delta-prime", "0.1", "--m", m], 3) for m in ("0", "-5")],
+    (["extract", "{tmp}/a", "{tmp}/a", "{tmp}/y", "--descriptor", "{tmp}/n_2.json"], 3),
 ], ids=["k1_nan", "k2_inf", "eps_nan", "k1_gt_n1", "k1_negative", "deor_n1_ne_n2",
         "deor_no_modulus", "m_gt_n", "missing_input", "missing_descriptor", "unwritable_output",
         "descriptor_not_json", "missing_report", "unwritable_report", "trevisan_no_modulus",
@@ -285,12 +290,14 @@ _PLAN = ["plan", "--model", "quantum-markov", "--family", "deor"]
         "extract_trevisan_n2_ne_seed", "extract_descriptor_not_utf8", "report_not_utf8",
         "raz_plain", "raz_l5", "trevisan_composition_plain", "trevisan_composition_l5",
         "k1_not_a_number", "raz_no_delta_prime", "extract_no_n1", "error_1_l1",
-        "error_1_l_negative", "extract_deor_eps"])
+        "error_1_l_negative", "extract_deor_eps", "raz_m_0", "raz_m_negative",
+        "extract_descriptor_unwritten_field"])
 def test_malformed_request_exit_code(tmp_path, capsys, argv, code):
     (tmp_path / "a").write_bytes(bytes(64))
     (tmp_path / "bytes").write_bytes(bytes(range(256)))
     (tmp_path / "nan.json").write_text('{"version": "1", "records": [{"distance": NaN}]}')
     (tmp_path / "inf.csv").write_text("key,value\nrecords.0.distance,-Infinity\n")
+    (tmp_path / "n_2.json").write_text('{"family": "DEOR", "n1": 8, "m": 4, "n_2": 16}')
     argv = [a.format(tmp=tmp_path) for a in argv]
     try:
         rc = main(argv)
@@ -487,6 +494,16 @@ def test_verify_quantum_and_composition(capsys):
             assert r["holds"] and r["distance"] <= r["bound"] + 1e-9
 
 
+def test_composition_suite_runs_the_cli_composed_descriptor(monkeypatch):
+    from markovext import sources, suites
+
+    seen = []
+    monkeypatch.setattr(sources, "statistical_distance_from_uniform",
+                        lambda ext, *args, **kwargs: seen.append(ext) or 0.0)
+    list(suites.composition(range(2)))
+    assert seen == [cli.build_descriptor("composed", 8, 8, 3)] * 2
+
+
 def test_verify_bad_budget_is_exit_4(capsys):
     assert main(["verify", "--suite", "classical", "--budget", "0"]) == 4
     assert main(["verify", "--suite", "classical", "--budget", "100000"]) == 4
@@ -583,6 +600,42 @@ def test_every_report_the_csv_form_accepts_reads_back_unchanged(report):
     except DomainError:
         return
     assert csv_to_report(text) == report
+
+
+# keys of one to three parts, some empty; values that are leaves, bar the last three
+_CSV_KEYS = st.lists(st.sampled_from(["a", "b", "c", "0", "1", "a", "b", "0", "", "01"]),
+                     min_size=1, max_size=3).map(".".join)
+_CSV_VALUES = st.sampled_from([1, 2.5, "x", None, True, {}, [], 1, "y", {"b": 1}, [0], {"0": 1}]
+                              ).map(json.dumps)
+_CSV_PART = st.sampled_from(["a", "b", "c", "0"])
+_CSV_TREES = st.recursive(
+    st.sampled_from([1, "x", None, {}, []]),
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(_CSV_PART, kids, max_size=3),
+    max_leaves=6)
+
+
+def _written_rows(tree):
+    try:
+        return list(cli._flatten(tree))
+    except DomainError:
+        return []
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.tuples(_CSV_KEYS, _CSV_VALUES), max_size=5)
+       | st.dictionaries(_CSV_PART, _CSV_TREES, min_size=1, max_size=3).map(_written_rows).flatmap(
+           st.permutations))
+def test_every_csv_the_reader_accepts_renders_back_to_its_rows(rows):
+    """Random rows, or a written report's rows in any order."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows([("key", "value"), *rows])
+    try:
+        report = csv_to_report(buf.getvalue())
+    except DomainError:
+        return
+    again = list(csv.reader(io.StringIO(report_to_csv(report))))
+    assert again[0] == ["key", "value"]
+    assert collections.Counter(map(tuple, again[1:])) == collections.Counter(rows)
 
 
 def test_csv_report_requires_header():
@@ -828,8 +881,12 @@ def test_verify_refuses_a_negative_seed(suite):
     'key,value\nrequest,{}\nrequest.x,2\n',
     "key,value\nrecords.0,1\nrecords.2,3\n",
     "key,value\nversion,\"" + "x" * 200_000 + "\"\n",
+    "key,value\na..b,1\n",
+    "key,value\n0,1\n",
+    'key,value\na,"{""b"": 1}"\n',
 ], ids=["one_field", "three_fields", "leaf_then_branch", "branch_then_leaf", "key_twice",
-        "dict_leaf_then_branch", "list_gap", "field_beyond_limit"])
+        "dict_leaf_then_branch", "list_gap", "field_beyond_limit", "empty_part", "top_level_list",
+        "object_leaf"])
 def test_report_refuses_a_malformed_csv(tmp_path, text):
     path = tmp_path / "r.csv"
     path.write_text(text)

@@ -1,13 +1,22 @@
 import functools
+import json
 import math
 import pickle
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp
 
 from markovext.bitfield import BitString, gf_mul
-from markovext.errors import CompositionError, ConstructionError, DomainError, InvalidArgumentError
+from markovext.errors import (
+    CompositionError,
+    ConstructionError,
+    DomainError,
+    InvalidArgumentError,
+    MarkovExtError,
+)
 from markovext.extractors import (
     WEAK_DESIGN_OVERLAP,
     ExtractorDescriptor,
@@ -465,10 +474,67 @@ def test_from_dict_takes_only_the_constructor_fields():
     {"family": "TrevisanSeeded", "n1": 8, "m": 3, "params": {}},
     {"family": "NoSuchFamily", "n1": 8},
     [1, 2],
+    {"family": "DEOR", "n1": 8, "m": 4, "n_2": 16},
+    {"family": "DEOR", "n1": 8, "m": 4, "params": []},
+    {"family": "Composed", "params": {"outer": _PARITY_8_3, "inner": _deor_dict(8, 3), "x": {}}},
+    {"family": "DEOR", "n1": 8, "n2": 8.0, "m": 4},
+    {"family": "DEOR", "n1": 8, "m": 4, "strong_in": [True, 2]},
+    {"family": "InnerProduct", "n1": 1, "m": True},
+    {"family": "TrevisanSeeded", "n1": 8, "m": 3, "params": {"eps": 0.9, "t": 16.0}},
 ])
 def test_from_dict_refuses_what_its_constructor_does_not_build(d):
     with pytest.raises(DomainError):
         ExtractorDescriptor.from_dict(d)
+
+
+_JSON_VALUES = [0, 1, 2, 3, 8, 16, 256, 1.0, 8.0, 0.9, True, False, "8", None, [1, 2], [2],
+                [True, 2], {}]
+
+
+@st.composite
+def _edited_descriptor_dicts(draw):
+    """A family's to_dict output, nested descriptors included, with up to two fields dropped,
+    added or given another JSON value."""
+    d = json.loads(json.dumps(draw(st.sampled_from([e for _, e in _FAMILY_DICTS]))))
+    for _ in range(draw(st.integers(0, 2))):
+        owners = [v for v in (d, d.get("params")) if isinstance(v, dict)]
+        owners += [v for v in owners[-1].values() if isinstance(v, dict)]
+        owner = draw(st.sampled_from(owners))
+        key = draw(st.sampled_from(sorted(owner) + ["x", "n_2"]))
+        if key in owner and draw(st.booleans()):
+            del owner[key]
+        else:
+            owner[key] = draw(st.sampled_from(_JSON_VALUES))
+    return d
+
+
+def _agrees(given, written) -> bool:
+    """Each field of `given` is in `written` with the same JSON text; objects field by field."""
+    def same(v, w):
+        if isinstance(v, dict) and isinstance(w, dict):
+            return _agrees(v, w)
+        return json.dumps(v) == json.dumps(w)
+
+    return all(k in written and same(v, written[k]) for k, v in given.items())
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_edited_descriptor_dicts())
+def test_from_dict_takes_only_the_fields_to_dict_writes(d):
+    try:
+        ext = ExtractorDescriptor.from_dict(d)
+    except MarkovExtError:
+        return
+    assert _agrees(d, ext.to_dict())
+
+
+def test_from_dict_names_each_field_it_refuses():
+    with pytest.raises(DomainError) as info:
+        ExtractorDescriptor.from_dict(
+            {"family": "InnerProduct", "n1": 4, "m": 2, "n_2": 4, "params": {"n": 4, "k": 1}})
+    assert str(info.value) == ("m: InnerProduct takes 1, got 2; n_2: InnerProduct takes no "
+                               "such field, got 4; params.k: InnerProduct takes no such field, "
+                               "got 1")
 
 
 def test_trevisan_without_a_field_modulus_is_refused_at_build():

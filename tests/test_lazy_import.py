@@ -98,3 +98,12 @@ def test_an_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         markovext.no_such_name
     assert not hasattr(markovext, "cli_") and not hasattr(markovext, "numpy")
+
+
+def test_the_suites_do_not_import_the_cli():
+    env = {**os.environ, "PYTHONPATH": SRC}
+    code = "import sys, markovext.suites; print('markovext.cli' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"

@@ -39,6 +39,7 @@ from markovext.qsim import (
     trace_distance,
     verify_quantum_bound,
 )
+from markovext import sources
 from markovext.sources import (
     MarkovSourceTable,
     build_markov_table,
@@ -265,6 +266,20 @@ def test_state_serialization_roundtrip():
             assert np.allclose(a, b)
 
 
+def test_state_dict_reads_back_as_written():
+    with open(os.path.join(DATA_DIR, "golden_state.json")) as fh:
+        golden = json.load(fh)
+    assert state_to_dict(state_from_dict(golden)) == golden
+    rng = np.random.default_rng(9)
+    for n in (1, 2, 3):
+        d = state_to_dict(random_ccq_markov_state(n, n, 3, 2, rng))
+        assert state_to_dict(state_from_dict(d)) == d
+        d["certified_k"] = None
+        assert state_to_dict(state_from_dict(d)) == d
+    block = CcqBlock(np.float32(0.5), _HALF_I2, [_ONE, 0 * _ONE])
+    assert type(block.weight) is float and block.weight == 0.5
+
+
 def _state_json(state):
     return json.dumps(state_to_dict(state), indent=2, sort_keys=True) + "\n"
 
@@ -326,6 +341,10 @@ def _edited(edit):
                                    certified_k=ck)
       for ck in [("a", "b"), (math.nan, 5.0), (5.0, 0.5), (0.5, 1 + 2e-9), (-0.5, 0.5),
                  (True, 0.5), 0.5, (0.5, 0.5, 0.5)]],
+    *[lambda weight=weight: state_from_dict(_edited(lambda b: b.update(weight=weight)))
+      for weight in ("1.0", True)],
+    *[lambda ck=ck: state_from_dict({**_valid_state_dict(), "certified_k": ck})
+      for ck in (["1.0", "1.0"], [True, True], [], 0)],
 ], ids=["negative_component", "not_hermitian", "weights_1.5_-0.5", "nan_entry", "inf_weight",
         "ragged_source", "dict_non_square", "dict_missing_comp2", "dict_string_weight",
         "dict_negative_n", "dict_certified_k_not_pair", "dict_n_1.7", "dict_n_1.0",
@@ -333,7 +352,9 @@ def _edited(edit):
         "partial_trace_index_2_of_2", "cmi_dims", "channel_dims", "hmin_cq_traces_0.6",
         "string_weight", "null_weight", "certified_k_strings", "certified_k_nan",
         "certified_k_above_n", "certified_k_past_tolerance", "certified_k_negative",
-        "certified_k_bool", "certified_k_scalar", "certified_k_triple"])
+        "certified_k_bool", "certified_k_scalar", "certified_k_triple",
+        "dict_weight_numeric_string", "dict_weight_bool", "dict_certified_k_strings",
+        "dict_certified_k_bools", "dict_certified_k_empty", "dict_certified_k_zero"])
 def test_malformed_state_refused_when_built(build):
     with pytest.raises(InvalidArgumentError):
         build()
@@ -649,6 +670,22 @@ def test_block_oracle_matches_dense_path():
         assert markov_cmi(state) == pytest.approx(
             conditional_mutual_information(rho, dims), abs=1e-9
         )
+
+
+def test_one_hot_output_is_counted_against_the_enumeration_budget(monkeypatch):
+    """13 + 13 input bits fit the budget, but the one-hot adds the output bit: refused before
+    the 2^26-cell output table is built."""
+    def table(*args):
+        raise AssertionError("output table built")
+
+    monkeypatch.setattr(sources, "extractor_output_table", table)
+    uniform = np.full((1 << 13, 1, 1), 2.0 ** -13)
+    state = CcqMarkovState(13, 13, (CcqBlock(1.0, uniform, uniform),), certified_k=(13, 13))
+    ext = inner_product_descriptor(13)
+    with pytest.raises(ResourceBudgetError, match="one-hot"):
+        verify_quantum_bound(state, ext, 13, 13)
+    with pytest.raises(ResourceBudgetError, match="one-hot"):
+        channel_monotonicity_check(state, ext, [np.eye(1)])
 
 
 def test_block_oracle_eigensolves_at_block_dimension(monkeypatch):

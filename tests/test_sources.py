@@ -145,6 +145,27 @@ def test_markov_table_roundtrip():
     assert np.allclose(t2.px1_given_z, t.px1_given_z)
 
 
+def test_markov_table_dict_reads_back_as_written():
+    for z, seed in ((1, 0), (2, 1), (4, 2)):
+        d = build_markov_table(3, 2, z, 1.5, 1.0, seed=seed).to_dict()
+        assert MarkovSourceTable.from_dict(d).to_dict() == d
+
+
+@pytest.mark.parametrize("rows", [
+    [[0.5, 0.5], [0.25, 0.25, 0.25, 0.25]],
+    ["ab", "cd"],
+    [["0.5", "half"]],
+    [[10 ** 400, 0]],
+    [{"a": 1}],
+], ids=["ragged", "strings", "non_numeric_entry", "huge_int", "object_row"])
+def test_markov_table_refuses_rows_that_are_not_reals(rows):
+    with pytest.raises(InvalidArgumentError):
+        MarkovSourceTable(np.ones(len(rows)), rows, np.ones((len(rows), 2)) / 2)
+    with pytest.raises(InvalidArgumentError):
+        MarkovSourceTable.from_dict({"pz": [1.0] * len(rows), "px1_given_z": rows,
+                                     "px2_given_z": [[0.5, 0.5]] * len(rows)})
+
+
 # ---------------------------------------------------------------------------
 # hmin_conditional
 # ---------------------------------------------------------------------------
