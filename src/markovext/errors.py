@@ -1,4 +1,4 @@
-"""Exception hierarchy shared by all modules, and the integer and real argument checks."""
+"""Exception hierarchy shared by all modules, and the integer, real and array argument checks."""
 import numbers
 import operator
 
@@ -45,3 +45,30 @@ def checked_index(value, what: str) -> int:
 def is_real(value) -> bool:
     """A real number (numpy's included) that is not a bool."""
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _numbers_only(a, kinds: str) -> bool:
+    """Every element of the nested lists, tuples and ndarrays `a` is a number of a numpy
+    dtype kind in `kinds`: an ndarray or numpy scalar by its dtype alone (an object array
+    is not one of numbers), anything else one by one."""
+    dtype = getattr(a, "dtype", None)
+    if dtype is not None:
+        return dtype.kind in kinds
+    if isinstance(a, (list, tuple)):
+        return all(_numbers_only(x, kinds) for x in a)
+    number = numbers.Complex if "c" in kinds else numbers.Real
+    return isinstance(a, number) and not isinstance(a, bool)
+
+
+def numeric_array(a, dtype, what: str):
+    """`a` as a new numpy array of `dtype` (float or complex). Ragged nesting, a value beyond
+    the float range, and any element that is not a number (a string, a bool) raise
+    InvalidArgumentError instead of being converted."""
+    import numpy as np
+
+    if _numbers_only(a, "iufc" if dtype is complex else "iuf"):
+        try:
+            return np.array(a, dtype=dtype)
+        except (TypeError, ValueError, OverflowError):  # ragged rows, huge ints
+            pass
+    raise InvalidArgumentError(f"{what} must be an array of numbers")

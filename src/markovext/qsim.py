@@ -11,7 +11,7 @@ cross-check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -23,6 +23,7 @@ from .errors import (
     ResourceBudgetError,
     checked_index,
     is_real,
+    numeric_array,
 )
 from .extractors import ExtractorDescriptor
 from .paramcalc import quantum_markov_transfer, solve_self_consistent_error
@@ -40,10 +41,7 @@ def _psd_matrices(a, ndim: int, what: str) -> np.ndarray:
     Every matrix must be finite, Hermitian and PSD within tolerance; one
     batched eigensolve checks them all.
     """
-    try:
-        m = np.array(a, dtype=complex)
-    except (TypeError, ValueError) as e:
-        raise InvalidArgumentError(f"{what} is not an array of matrices: {e}") from None
+    m = numeric_array(a, complex, what)
     if m.ndim != ndim or m.shape[-1] != m.shape[-2]:
         raise InvalidArgumentError(f"{what} must be square")
     if not np.isfinite(m).all():
@@ -234,12 +232,6 @@ class CcqMarkovState:
         """rho_C as a dense matrix (block diagonal over t)."""
         return _block_diagonal(
             [b.weight * np.kron(sum(b.comp1), sum(b.comp2)) for b in self.blocks]
-        )
-
-    def conditional_side_information(self, x1: int, x2: int) -> np.ndarray:
-        """rho_C(x1, x2) = sum_t p(t) p(x1|t) p(x2|t) rho1^t(x1) (x) rho2^t(x2)."""
-        return _block_diagonal(
-            [b.weight * np.kron(b.comp1[x1], b.comp2[x2]) for b in self.blocks]
         )
 
 
@@ -455,46 +447,6 @@ def channel_monotonicity_check(
     full = _block_diagonal(out)
     after = _distance_to_uniform([sum(K @ full @ K.conj().T for K in kraus)])
     return MonotonicityCheck(before=before, after=after, holds=after <= before + DISTANCE_SLACK)
-
-
-# ---------------------------------------------------------------------------
-# Serialization
-# ---------------------------------------------------------------------------
-
-def state_to_dict(state: CcqMarkovState) -> dict:
-    """Structured-text form: block weights, each component stack as nested (re, im) pairs."""
-    return {
-        "n1": state.n1,
-        "n2": state.n2,
-        "certified_k": list(state.certified_k) if state.certified_k else None,
-        "blocks": [
-            {
-                "weight": b.weight,
-                "comp1": b.comp1.view(float).reshape(b.comp1.shape + (2,)).tolist(),
-                "comp2": b.comp2.view(float).reshape(b.comp2.shape + (2,)).tolist(),
-            }
-            for b in state.blocks
-        ],
-    }
-
-
-def state_from_dict(d: dict) -> CcqMarkovState:
-    """Inverse of `state_to_dict`; a malformed dict raises InvalidArgumentError."""
-    try:
-        blocks = tuple(
-            CcqBlock(
-                weight=b["weight"],
-                comp1=np.ascontiguousarray(b["comp1"], float).view(complex)[..., 0],
-                comp2=np.ascontiguousarray(b["comp2"], float).view(complex)[..., 0],
-            )
-            for b in d["blocks"]
-        )
-        return CcqMarkovState(n1=d["n1"], n2=d["n2"], blocks=blocks,
-                              certified_k=d.get("certified_k"))
-    except InvalidArgumentError:
-        raise
-    except (IndexError, KeyError, TypeError, ValueError, OverflowError) as e:
-        raise InvalidArgumentError(f"malformed state: {e!r}") from None
 
 
 # ---------------------------------------------------------------------------

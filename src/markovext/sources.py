@@ -11,11 +11,17 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Optional
+from typing import Iterable
 
 import numpy as np
 
-from .errors import ConstructionError, InvalidArgumentError, ResourceBudgetError, checked_index
+from .errors import (
+    ConstructionError,
+    InvalidArgumentError,
+    ResourceBudgetError,
+    checked_index,
+    numeric_array,
+)
 from .extractors import ExtractorDescriptor
 
 ROW_SUM_TOL = 1e-12
@@ -43,10 +49,6 @@ class FlatSource:
         except TypeError:
             raise InvalidArgumentError("support elements must be integers") from None
 
-    @property
-    def hmin(self) -> float:
-        return math.log2(len(self.support))
-
     def distribution(self) -> np.ndarray:
         p = np.zeros(1 << self.n)
         p[list(self.support)] = 1.0 / len(self.support)
@@ -59,10 +61,8 @@ class MarkovSourceTable:
     Holds read-only copies of the arrays as checked, admitted tiny negatives as 0.0."""
 
     def __init__(self, pz: np.ndarray, px1_given_z: np.ndarray, px2_given_z: np.ndarray):
-        try:
-            pz, px1, px2 = (np.asarray(a, dtype=float) for a in (pz, px1_given_z, px2_given_z))
-        except (TypeError, ValueError, OverflowError) as e:  # ragged rows, strings, huge ints
-            raise InvalidArgumentError(f"table entries are not an array of reals: {e}") from None
+        pz, px1, px2 = (numeric_array(a, float, name) for a, name in (
+            (pz, "pz"), (px1_given_z, "px1_given_z"), (px2_given_z, "px2_given_z")))
         if pz.ndim != 1 or px1.ndim != 2 or px2.ndim != 2:
             raise InvalidArgumentError("pz must be a vector and each conditional table a matrix")
         zc = pz.shape[0]
@@ -75,11 +75,11 @@ class MarkovSourceTable:
                 raise InvalidArgumentError(f"{name} has non-finite entries")
             if np.any(arr < -ROW_SUM_TOL):
                 raise InvalidArgumentError(f"{name} has negative entries")
-            kept = np.maximum(arr, 0.0)
-            if np.any(np.abs(kept.sum(axis=-1) - 1.0) > ROW_SUM_TOL):
+            np.maximum(arr, 0.0, out=arr)  # arr is the table's own copy
+            if np.any(np.abs(arr.sum(axis=-1) - 1.0) > ROW_SUM_TOL):
                 raise InvalidArgumentError(f"{name} rows must sum to 1 within {ROW_SUM_TOL}")
-            kept.flags.writeable = False
-            setattr(self, name, kept)
+            arr.flags.writeable = False
+            setattr(self, name, arr)
         self.n1 = int(math.log2(self.px1_given_z.shape[1]))
         self.n2 = int(math.log2(self.px2_given_z.shape[1]))
         if (1 << self.n1) != self.px1_given_z.shape[1] or (1 << self.n2) != self.px2_given_z.shape[1]:
@@ -93,20 +93,6 @@ class MarkovSourceTable:
     def from_flat_pair(cls, s1: FlatSource, s2: FlatSource) -> "MarkovSourceTable":
         """Two independent flat sources as a table with trivial side information."""
         return cls(np.ones(1), s1.distribution()[None, :], s2.distribution()[None, :])
-
-    def to_dict(self) -> dict:
-        return {
-            "pz": self.pz.tolist(),
-            "px1_given_z": self.px1_given_z.tolist(),
-            "px2_given_z": self.px2_given_z.tolist(),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "MarkovSourceTable":
-        try:
-            return cls(d["pz"], d["px1_given_z"], d["px2_given_z"])
-        except (KeyError, TypeError) as e:
-            raise InvalidArgumentError(f"malformed table: {e!r}") from None
 
 
 def hmin_conditional(table: MarkovSourceTable, source: int) -> float:
@@ -141,13 +127,20 @@ def statistical_distance_from_uniform(
     table: MarkovSourceTable,
     conditioned_on: Iterable[str] = ("Z",),
 ) -> float:
-    """Exact variational distance (1/2)||Ext(X1,X2) cond - U_m o cond|| by enumeration."""
+    """Exact variational distance (1/2)||Ext(X1,X2) cond - U_m o cond|| by enumeration.
+
+    Both the joint support and the histogram, one row per value of the conditioned
+    inputs and 2^m bins, are refused before allocation beyond the enumeration budget."""
     cond = set(conditioned_on)
     if not cond <= {"Z", "X1", "X2"}:
         raise InvalidArgumentError(f"unknown conditioning registers: {cond}")
     n1, n2 = table.n1, table.n2
     if n1 + n2 + math.log2(table.z_card) > ENUMERATION_BUDGET_BITS:
         raise ResourceBudgetError("joint support exceeds the enumeration budget")
+    row_bits = n1 * ("X1" in cond) + n2 * ("X2" in cond)
+    if row_bits + ext.m > ENUMERATION_BUDGET_BITS:
+        raise ResourceBudgetError(
+            f"histogram of {row_bits} + {ext.m} bits exceeds the enumeration budget")
     T = extractor_output_table(ext, n1, n2)
     M = 1 << ext.m
 
@@ -155,11 +148,11 @@ def statistical_distance_from_uniform(
     # in every z, so each bin still adds the same terms in (x1, x2) order.
     p1, p2 = table.px1_given_z, table.px2_given_z
     s1, s2 = np.flatnonzero(p1.any(axis=0)), np.flatnonzero(p2.any(axis=0))
-    xkey, ksize = 0, 1
+    xkey, ksize = 0, 1 << row_bits
     if "X1" in cond:
-        xkey, ksize = s1[:, None], 1 << n1
+        xkey = s1[:, None]
     if "X2" in cond:
-        xkey, ksize = xkey * (1 << n2) + s2, ksize << n2
+        xkey = xkey * (1 << n2) + s2
     # bin (x1 * 2^n2 + x2) * 2^m + y, keeping whichever of x1, x2 is conditioned on
     key = (T[np.ix_(s1, s2)] + (xkey << ext.m)).ravel()
 

@@ -1,7 +1,6 @@
 import dataclasses
-import json
+import hashlib
 import math
-import os
 
 import numpy as np
 import pytest
@@ -33,8 +32,6 @@ from markovext.qsim import (
     random_ccq_markov_state,
     random_channel,
     random_density,
-    state_from_dict,
-    state_to_dict,
     tensor,
     trace_distance,
     verify_quantum_bound,
@@ -45,8 +42,6 @@ from markovext.sources import (
     build_markov_table,
     statistical_distance_from_uniform,
 )
-
-DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
 
 def _ket(dim, i):
@@ -256,59 +251,31 @@ def test_classical_embedding_matches_sources_distance():
     assert chk.distance == pytest.approx(d_classical, abs=1e-10)
 
 
-def test_state_serialization_roundtrip():
-    state = random_ccq_markov_state(2, 2, 2, 2, np.random.default_rng(5))
-    again = state_from_dict(state_to_dict(state))
-    assert again.n1 == state.n1 and again.certified_k == state.certified_k
-    for b1, b2 in zip(state.blocks, again.blocks):
-        assert b1.weight == pytest.approx(b2.weight)
-        for a, b in zip(b1.comp1, b2.comp1):
-            assert np.allclose(a, b)
-
-
-def test_state_dict_reads_back_as_written():
-    with open(os.path.join(DATA_DIR, "golden_state.json")) as fh:
-        golden = json.load(fh)
-    assert state_to_dict(state_from_dict(golden)) == golden
-    rng = np.random.default_rng(9)
-    for n in (1, 2, 3):
-        d = state_to_dict(random_ccq_markov_state(n, n, 3, 2, rng))
-        assert state_to_dict(state_from_dict(d)) == d
-        d["certified_k"] = None
-        assert state_to_dict(state_from_dict(d)) == d
-    block = CcqBlock(np.float32(0.5), _HALF_I2, [_ONE, 0 * _ONE])
-    assert type(block.weight) is float and block.weight == 0.5
-
-
-def _state_json(state):
-    return json.dumps(state_to_dict(state), indent=2, sort_keys=True) + "\n"
-
-
-def test_state_format_matches_golden_file():
+def test_generated_state_matches_its_digest():
+    # pins random_ccq_markov_state bit for bit: signed zeros and the last ulp included
     state = random_ccq_markov_state(2, 2, 3, 3, np.random.default_rng(5))
-    with open(os.path.join(DATA_DIR, "golden_state.json")) as fh:
-        golden = fh.read()
-    assert _state_json(state) == golden
-    again = state_from_dict(json.loads(golden))
-    assert _state_json(again) == golden
-    for b1, b2 in zip(state.blocks, again.blocks):
-        assert b1.weight == b2.weight
-        assert b1.comp1.tobytes() == b2.comp1.tobytes()  # signed zeros included
-        assert b1.comp2.tobytes() == b2.comp2.tobytes()
+    h = hashlib.sha256(np.array([state.n1, state.n2]).tobytes())
+    h.update(np.array(state.certified_k).tobytes())
+    for b in state.blocks:
+        h.update(np.float64(b.weight).tobytes() + b.comp1.tobytes() + b.comp2.tobytes())
+    assert h.hexdigest() == "c8c909fc829b8d3f268a476c86ef7ba10088243948b6ffa22ca533796fce8a2c"
 
 
 _ONE = np.ones((1, 1))
 _HALF_I2 = [0.25 * np.eye(2), 0.25 * np.eye(2)]
 
 
-def _valid_state_dict():
-    return state_to_dict(CcqMarkovState(1, 1, (CcqBlock(1.0, _HALF_I2, [_ONE, 0 * _ONE]),)))
+def test_block_weight_is_stored_as_a_float():
+    block = CcqBlock(np.float32(0.5), _HALF_I2, [_ONE, 0 * _ONE])
+    assert type(block.weight) is float and block.weight == 0.5
 
 
-def _edited(edit):
-    d = _valid_state_dict()
-    edit(d["blocks"][0])
-    return d
+def _state(**changes):
+    """The one-block state on one bit each, with `changes` to its constructor arguments."""
+    args = {"n1": 1, "n2": 1, "weight": 1.0, "comp1": _HALF_I2, "comp2": [_ONE, 0 * _ONE],
+            "certified_k": None, **changes}
+    block = CcqBlock(args["weight"], args["comp1"], args["comp2"])
+    return CcqMarkovState(args["n1"], args["n2"], (block,), certified_k=args["certified_k"])
 
 
 @pytest.mark.parametrize("build", [
@@ -319,15 +286,8 @@ def _edited(edit):
     lambda: CcqBlock(1.0, [[[math.nan]], [[1.0]]], [_ONE, 0 * _ONE]),
     lambda: CcqBlock(math.inf, [_ONE, 0 * _ONE], [_ONE, 0 * _ONE]),
     lambda: CcqBlock(1.0, [0.5 * _ONE, 0.25 * np.eye(2)], [_ONE, 0 * _ONE]),
-    lambda: state_from_dict(_edited(lambda b: [m.pop() for m in b["comp1"]])),
-    lambda: state_from_dict(_edited(lambda b: b.pop("comp2"))),
-    lambda: state_from_dict(_edited(lambda b: b.update(weight="one"))),
-    lambda: state_from_dict({**_valid_state_dict(), "n1": -1}),
-    lambda: state_from_dict({**_valid_state_dict(), "certified_k": [1.0]}),
-    lambda: state_from_dict({**_valid_state_dict(), "n1": 1.7}),
-    lambda: state_from_dict({**_valid_state_dict(), "n1": 1.0}),
-    lambda: state_from_dict({**_valid_state_dict(), "n2": "1"}),
-    lambda: state_from_dict({**_valid_state_dict(), "n2": True}),
+    lambda: _state(comp1=[[[0.25, 0.0]], [[0.25, 0.0]]]),
+    *[lambda n=n: _state(n1=n) for n in (-1, 1.7, "1", True)],
     lambda: CcqMarkovState(1.0, 1, (CcqBlock(1.0, _HALF_I2, [_ONE, 0 * _ONE]),)),
     lambda: hmin_cq([0.5 * np.eye(1), 0.25 * np.eye(2)]),
     lambda: partial_trace(DensityOperator(np.eye(4) / 4), [2, 2], 2),
@@ -337,24 +297,31 @@ def _edited(edit):
     lambda: hmin_cq([0.3 * _ONE, 0.3 * _ONE]),
     lambda: CcqBlock("x", _HALF_I2, [_ONE, 0 * _ONE]),
     lambda: CcqBlock(None, _HALF_I2, [_ONE, 0 * _ONE]),
-    *[lambda ck=ck: CcqMarkovState(1, 1, (CcqBlock(1.0, _HALF_I2, [_ONE, 0 * _ONE]),),
-                                   certified_k=ck)
+    *[lambda ck=ck: _state(certified_k=ck)
       for ck in [("a", "b"), (math.nan, 5.0), (5.0, 0.5), (0.5, 1 + 2e-9), (-0.5, 0.5),
-                 (True, 0.5), 0.5, (0.5, 0.5, 0.5)]],
-    *[lambda weight=weight: state_from_dict(_edited(lambda b: b.update(weight=weight)))
-      for weight in ("1.0", True)],
-    *[lambda ck=ck: state_from_dict({**_valid_state_dict(), "certified_k": ck})
-      for ck in (["1.0", "1.0"], [True, True], [], 0)],
+                 (True, 0.5), 0.5, (0.5, 0.5, 0.5), [1.0], [], 0]],
+    *[lambda weight=weight: _state(weight=weight) for weight in ("1.0", True)],
+    lambda: CcqBlock(1.0, [[["1.0"]], [["0"]]], [_ONE, 0 * _ONE]),
+    lambda: CcqBlock(1.0, _HALF_I2, [[[True]], [[False]]]),
+    lambda: CcqBlock(1.0, _HALF_I2, [[[True]], [[0.0]]]),
+    lambda: CcqBlock(1.0, _HALF_I2, np.array([[[True]], [[False]]])),
+    lambda: DensityOperator([["0.5", "0"], ["0", "0.5"]]),
+    lambda: hmin_cq([[[True]], [[False]]]),
+    lambda: _state(weight="one"),
+    lambda: _state(n2=1.0),
+    *[lambda ck=ck: _state(certified_k=ck) for ck in (["1.0", "1.0"], [True, True])],
 ], ids=["negative_component", "not_hermitian", "weights_1.5_-0.5", "nan_entry", "inf_weight",
-        "ragged_source", "dict_non_square", "dict_missing_comp2", "dict_string_weight",
-        "dict_negative_n", "dict_certified_k_not_pair", "dict_n_1.7", "dict_n_1.0",
-        "dict_n_string", "dict_n_bool", "state_float_n", "hmin_cq_ragged",
+        "ragged_source", "non_square", "negative_n", "n_1.7", "n_string", "n_bool",
+        "state_float_n", "hmin_cq_ragged",
         "partial_trace_index_2_of_2", "cmi_dims", "channel_dims", "hmin_cq_traces_0.6",
         "string_weight", "null_weight", "certified_k_strings", "certified_k_nan",
         "certified_k_above_n", "certified_k_past_tolerance", "certified_k_negative",
         "certified_k_bool", "certified_k_scalar", "certified_k_triple",
-        "dict_weight_numeric_string", "dict_weight_bool", "dict_certified_k_strings",
-        "dict_certified_k_bools", "dict_certified_k_empty", "dict_certified_k_zero"])
+        "certified_k_not_pair", "certified_k_empty", "certified_k_zero",
+        "weight_numeric_string", "weight_bool", "numeric_string_component", "bool_component",
+        "bool_among_floats_component", "bool_array_component", "density_numeric_strings",
+        "hmin_cq_bools", "dict_string_weight", "dict_n_1.0", "dict_certified_k_strings",
+        "dict_certified_k_bools"])
 def test_malformed_state_refused_when_built(build):
     with pytest.raises(InvalidArgumentError):
         build()
@@ -392,21 +359,26 @@ _ODD = st.sampled_from([-0.5, -1e-9, -1e-11, 1e-11, 0.3, 1.5, math.nan, math.inf
 
 @st.composite
 def _malformed_state_dicts(draw):
+    """The arguments of a generated state's constructors, as nested lists, with one edit."""
     n = draw(st.integers(1, 2))
     rng = np.random.default_rng(draw(st.integers(0, 1 << 16)))
-    d = state_to_dict(random_ccq_markov_state(n, n, draw(st.integers(1, 3)), 2, rng))
+    state = random_ccq_markov_state(n, n, draw(st.integers(1, 3)), 2, rng)
+    d = {"n1": n, "n2": n, "certified_k": state.certified_k,
+         "blocks": [{"weight": b.weight, "comp1": b.comp1.tolist(), "comp2": b.comp2.tolist()}
+                    for b in state.blocks]}
     block = draw(st.sampled_from(d["blocks"]))
     comp = block[draw(st.sampled_from(["comp1", "comp2"]))]
     x = draw(st.integers(0, len(comp) - 1))
     i, j = draw(st.integers(0, len(comp[x]) - 1)), draw(st.integers(0, len(comp[x]) - 1))
     kind = draw(st.sampled_from(
-        ["none", "entry", "asymmetric", "ragged", "row", "weight", "shift", "missing", "n"]))
-    if kind == "entry":
-        comp[x][i][j][draw(st.integers(0, 1))] = draw(_ODD)
+        ["none", "entry", "asymmetric", "ragged", "row", "weight", "shift", "n"]))
+    if kind == "entry":  # the real part, or the imaginary part when the value is a number
+        value, imag = draw(_ODD), draw(st.booleans())
+        comp[x][i][j] = complex(comp[x][i][j].real, value) if imag and value != "x" else value
     elif kind == "asymmetric":
-        comp[x][i][j][1] += draw(st.sampled_from([1e-12, 1e-3, 0.5]))
+        comp[x][i][j] += 1j * draw(st.sampled_from([1e-12, 1e-3, 0.5]))
     elif kind == "ragged":
-        comp[x] = np.eye(len(comp[x]) % 2 + 1)[..., None].repeat(2, axis=-1).tolist()
+        comp[x] = np.eye(len(comp[x]) % 2 + 1).tolist()
     elif kind == "row":
         for m in comp:
             m.pop()
@@ -416,8 +388,6 @@ def _malformed_state_dicts(draw):
         delta = draw(st.sampled_from([0.5, 1.0, -2.0]))
         d["blocks"][0]["weight"] += delta
         d["blocks"][-1]["weight"] -= delta
-    elif kind == "missing":
-        del block[draw(st.sampled_from(["weight", "comp1", "comp2"]))]
     elif kind == "n":
         d["n1"] = d["n2"] = draw(st.sampled_from([-1, 0, n + 1, "two"]))
     return d
@@ -425,6 +395,7 @@ def _malformed_state_dicts(draw):
 
 @st.composite
 def _malformed_table_dicts(draw):
+    """The arguments of `MarkovSourceTable`, as nested lists, with one edit."""
     n, z_card = draw(st.integers(1, 2)), draw(st.integers(1, 3))
     rng = np.random.default_rng(draw(st.integers(0, 1 << 16)))
     d = {"pz": rng.dirichlet(np.ones(z_card)).tolist(),
@@ -432,8 +403,7 @@ def _malformed_table_dicts(draw):
          "px2_given_z": rng.dirichlet(np.ones(1 << n), size=z_card).tolist()}
     name = draw(st.sampled_from(["px1_given_z", "px2_given_z"]))
     row = draw(st.sampled_from(d[name]))
-    kind = draw(st.sampled_from(
-        ["none", "entry", "tiny", "ragged", "shift", "missing", "nested"]))
+    kind = draw(st.sampled_from(["none", "entry", "tiny", "ragged", "shift", "nested"]))
     if kind == "entry":
         row[draw(st.integers(0, len(row) - 1))] = draw(_ODD)
     elif kind == "tiny":  # -1e-13, inside the table's tolerance, moved between two entries
@@ -448,8 +418,6 @@ def _malformed_table_dicts(draw):
         delta = draw(st.sampled_from([0.5, 1.0]))
         d["pz"][0] += delta
         d["pz"][-1] -= delta
-    elif kind == "missing":
-        del d[draw(st.sampled_from(sorted(d)))]
     elif kind == "nested":
         d["pz"] = [d["pz"]]
     return d
@@ -481,7 +449,8 @@ def _runs_to_finite_values(state):
 @given(_malformed_state_dicts())
 def test_state_dict_that_builds_also_runs(d):
     try:
-        state = state_from_dict(d)
+        blocks = tuple(CcqBlock(**b) for b in d["blocks"])
+        state = CcqMarkovState(d["n1"], d["n2"], blocks, certified_k=d["certified_k"])
     except InvalidArgumentError:
         return
     _runs_to_finite_values(state)
@@ -490,9 +459,9 @@ def test_state_dict_that_builds_also_runs(d):
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(_malformed_table_dicts())
 def test_table_dict_that_builds_also_runs(d):
-    # only the table may refuse the dict: a table that builds embeds and runs
+    # only the table may refuse its arguments: a table that builds embeds and runs
     try:
-        table = MarkovSourceTable.from_dict(d)
+        table = MarkovSourceTable(**d)
     except InvalidArgumentError:
         return
     assert math.isfinite(statistical_distance_from_uniform(_one_bit_extractor(table.n1), table))
@@ -641,11 +610,15 @@ def test_monotonicity_depolarizing_closed_form():
     ]
     chk = channel_monotonicity_check(state, ext, kraus)
     # full depolarizing leaves only the classical Y deviation
+    # p(x1, x2) = sum_t p(t) tr comp1[x1] tr comp2[x2]
+    p_x = sum(b.weight * np.outer(np.trace(b.comp1, axis1=1, axis2=2).real,
+                                  np.trace(b.comp2, axis1=1, axis2=2).real)
+              for b in state.blocks)
     p_y = np.zeros(4)
     for x1 in range(4):
         for x2 in range(4):
             y = ext.extract(BitString(x1, 2), BitString(x2, 2)).value
-            p_y[y] += np.trace(state.conditional_side_information(x1, x2)).real
+            p_y[y] += p_x[x1, x2]
     closed_form = 0.5 * np.abs(p_y - 0.25).sum()
     assert chk.after == pytest.approx(closed_form, abs=1e-10)
     assert chk.holds

@@ -5,6 +5,7 @@ import random
 import numpy as np
 import pytest
 
+from markovext import sources
 from markovext.bitfield import BitString
 from markovext.errors import ConstructionError, InvalidArgumentError, ResourceBudgetError
 from markovext.extractors import (
@@ -48,8 +49,8 @@ def _constant_extractor(n: int, m: int) -> ExtractorDescriptor:
 
 def test_flat_source_basics():
     s = FlatSource(3, (0, 5, 6))
-    assert s.hmin == pytest.approx(math.log2(3))
     p = s.distribution()
+    assert -math.log2(p.max()) == pytest.approx(math.log2(3))
     assert p.sum() == pytest.approx(1.0)
     assert p[5] == pytest.approx(1 / 3) and p[1] == 0
     with pytest.raises(InvalidArgumentError):
@@ -99,6 +100,15 @@ def test_markov_table_refuses_non_finite_entries(name, value):
         MarkovSourceTable(arrays["pz"], arrays["px1_given_z"], arrays["px2_given_z"])
 
 
+def test_markov_table_from_dict_refuses_nan():
+    # the plain nested lists a table's dict held, with one NaN entry
+    t = build_markov_table(2, 2, 1, 1, 1, seed=0)
+    px2 = t.px2_given_z.tolist()
+    px2[0][0] = math.nan
+    with pytest.raises(InvalidArgumentError):
+        MarkovSourceTable(t.pz.tolist(), t.px1_given_z.tolist(), px2)
+
+
 def test_markov_table_keeps_read_only_copies_of_the_rows_it_checked():
     pz, px1 = np.array([0.5, 0.5]), np.array([[0.5, 0.5, 0, 0], [0.25, 0.25, 0.25, 0.25]])
     px2 = np.array([[-1e-13, 1 + 1e-13, 0, 0], [0.25, 0.25, 0.25, 0.25]])
@@ -124,31 +134,14 @@ def test_markov_table_keeps_read_only_copies_of_the_rows_it_checked():
      InvalidArgumentError),
     (lambda: FlatSource(-1, (0,)), InvalidArgumentError),
     (lambda: FlatSource(True, (0, 1)), InvalidArgumentError),
+    *[(lambda pz=pz: MarkovSourceTable(pz, [[0.5, 0.5]] * len(pz), [[0.5, 0.5]] * len(pz)),
+       InvalidArgumentError) for pz in (["1.0"], [True], [True, 0.0])],
 ], ids=["empty_table", "hmin_source_3", "output_table_n", "output_table_28_bits",
-        "joint_shape", "flat_negative_n", "flat_bool_n"])
+        "joint_shape", "flat_negative_n", "flat_bool_n", "table_pz_numeric_string",
+        "table_pz_bool", "table_pz_bool_among_floats"])
 def test_sources_refuse_malformed_input(build, error):
     with pytest.raises(error):
         build()
-
-
-def test_markov_table_from_dict_refuses_nan():
-    d = build_markov_table(2, 2, 1, 1, 1, seed=0).to_dict()
-    d["px2_given_z"][0][0] = math.nan
-    with pytest.raises(InvalidArgumentError):
-        MarkovSourceTable.from_dict(d)
-
-
-def test_markov_table_roundtrip():
-    t = build_markov_table(4, 4, 2, 3, 3, seed=1)
-    t2 = MarkovSourceTable.from_dict(t.to_dict())
-    assert np.allclose(t2.pz, t.pz)
-    assert np.allclose(t2.px1_given_z, t.px1_given_z)
-
-
-def test_markov_table_dict_reads_back_as_written():
-    for z, seed in ((1, 0), (2, 1), (4, 2)):
-        d = build_markov_table(3, 2, z, 1.5, 1.0, seed=seed).to_dict()
-        assert MarkovSourceTable.from_dict(d).to_dict() == d
 
 
 @pytest.mark.parametrize("rows", [
@@ -157,13 +150,16 @@ def test_markov_table_dict_reads_back_as_written():
     [["0.5", "half"]],
     [[10 ** 400, 0]],
     [{"a": 1}],
-], ids=["ragged", "strings", "non_numeric_entry", "huge_int", "object_row"])
+    [["1.0", "0"]],
+    [[True, False]],
+    [[True, 0.0]],
+    np.array([[True, False]]),
+    [[1j, 0.0]],
+], ids=["ragged", "strings", "non_numeric_entry", "huge_int", "object_row", "numeric_strings",
+        "bools", "bool_among_floats", "bool_array", "complex_entry"])
 def test_markov_table_refuses_rows_that_are_not_reals(rows):
     with pytest.raises(InvalidArgumentError):
         MarkovSourceTable(np.ones(len(rows)), rows, np.ones((len(rows), 2)) / 2)
-    with pytest.raises(InvalidArgumentError):
-        MarkovSourceTable.from_dict({"pz": [1.0] * len(rows), "px1_given_z": rows,
-                                     "px2_given_z": [[0.5, 0.5]] * len(rows)})
 
 
 # ---------------------------------------------------------------------------
@@ -319,6 +315,22 @@ def test_enumeration_budget_enforced():
     t = build_markov_table(16, 16, 2, 4, 4, seed=0)
     with pytest.raises(ResourceBudgetError):
         statistical_distance_from_uniform(ext, t)
+
+
+def test_histogram_is_counted_against_the_enumeration_budget(monkeypatch):
+    """13 + 13 input bits fit the budget, but given both inputs the histogram adds the
+    output bit: refused before the 2^26-cell output table and the histogram are built."""
+    def fail(*args, **kwargs):
+        raise AssertionError("allocated")
+
+    monkeypatch.setattr(sources, "extractor_output_table", fail)
+    monkeypatch.setattr(np, "bincount", fail)
+    uniform = np.full((1, 1 << 13), 2.0 ** -13)
+    table = MarkovSourceTable(np.ones(1), uniform, uniform)
+    ext = inner_product_descriptor(13)
+    for cond in (("X1", "X2"), ("Z", "X1", "X2")):
+        with pytest.raises(ResourceBudgetError, match="histogram"):
+            statistical_distance_from_uniform(ext, table, cond)
 
 
 def test_equal_descriptors_share_one_read_only_table():
@@ -517,7 +529,7 @@ def test_build_markov_table_errors():
 def test_random_flat_source_support_size():
     rng = np.random.default_rng(0)
     s = random_flat_source(6, 4, rng)
-    assert len(s.support) == 16 and s.hmin == pytest.approx(4.0)
+    assert len(s.support) == 16
     with pytest.raises(InvalidArgumentError):
         random_flat_source(4, 5, rng)
 
