@@ -60,15 +60,16 @@ def _numbers_only(a, kinds: str) -> bool:
     return isinstance(a, number) and not isinstance(a, bool)
 
 
-def numeric_array(a, dtype, what: str):
-    """`a` as a new numpy array of `dtype` (float or complex). Ragged nesting, a value beyond
-    the float range, and any element that is not a number (a string, a bool) raise
+def numeric_array(a, dtype, what: str, copy: bool = True):
+    """`a` as a new numpy array of `dtype` (float or complex); with copy=False, an ndarray
+    that already has `dtype` is returned itself. Ragged nesting, a value beyond the float
+    range, and any element that is not a number (a string, a bool) raise
     InvalidArgumentError instead of being converted."""
     import numpy as np
 
     if _numbers_only(a, "iufc" if dtype is complex else "iuf"):
         try:
-            return np.array(a, dtype=dtype)
+            return (np.array if copy else np.asarray)(a, dtype=dtype)
         except (TypeError, ValueError, OverflowError):  # ragged rows, huge ints
             pass
     raise InvalidArgumentError(f"{what} must be an array of numbers")

@@ -18,8 +18,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
 
-from mpmath import mp
-
 from .bitfield import IRREDUCIBLE_POLY, BitString, gf_mul, parity
 from .errors import (
     CompositionError,
@@ -328,6 +326,8 @@ def trevisan_params(n: int, m: int, eps: float) -> TrevisanParams:
     eps = float(eps)  # mpmath takes no Fraction
     if m <= math.e:
         raise DomainError(f"m={m} <= e leaves log(m - e) undefined")
+    from mpmath import mp
+
     with mp.workprec(120):
         t_exact = 2 * mp.log(2 * mp.mpf(n) * m * m / (mp.mpf(eps) ** 2), 2)
         t = int(mp.ceil(t_exact))

@@ -4,8 +4,9 @@ Transfers a plain extractor's (k_1, ..., k_l, eps) guarantee into
 classical-proof and quantum-proof Markov-model guarantees, plus the smooth,
 subnormalized and construction-specific corollaries. All logarithms are base
 2; the transfers and closed-form bounds are evaluated at 120-bit precision,
-the self-consistent solver in double precision. All error outputs are clamped
-to [0, 1].
+the self-consistent solver in double precision, and mpmath is imported on
+first use. All error outputs are clamped to [0, 1]. Non-finite entropies and
+errors are domain errors.
 """
 from __future__ import annotations
 
@@ -14,9 +15,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Optional, Sequence
 
-from mpmath import mp
-
-from .errors import DomainError
+from .errors import DomainError, checked_index
 from .extractors import trevisan_params
 
 
@@ -74,6 +73,11 @@ class SmoothParams:
                 raise DomainError("smoothing parameters must lie in [0, 1]")
 
 
+def _finite_entropies(k1p: float, k2p: float) -> None:
+    if not (math.isfinite(k1p) and math.isfinite(k2p)):
+        raise DomainError(f"entropies must be finite, got k1'={k1p}, k2'={k2p}")
+
+
 def _markov_transfer(
     model: SecurityModel, error_of: Callable, k: Sequence[float], eps: float, l: int, m: int,
     strong_in,
@@ -81,6 +85,10 @@ def _markov_transfer(
     """k_i -> k_i + log(1/eps); the error is error_of(mpf(eps)), clamped to 1."""
     if not 0 < eps < 1:
         raise DomainError(f"need 0 < eps < 1, got {eps}")
+    if not all(math.isfinite(ki) for ki in k):
+        raise DomainError(f"entropies must be finite, got k={tuple(k)}")
+    from mpmath import mp
+
     with mp.workprec(120):
         shift = -mp.log(mp.mpf(eps), 2)
         required = tuple(float(mp.mpf(ki) + shift) for ki in k)
@@ -109,10 +117,12 @@ def quantum_markov_transfer(
     k: Sequence[float], eps: float, l: int, m: int, strong_in=frozenset()
 ) -> SecurityAssessment:
     """k_i -> k_i + log(1/eps), error -> sqrt((l+1) * eps * 2^(m-2))."""
-    return _markov_transfer(
-        SecurityModel.QUANTUM_MARKOV, lambda e: mp.sqrt((l + 1) * e * mp.mpf(2) ** (m - 2)),
-        k, eps, l, m, strong_in,
-    )
+    def error_of(e):
+        from mpmath import mp
+
+        return mp.sqrt((l + 1) * e * mp.mpf(2) ** (m - 2))
+
+    return _markov_transfer(SecurityModel.QUANTUM_MARKOV, error_of, k, eps, l, m, strong_in)
 
 
 def smooth_transfer(base: SecurityAssessment, s: SmoothParams) -> SecurityAssessment:
@@ -134,15 +144,19 @@ def smooth_transfer(base: SecurityAssessment, s: SmoothParams) -> SecurityAssess
 
 def subnormalized_transfer(eps: float) -> float:
     """Factor-2 law for extraction from subnormalized states (entropies reduced by 1 bit)."""
-    if eps < 0:
-        raise DomainError("error must be non-negative")
+    if not (math.isfinite(eps) and eps >= 0):
+        raise DomainError(f"error must be finite and non-negative, got {eps}")
     return min(1.0, 2.0 * eps)
 
 
 def deor_quantum_corollary(n: int, k1p: float, k2p: float, m: int) -> float:
-    """(sqrt(3)/2) * 2^{-(k1'+k2'+1-n-5m)/8}, clamped to 1."""
-    if m < 1:
-        raise DomainError("need m >= 1")
+    """(sqrt(3)/2) * 2^{-(k1'+k2'+1-n-5m)/8}, clamped to 1, for 1 <= m <= n."""
+    n, m = checked_index(n, "n"), checked_index(m, "m")
+    if not 1 <= m <= n:
+        raise DomainError(f"need 1 <= m <= n, got n={n}, m={m}")
+    _finite_entropies(k1p, k2p)
+    from mpmath import mp
+
     with mp.workprec(120):
         val = mp.sqrt(3) / 2 * mp.mpf(2) ** (-(mp.mpf(k1p) + k2p + 1 - n - 5 * m) / 8)
         return min(1.0, float(val))
@@ -161,8 +175,7 @@ def solve_self_consistent_error(
     place, so the result is the limit of the bisection. Raises DomainError
     for a non-finite k1' or k2'.
     """
-    if not (math.isfinite(k1p) and math.isfinite(k2p)):
-        raise DomainError(f"entropies must be finite, got k1'={k1p}, k2'={k2p}")
+    _finite_entropies(k1p, k2p)
 
     def f(log_eps: float) -> float:
         e = error_law(k1p + log_eps, k2p + log_eps)
@@ -199,13 +212,20 @@ def raz_quantum_feasible(
 
     Checks the four printed inequalities; a logarithm of a non-positive
     argument makes the tuple infeasible rather than raising. delta' outside
-    (0, 19/32) and an output length m < 1 are domain errors. The error on
-    feasible tuples is (sqrt(3)/2) * 2^{-m/4}.
+    (0, 19/32), a negative input length, an output length m < 1 and a
+    non-finite entropy are domain errors. The error on feasible tuples is
+    (sqrt(3)/2) * 2^{-m/4}.
     """
+    n1, n2, m = checked_index(n1, "n1"), checked_index(n2, "n2"), checked_index(m, "m")
     if not 0 < delta_p < 19 / 32:
         raise DomainError(f"need 0 < delta' < 19/32, got {delta_p}")
     if m < 1:
         raise DomainError(f"output length m must be at least 1, got {m}")
+    if n1 < 0 or n2 < 0:
+        raise DomainError(f"input lengths must be non-negative, got n1={n1}, n2={n2}")
+    _finite_entropies(k1p, k2p)
+    from mpmath import mp
+
     violated = []
     with mp.workprec(120):
         log = lambda v: mp.log(mp.mpf(v), 2)
@@ -243,15 +263,19 @@ def trevisan_composition_plan(
 
     Requires m = (k1'+k2'+1-n-8 log(sqrt(3)/(2 eps'))) / 5 >= d(m'', eps'')
     and max(k1', k2') >= m'' + 4 log(m''/eps'') + 6. Infeasible preconditions
-    are reported by name, never silently clamped.
+    are reported by name, never silently clamped. Non-finite entropies are
+    domain errors.
     """
     if not 0 < eps_p < 1 or not 0 < eps_pp < 1:
         raise DomainError("errors must lie in (0, 1)")
+    _finite_entropies(k1p, k2p)
+    seed_need = trevisan_params(n, m_pp, eps_pp).d
+    from mpmath import mp
+
     with mp.workprec(120):
         m_inner = (
             mp.mpf(k1p) + k2p + 1 - n - 8 * mp.log(mp.sqrt(3) / (2 * mp.mpf(eps_p)), 2)
         ) / 5
-        seed_need = trevisan_params(n, m_pp, eps_pp).d
         entropy_need = m_pp + 4 * mp.log(mp.mpf(m_pp) / eps_pp, 2) + 6
         violated = []
         if not m_inner >= seed_need:

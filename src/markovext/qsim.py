@@ -436,8 +436,10 @@ def channel_monotonicity_check(
     state: CcqMarkovState, ext: ExtractorDescriptor, kraus: Sequence[np.ndarray]
 ) -> MonotonicityCheck:
     """Extractor-output distance to uniform must not grow under a channel on C."""
-    kraus = [np.asarray(K, dtype=complex) for K in kraus]
+    kraus = [numeric_array(K, complex, "Kraus operator") for K in kraus]
     dc = state.c_dim
+    if any(K.shape != (dc, dc) for K in kraus):
+        raise InvalidArgumentError(f"Kraus operators must be {dc} x {dc} matrices")
     comp = sum(K.conj().T @ K for K in kraus)
     if np.abs(comp - np.eye(dc)).max() > HERMITIAN_TOL:
         raise InvalidArgumentError("Kraus operators do not satisfy the completeness relation")

@@ -173,11 +173,12 @@ def statistical_distance_from_uniform(
 
 def _checked_joint(ext: ExtractorDescriptor, joint: np.ndarray) -> np.ndarray:
     """The joint p(x1, x2, z1, z2) as a float array, checked against the budget
-    (before its shape) and to be a probability distribution."""
+    (before its shape), to hold numbers only and to be a probability distribution.
+    A float ndarray is used as given: it may hold 2^26 entries."""
     n1, n2 = ext.n1, ext.n2
     if 2 * (n1 + n2) > ENUMERATION_BUDGET_BITS:
         raise ResourceBudgetError("joint exceeds the enumeration budget")
-    joint = np.asarray(joint, dtype=float)
+    joint = numeric_array(joint, float, "joint", copy=False)
     if joint.shape != (1 << n1, 1 << n2, 1 << n1, 1 << n2):
         raise InvalidArgumentError("joint shape must be (2^n1, 2^n2, 2^n1, 2^n2)")
     if np.any(joint < -ROW_SUM_TOL):

@@ -5,7 +5,7 @@ import random
 import pytest
 from mpmath import mp
 
-from markovext.errors import DomainError
+from markovext.errors import DomainError, InvalidArgumentError
 from markovext.extractors import (
     compose,
     deor_descriptor,
@@ -99,6 +99,34 @@ _CLASSICAL = SecurityModel.CLASSICAL_MARKOV
         "composition_eps_1.5"])
 def test_calculus_refuses_out_of_domain_input(build):
     with pytest.raises(DomainError):
+        build()
+
+
+_INF, _NAN = math.inf, math.nan
+
+
+@pytest.mark.parametrize("build,error", [
+    (lambda: deor_quantum_corollary(8, _INF, 8, 2), DomainError),
+    (lambda: deor_quantum_corollary(8, _NAN, 8, 2), DomainError),
+    (lambda: deor_quantum_corollary(-3, 4, 4, 2), DomainError),
+    (lambda: deor_quantum_corollary(4, 4, 4, 5), DomainError),
+    (lambda: deor_quantum_corollary(8, 4, 4, 1.5), InvalidArgumentError),
+    (lambda: raz_quantum_feasible(-1, 64, 40, 40, 1, 0.1), DomainError),
+    (lambda: raz_quantum_feasible(64, 64, 40, _INF, 1, 0.1), DomainError),
+    (lambda: raz_quantum_feasible(64, 64, 40, 40, 1.5, 0.1), InvalidArgumentError),
+    (lambda: trevisan_composition_plan(64, _INF, _INF, 0.1, 4, 0.1), DomainError),
+    (lambda: trevisan_composition_plan(1 << 20, _NAN, 700000, 2 ** -20, 256, 2 ** -40),
+     DomainError),
+    (lambda: subnormalized_transfer(_NAN), DomainError),
+    (lambda: subnormalized_transfer(_INF), DomainError),
+    (lambda: classical_markov_transfer((_INF, 5), 0.1, 2, 1), DomainError),
+    (lambda: quantum_markov_transfer((5, _NAN), 0.1, 2, 1), DomainError),
+], ids=["corollary_k_inf", "corollary_k_nan", "corollary_n_negative", "corollary_m_above_n",
+        "corollary_m_1.5", "raz_n1_negative", "raz_k_inf", "raz_m_1.5", "composition_k_inf",
+        "composition_k_nan", "subnormalized_nan", "subnormalized_inf", "classical_k_inf",
+        "quantum_k_nan"])
+def test_calculus_refuses_non_finite_and_non_integer_input(build, error):
+    with pytest.raises(error):
         build()
 
 

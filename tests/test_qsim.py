@@ -694,3 +694,23 @@ def test_monotonicity_rejects_incomplete_kraus():
     ext = deor_descriptor(2, 1)
     with pytest.raises(InvalidArgumentError):
         channel_monotonicity_check(state, ext, [0.5 * np.eye(state.c_dim)])
+
+
+@pytest.mark.parametrize("kraus", [
+    np.eye(1).astype(str).tolist(),
+    [[True]],
+    [[["1"]]],
+    [np.eye(1).astype(str)],
+    [np.eye(1, dtype=bool)],
+    [[1.0]],
+    [1.0],
+    [np.eye(2) / 2] * 4,
+], ids=["numeric_strings", "bools", "nested_numeric_string", "string_array", "bool_array",
+        "vector", "scalar", "wrong_dimension"])
+def test_monotonicity_refuses_malformed_kraus_operators(kraus):
+    uniform = np.full((4, 1, 1), 0.25)
+    state = CcqMarkovState(2, 2, (CcqBlock(1.0, uniform, uniform),), certified_k=(2, 2))
+    ext = deor_descriptor(2, 1)
+    assert channel_monotonicity_check(state, ext, [[[1.0]]]).holds
+    with pytest.raises(InvalidArgumentError, match="Kraus"):
+        channel_monotonicity_check(state, ext, kraus)

@@ -109,6 +109,36 @@ def test_markov_table_from_dict_refuses_nan():
         MarkovSourceTable(t.pz.tolist(), t.px1_given_z.tolist(), px2)
 
 
+_UNIFORM_JOINT = np.full((2, 2, 2, 2), 1 / 16)
+_POINT_JOINT = np.zeros((2, 2, 2, 2), dtype=bool)
+_POINT_JOINT[0, 0, 0, 0] = True
+_BOOL_AMONG_FLOATS = np.zeros((2, 2, 2, 2)).tolist()
+_BOOL_AMONG_FLOATS[0][0][0][0] = True
+
+
+@pytest.mark.parametrize("oracle", [distinguishing_event_statistic,
+                                    conditional_distance_given_guess])
+@pytest.mark.parametrize("joint", [
+    _UNIFORM_JOINT.astype(str).tolist(),
+    _UNIFORM_JOINT.astype(str),
+    _POINT_JOINT,
+    _POINT_JOINT.tolist(),
+    _BOOL_AMONG_FLOATS,
+    [[[[0.5, 0.5], [0.0]]] * 2] * 2,
+], ids=["numeric_strings", "string_array", "bool_array", "bools", "bool_among_floats",
+        "ragged"])
+def test_joint_must_hold_numbers_only(oracle, joint):
+    with pytest.raises(InvalidArgumentError, match="joint"):
+        oracle(inner_product_descriptor(1), joint)
+
+
+def test_float_joint_is_used_without_a_copy():
+    ext = inner_product_descriptor(1)
+    assert sources._checked_joint(ext, _UNIFORM_JOINT) is _UNIFORM_JOINT
+    as_list = sources._checked_joint(ext, _UNIFORM_JOINT.tolist())
+    assert as_list.dtype == float and np.array_equal(as_list, _UNIFORM_JOINT)
+
+
 def test_markov_table_keeps_read_only_copies_of_the_rows_it_checked():
     pz, px1 = np.array([0.5, 0.5]), np.array([[0.5, 0.5, 0, 0], [0.25, 0.25, 0.25, 0.25]])
     px2 = np.array([[-1e-13, 1 + 1e-13, 0, 0], [0.25, 0.25, 0.25, 0.25]])
