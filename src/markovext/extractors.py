@@ -1,11 +1,12 @@
-"""Concrete extractor constructions.
+"""Concrete extractors, each an `ExtractorDescriptor`: a family and its params.
 
-* DEOR: GF(2^n) multiplication truncated to the m low-order bits; strong in
-  both inputs, with classical error 2^{-(k1+k2+1-n-m)/2}.
-* A Trevisan-style seeded extractor built from a block weak design and a
-  Reed-Solomon-Hadamard one-bit extractor.
-* The strong-extractor composition combinator
-  Ext''(x1, x2) = Ext'(x1, Ext(x1, x2)).
+* DEOR {n, m}: GF(2^n) multiplication truncated to the m low-order bits, with
+  classical error 2^{-(k1+k2+1-n-m)/2}; InnerProduct {n} is <x1, x2> over GF(2)^n.
+* ParitySeeded {n, d}: <low d bits of x, seed>, with an exact error law.
+* TrevisanSeeded {n, m, eps}: a block weak design and a Reed-Solomon-Hadamard
+  one-bit extractor; building it adds the derived t and d to the params.
+* Composed {outer, inner}: Ext''(x1, x2) = Ext'(x1, Ext(x1, x2)) for a seeded
+  outer Ext' and an inner Ext strong in input 1.
 
 Each family has one kernel, `ExtractorDescriptor.evaluate`, on plain
 integers; it runs elementwise on numpy arrays too, which builds whole output
@@ -39,24 +40,86 @@ class ExtractorFamily(str, Enum):
     COMPOSED = "Composed"
 
 
+# each family's params, and the inputs in which it is strong
+_RULES = {
+    ExtractorFamily.DEOR: ({"n", "m"}, frozenset({1, 2})),
+    ExtractorFamily.INNER_PRODUCT: ({"n"}, frozenset({1, 2})),
+    ExtractorFamily.PARITY_SEEDED: ({"n", "d"}, frozenset({2})),
+    ExtractorFamily.TREVISAN_SEEDED: ({"n", "m", "eps"}, frozenset({2})),
+    ExtractorFamily.COMPOSED: ({"outer", "inner"}, frozenset()),
+}
+
+
 @dataclass(frozen=True)
 class ExtractorDescriptor:
-    """A concrete extractor as a value: family, dimensions and parameters.
+    """A concrete extractor as a value: a family and its parameters.
 
-    Equal descriptors compute the same function with the same error law, so
-    they serve as cache keys; ``params`` counts for equality but not the hash.
-    ``strong_in`` lists the inputs in which the extractor is strong (1 and/or
-    2); input 2 of a seeded extractor is its seed.
+    Building one checks them by the family's rules, so every descriptor that builds
+    runs. ``n1``, ``n2``, ``m`` derive from the parameters and ``strong_in`` (1 and/or
+    2) from the family. Equal descriptors compute the same function with the same
+    error law, so they serve as cache keys; ``params`` counts for equality, not the hash.
     """
 
     family: ExtractorFamily
-    n1: int
-    n2: int
-    m: int
-    strong_in: frozenset = frozenset()
-    params: dict = field(default_factory=dict, hash=False)
-    # Trevisan only: (TrevisanParams, WeakDesign), built once by trevisan_descriptor.
-    trevisan: Optional[tuple] = field(default=None, compare=False, repr=False)
+    n1: int = field(init=False)
+    n2: int = field(init=False)
+    m: int = field(init=False)
+    params: dict = field(hash=False)
+
+    def __post_init__(self):
+        try:
+            family = ExtractorFamily(self.family)
+        except (TypeError, ValueError):
+            raise InvalidArgumentError(f"unknown extractor family {self.family!r}") from None
+        p, keys = self.params, _RULES[family][0]
+        if not isinstance(p, dict) or p.keys() != keys:
+            raise InvalidArgumentError(f"{family.value} takes params {sorted(keys)}, got {p!r}")
+        if family is ExtractorFamily.DEOR:
+            n, m = checked_index(p["n"], "n"), checked_index(p["m"], "m")
+            if n not in IRREDUCIBLE_POLY:
+                raise InvalidArgumentError(f"unsupported input length {n}")
+            if not 1 <= m <= n:
+                raise InvalidArgumentError(f"output length {m} out of range [1, {n}]")
+            dims, p = (n, n, m), {"n": n, "m": m}
+        elif family is ExtractorFamily.INNER_PRODUCT:
+            n = checked_index(p["n"], "n")
+            if n < 1:
+                raise InvalidArgumentError(f"input length {n} must be at least 1")
+            dims, p = (n, n, 1), {"n": n}
+        elif family is ExtractorFamily.PARITY_SEEDED:
+            n, d = checked_index(p["n"], "n"), checked_index(p["d"], "d")
+            if not 1 <= d <= 4 or d > n:
+                raise InvalidArgumentError(f"need 1 <= d <= 4 and d <= n, got d={d}, n={n}")
+            dims, p = (n, d, 1), {"n": n, "d": d}
+        elif family is ExtractorFamily.TREVISAN_SEEDED:
+            n, m, eps = checked_index(p["n"], "n"), checked_index(p["m"], "m"), p["eps"]
+            tp = trevisan_params(n, m, eps)
+            design = weak_design_build(m, tp.t, universe_blocks=-(-tp.d // (tp.t * tp.t)))
+            if tp.t // 2 not in IRREDUCIBLE_POLY:
+                raise ConstructionError(f"no GF(2^{tp.t // 2}) modulus available for t={tp.t}")
+            object.__setattr__(self, "_trevisan", (tp, design))
+            dims, p = (n, design.d_universe, m), {"n": n, "m": m, "eps": eps, "t": tp.t, "d": tp.d}
+        else:
+            outer, inner = p["outer"], p["inner"]
+            if not all(isinstance(e, ExtractorDescriptor) for e in (outer, inner)):
+                raise CompositionError("outer and inner must be extractor descriptors")
+            if outer.family not in (ExtractorFamily.PARITY_SEEDED,
+                                    ExtractorFamily.TREVISAN_SEEDED):
+                raise CompositionError(f"outer extractor must be seeded, got {outer.family.value}")
+            if 1 not in inner.strong_in:
+                raise CompositionError("inner extractor must be strong in input 1")
+            if inner.m != outer.n2:
+                raise CompositionError(
+                    f"inner output length {inner.m} != outer seed length {outer.n2}")
+            if outer.n1 != inner.n1:
+                raise CompositionError(f"outer source length {outer.n1} != inner n1 {inner.n1}")
+            dims, p = (inner.n1, inner.n2, outer.m), {"outer": outer, "inner": inner}
+        for name, value in zip(("family", "params", "n1", "n2", "m"), (family, p, *dims)):
+            object.__setattr__(self, name, value)
+
+    @property
+    def strong_in(self) -> frozenset:
+        return _RULES[self.family][1]
 
     def extract(self, x1: BitString, x2: BitString) -> BitString:
         if x1.length != self.n1 or x2.length != self.n2:
@@ -80,7 +143,7 @@ class ExtractorDescriptor:
             return parity(x1 & x2, self.n2)
         if family is ExtractorFamily.TREVISAN_SEEDED:
             return trevisan_extract(
-                BitString(x1, self.n1), BitString(x2, self.n2), *self.trevisan).value
+                BitString(x1, self.n1), BitString(x2, self.n2), *self._trevisan).value
         outer, inner = self.params["outer"], self.params["inner"]
         return outer.evaluate(x1, inner.evaluate(x1, x2))
 
@@ -96,7 +159,7 @@ class ExtractorDescriptor:
         if family is ExtractorFamily.TREVISAN_SEEDED:
             if not math.isfinite(k1):
                 raise DomainError(f"entropy must be finite, got k={k1}")
-            return self.params["eps"] if k1 >= self.trevisan[0].k else 1.0
+            return self.params["eps"] if k1 >= self._trevisan[0].k else 1.0
         outer, inner = self.params["outer"], self.params["inner"]
         return min(1.0, inner.error_law(k1, k2) + outer.error_law(k1))
 
@@ -170,34 +233,12 @@ def deor_error(n: int, k1: float, k2: float, m: int) -> float:
 
 
 def deor_descriptor(n: int, m: int) -> ExtractorDescriptor:
-    n, m = checked_index(n, "n"), checked_index(m, "m")  # 8.0 in IRREDUCIBLE_POLY holds
-    if n not in IRREDUCIBLE_POLY:
-        raise InvalidArgumentError(f"unsupported input length {n}")
-    if not 1 <= m <= n:
-        raise InvalidArgumentError(f"output length {m} out of range [1, {n}]")
-    return ExtractorDescriptor(
-        family=ExtractorFamily.DEOR,
-        n1=n,
-        n2=n,
-        m=m,
-        strong_in=frozenset({1, 2}),
-        params={"n": n, "m": m},
-    )
+    return ExtractorDescriptor(ExtractorFamily.DEOR, {"n": n, "m": m})
 
 
 def inner_product_descriptor(n: int) -> ExtractorDescriptor:
     """One-bit inner-product extractor over GF(2)^n."""
-    n = checked_index(n, "n")
-    if n < 1:
-        raise InvalidArgumentError(f"input length {n} must be at least 1")
-    return ExtractorDescriptor(
-        family=ExtractorFamily.INNER_PRODUCT,
-        n1=n,
-        n2=n,
-        m=1,
-        strong_in=frozenset({1, 2}),
-        params={"n": n},
-    )
+    return ExtractorDescriptor(ExtractorFamily.INNER_PRODUCT, {"n": n})
 
 
 # ---------------------------------------------------------------------------
@@ -387,21 +428,7 @@ def trevisan_extract(
 
 def trevisan_descriptor(n: int, m: int, eps: float) -> ExtractorDescriptor:
     """Seeded descriptor with a design whose universe covers params.d; needs GF(t), GF(2^{t/2})."""
-    n, m = checked_index(n, "n"), checked_index(m, "m")
-    params = trevisan_params(n, m, eps)
-    blocks = -(-params.d // (params.t * params.t))
-    design = weak_design_build(m, params.t, universe_blocks=blocks)
-    if params.t // 2 not in IRREDUCIBLE_POLY:
-        raise ConstructionError(f"no GF(2^{params.t // 2}) modulus available for t={params.t}")
-    return ExtractorDescriptor(
-        family=ExtractorFamily.TREVISAN_SEEDED,
-        n1=n,
-        n2=design.d_universe,
-        m=m,
-        strong_in=frozenset({2}),
-        params={"n": n, "m": m, "eps": eps, "t": params.t, "d": params.d},
-        trevisan=(params, design),
-    )
+    return ExtractorDescriptor(ExtractorFamily.TREVISAN_SEEDED, {"n": n, "m": m, "eps": eps})
 
 
 def _parity_flat_error(n: int, d: int, k: float) -> float:
@@ -413,8 +440,6 @@ def _parity_flat_error(n: int, d: int, k: float) -> float:
     the worst case is a vertex of the occupancy polytope, found exactly by
     maximizing over all sign patterns with a greedy fill.
     """
-    if not 1 <= d <= 4 or d > n:
-        raise DomainError(f"parity extractor supports 1 <= d <= 4, d <= n; got d={d}, n={n}")
     if not math.isfinite(k):
         raise DomainError(f"entropy must be finite, got k={k}")
     size = math.ceil(2.0 ** k - 1e-12)
@@ -442,42 +467,15 @@ def parity_seeded_descriptor(n: int, d: int) -> ExtractorDescriptor:
     Deliberately tiny; it exists to exercise the composition combinator at
     enumerable sizes. Strong in the seed by construction of the error law.
     """
-    n, d = checked_index(n, "n"), checked_index(d, "d")
-    if not 1 <= d <= 4 or d > n:
-        raise InvalidArgumentError(f"need 1 <= d <= 4 and d <= n, got d={d}, n={n}")
-    return ExtractorDescriptor(
-        family=ExtractorFamily.PARITY_SEEDED,
-        n1=n,
-        n2=d,
-        m=1,
-        strong_in=frozenset({2}),
-        params={"n": n, "d": d},
-    )
+    return ExtractorDescriptor(ExtractorFamily.PARITY_SEEDED, {"n": n, "d": d})
 
 
 # ---------------------------------------------------------------------------
 # Composition
 # ---------------------------------------------------------------------------
 
-def compose(
-    outer_seeded: ExtractorDescriptor, inner_two_source: ExtractorDescriptor
-) -> ExtractorDescriptor:
+def compose(outer_seeded: ExtractorDescriptor,
+            inner_two_source: ExtractorDescriptor) -> ExtractorDescriptor:
     """Ext''(x1, x2) = Ext'(x1, Ext(x1, x2)); errors add."""
-    if 1 not in inner_two_source.strong_in:
-        raise CompositionError("inner extractor must be strong in input 1")
-    if inner_two_source.m != outer_seeded.n2:
-        raise CompositionError(
-            f"inner output length {inner_two_source.m} != outer seed length {outer_seeded.n2}"
-        )
-    if outer_seeded.n1 != inner_two_source.n1:
-        raise CompositionError(
-            f"outer source length {outer_seeded.n1} != inner n1 {inner_two_source.n1}"
-        )
-    return ExtractorDescriptor(
-        family=ExtractorFamily.COMPOSED,
-        n1=inner_two_source.n1,
-        n2=inner_two_source.n2,
-        m=outer_seeded.m,
-        strong_in=frozenset(),
-        params={"outer": outer_seeded, "inner": inner_two_source},
-    )
+    return ExtractorDescriptor(ExtractorFamily.COMPOSED,
+                               {"outer": outer_seeded, "inner": inner_two_source})

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Optional, Sequence
 
-from .errors import DomainError, checked_index
+from .errors import DomainError, checked_index, is_real
 from .extractors import trevisan_params
 
 
@@ -37,8 +37,12 @@ class SecurityAssessment:
     strong_in: frozenset = frozenset()
 
     def __post_init__(self):
+        for name in ("l", "m"):
+            object.__setattr__(self, name, checked_index(getattr(self, name), name))
         if self.l < 2:
             raise DomainError(f"need at least two sources, got l={self.l}")
+        if self.m < 1:
+            raise DomainError(f"need an output length m >= 1, got m={self.m}")
         if len(self.required_k) != self.l:
             raise DomainError(f"got {len(self.required_k)} entropy thresholds for l={self.l} sources")
         two_source = (SecurityModel.PLAIN, SecurityModel.SMOOTH_MARKOV, SecurityModel.SUBNORMALIZED)
@@ -46,8 +50,9 @@ class SecurityAssessment:
             raise DomainError(f"the {self.model.value} model is stated for two sources; got l={self.l}")
         if not 0.0 <= self.error <= 1.0:
             raise DomainError(f"error {self.error} outside [0, 1]")
-        if any(k < 0 for k in self.required_k):
-            raise DomainError("entropy thresholds must be non-negative")
+        if not all(is_real(k) and 0 <= k < math.inf for k in self.required_k):
+            raise DomainError(f"entropy thresholds must be finite and non-negative, got "
+                              f"{self.required_k!r}")
 
     def to_dict(self) -> dict:
         return {
@@ -82,7 +87,8 @@ def _markov_transfer(
     model: SecurityModel, error_of: Callable, k: Sequence[float], eps: float, l: int, m: int,
     strong_in,
 ) -> SecurityAssessment:
-    """k_i -> k_i + log(1/eps); the error is error_of(mpf(eps)), clamped to 1."""
+    """k_i -> k_i + log(1/eps); the error is error_of(mpf(eps), l, m), clamped to 1."""
+    l, m = checked_index(l, "l"), checked_index(m, "m")
     if not 0 < eps < 1:
         raise DomainError(f"need 0 < eps < 1, got {eps}")
     if not all(math.isfinite(ki) for ki in k):
@@ -93,7 +99,7 @@ def _markov_transfer(
         shift = -mp.log(mp.mpf(eps), 2)
         required = tuple(float(mp.mpf(ki) + shift) for ki in k)
         # .real: the quantum law is complex for l < -1, which the assessment refuses
-        error = min(1.0, float(error_of(mp.mpf(eps)).real))
+        error = min(1.0, float(error_of(mp.mpf(eps), l, m).real))
     return SecurityAssessment(
         model=model,
         l=l,
@@ -109,7 +115,7 @@ def classical_markov_transfer(
 ) -> SecurityAssessment:
     """k_i -> k_i + log(1/eps), error -> (l+1) * eps."""
     return _markov_transfer(
-        SecurityModel.CLASSICAL_MARKOV, lambda e: (l + 1) * e, k, eps, l, m, strong_in
+        SecurityModel.CLASSICAL_MARKOV, lambda e, l, m: (l + 1) * e, k, eps, l, m, strong_in
     )
 
 
@@ -117,7 +123,7 @@ def quantum_markov_transfer(
     k: Sequence[float], eps: float, l: int, m: int, strong_in=frozenset()
 ) -> SecurityAssessment:
     """k_i -> k_i + log(1/eps), error -> sqrt((l+1) * eps * 2^(m-2))."""
-    def error_of(e):
+    def error_of(e, l, m):
         from mpmath import mp
 
         return mp.sqrt((l + 1) * e * mp.mpf(2) ** (m - 2))

@@ -473,6 +473,12 @@ def random_ccq_markov_state(
     Within each block the source is uniform on a random support and the
     C-component does not depend on x, so H_min(X_i|C) = -log2 sum_t p(t)/|S_t,i|.
     """
+    n1, n2 = checked_index(n1, "n1"), checked_index(n2, "n2")
+    n_blocks = checked_index(n_blocks, "n_blocks")
+    max_c_dim = checked_index(max_c_dim, "max_c_dim")
+    if n1 < 0 or n2 < 0 or n_blocks < 1 or max_c_dim < 1:
+        raise InvalidArgumentError(f"need n1, n2 >= 0 and n_blocks, max_c_dim >= 1, got "
+                                   f"{n1}, {n2}, {n_blocks}, {max_c_dim}")
     w = rng.random(n_blocks) + 0.1
     w /= w.sum()
     blocks = []

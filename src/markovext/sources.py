@@ -8,7 +8,6 @@ are double-precision with a 1e-12 row-sum tolerance.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
@@ -17,9 +16,11 @@ import numpy as np
 
 from .errors import (
     ConstructionError,
+    DomainError,
     InvalidArgumentError,
     ResourceBudgetError,
     checked_index,
+    is_real,
     numeric_array,
 )
 from .extractors import ExtractorDescriptor
@@ -43,11 +44,9 @@ class FlatSource:
             raise InvalidArgumentError("support must be non-empty")
         if len(set(self.support)) != len(self.support):
             raise InvalidArgumentError("support contains duplicates")
-        try:
-            if any(not 0 <= operator.index(x) < (1 << self.n) for x in self.support):
-                raise InvalidArgumentError("support element out of range")
-        except TypeError:
-            raise InvalidArgumentError("support elements must be integers") from None
+        size = 1 << self.n
+        if any(not 0 <= checked_index(x, "support element") < size for x in self.support):
+            raise InvalidArgumentError("support element out of range")
 
     def distribution(self) -> np.ndarray:
         p = np.zeros(1 << self.n)
@@ -222,6 +221,10 @@ def build_markov_table(
 ) -> MarkovSourceTable:
     """Per-z flat conditionals whose supports are random and large enough that
     hmin_conditional meets the targets (exactly when 2^target is integral)."""
+    n1, n2 = checked_index(n1, "n1"), checked_index(n2, "n2")
+    z_card = checked_index(z_card, "z_card")
+    if not all(is_real(t) and math.isfinite(t) for t in (target_k1, target_k2)):
+        raise DomainError(f"entropy targets must be finite, got {target_k1!r}, {target_k2!r}")
     if target_k1 > n1 or target_k2 > n2:
         raise ConstructionError("entropy target exceeds the source length")
     if target_k1 < 0 or target_k2 < 0 or z_card < 1:
@@ -243,6 +246,7 @@ def build_markov_table(
 
 def random_flat_source(n: int, k: int, rng: np.random.Generator) -> FlatSource:
     """Uniformly random support of size 2^k."""
+    n, k = checked_index(n, "n"), checked_index(k, "k")
     if not 0 <= k <= n:
         raise InvalidArgumentError(f"need 0 <= k <= n, got k={k}, n={n}")
     support = rng.choice(1 << n, size=1 << k, replace=False)
@@ -250,7 +254,13 @@ def random_flat_source(n: int, k: int, rng: np.random.Generator) -> FlatSource:
 
 
 def random_joint(n1: int, n2: int, rng: np.random.Generator) -> np.ndarray:
-    """Random enumerable joint p(x1, x2, z1, z2) (flat Dirichlet)."""
+    """Random enumerable joint p(x1, x2, z1, z2) (flat Dirichlet); refused before allocating
+    when it would not fit the enumeration budget, as `_checked_joint` refuses it."""
+    n1, n2 = checked_index(n1, "n1"), checked_index(n2, "n2")
+    if n1 < 0 or n2 < 0:
+        raise InvalidArgumentError(f"need n1, n2 >= 0, got n1={n1}, n2={n2}")
+    if 2 * (n1 + n2) > ENUMERATION_BUDGET_BITS:
+        raise ResourceBudgetError("joint exceeds the enumeration budget")
     shape = (1 << n1, 1 << n2, 1 << n1, 1 << n2)
     j = rng.exponential(size=shape)
     return j / j.sum()

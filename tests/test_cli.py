@@ -911,3 +911,15 @@ def test_descriptor_file_with_a_string_eps_is_exit_3(tmp_path):
     rc, err = _refused(["extract", x, x, str(tmp_path / "y"), "--descriptor", desc])
     assert rc == 3 and "real number" in err
     assert not (tmp_path / "y").exists()
+
+
+def test_composed_descriptor_file_with_a_two_source_outer_is_exit_3(tmp_path):
+    # its lengths chain, but a two-source outer has no seeded error law
+    deor = deor_descriptor(3, 3).to_dict()
+    d = {"family": "Composed", "params": {"outer": deor, "inner": deor}}
+    (tmp_path / "d.json").write_text(json.dumps(d))
+    (tmp_path / "x").write_bytes(bytes(1))
+    x, desc = str(tmp_path / "x"), str(tmp_path / "d.json")
+    rc, err = _refused(["extract", x, x, str(tmp_path / "y"), "--descriptor", desc])
+    assert rc == 3 and "seeded" in err
+    assert not (tmp_path / "y").exists()

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import json
 import math
@@ -20,6 +21,7 @@ from markovext.errors import (
 from markovext.extractors import (
     WEAK_DESIGN_OVERLAP,
     ExtractorDescriptor,
+    ExtractorFamily,
     TrevisanParams,
     compose,
     deor_descriptor,
@@ -135,10 +137,10 @@ def test_weak_design_layout_search_takes_a_second_block():
 @pytest.mark.parametrize("build,error", [
     (lambda: weak_design_build(0, 4), ConstructionError),
     (lambda: weak_design_build(200, 4, universe_blocks=1), ConstructionError),
-    (lambda: trevisan_extract(BitString(0, 8), BitString(0, 100), *_toy_trevisan().trevisan),
+    (lambda: trevisan_extract(BitString(0, 8), BitString(0, 100), *_toy_trevisan_parts()),
      InvalidArgumentError),
     (lambda: trevisan_extract(BitString(0, 8), BitString(0, 16),
-                              _toy_trevisan().trevisan[0], weak_design_build(3, 4)),
+                              _toy_trevisan_parts()[0], weak_design_build(3, 4)),
      InvalidArgumentError),
     (lambda: parity_seeded_descriptor(4, 2).error_law(5.0), DomainError),
     (lambda: deor_descriptor(8, 3).error_law(7.0), DomainError),
@@ -231,6 +233,12 @@ def _toy_trevisan():
     return trevisan_descriptor(8, 3, 0.75)
 
 
+def _toy_trevisan_parts():
+    """The (TrevisanParams, WeakDesign) pair of _toy_trevisan, rebuilt as the descriptor does."""
+    params = trevisan_params(8, 3, 0.75)
+    return params, weak_design_build(3, params.t, universe_blocks=-(-params.d // params.t ** 2))
+
+
 def test_trevisan_descriptor_executes_and_is_deterministic():
     d = _toy_trevisan()
     assert d.m == 3 and d.params["t"] == 16
@@ -258,11 +266,7 @@ def test_trevisan_m1_reduces_to_single_rsh():
 
 def test_trevisan_output_bit_locality():
     d = _toy_trevisan()
-    # recover the design by rebuilding it the same way the descriptor does
-    from markovext.extractors import weak_design_build as build
-
-    params = trevisan_params(8, 3, 0.75)
-    design = build(3, params.t, universe_blocks=-(-params.d // (params.t ** 2)))
+    _, design = _toy_trevisan_parts()
     rnd = random.Random(21)
     x = BitString(rnd.randrange(256), 8)
     seed_val = rnd.randrange(1 << design.d_universe)
@@ -377,10 +381,14 @@ def test_compose_dimension_and_strongness_checks():
         compose(parity_seeded_descriptor(8, 2), inner)  # seed length mismatch
     with pytest.raises(CompositionError):
         compose(parity_seeded_descriptor(4, 3), inner)  # source length mismatch
-    weak = deor_descriptor(8, 3)
-    object.__setattr__(weak, "strong_in", frozenset())
-    with pytest.raises(CompositionError):
-        compose(outer, weak)
+    with pytest.raises(CompositionError, match="seeded"):
+        compose(deor_descriptor(3, 3), deor_descriptor(3, 3))  # lengths chain, outer two-source
+    # a parity inner has the right lengths (output 1 = the seed of parity(8, 1)) but is
+    # strong only in its seed, input 2
+    weak = parity_seeded_descriptor(8, 3)
+    assert 1 not in weak.strong_in
+    with pytest.raises(CompositionError, match="strong in input 1"):
+        compose(parity_seeded_descriptor(8, 1), weak)
 
 
 def test_compose_function_is_literal_composition():
@@ -452,6 +460,102 @@ def test_descriptor_values_differ_by_parameters():
     assert trevisan_descriptor(8, 3, 0.9) != trevisan_descriptor(8, 3, 0.75)
     assert compose(parity_seeded_descriptor(8, 3), deor_descriptor(8, 3)) != compose(
         parity_seeded_descriptor(8, 2), deor_descriptor(8, 2))
+
+
+def test_a_descriptor_is_a_family_and_its_params():
+    assert [f.name for f in dataclasses.fields(ExtractorDescriptor) if f.init] == [
+        "family", "params"]
+    given = {"m": 3, "n": 8}
+    d = ExtractorDescriptor("DEOR", given)
+    given["m"] = 5
+    # the family coerced, the params copied in the order to_dict writes
+    assert d == deor_descriptor(8, 3) and d.family is ExtractorFamily.DEOR
+    assert json.dumps(d.to_dict()) == json.dumps(deor_descriptor(8, 3).to_dict())
+    for name in ("family", "params", "n1", "n2", "m", "strong_in"):
+        with pytest.raises(AttributeError):
+            setattr(d, name, 1)
+    # the Trevisan constructor adds the derived t and d
+    t = ExtractorDescriptor(ExtractorFamily.TREVISAN_SEEDED, {"n": 8, "m": 3, "eps": 0.9})
+    assert t == trevisan_descriptor(8, 3, 0.9)
+    assert t.params == {"n": 8, "m": 3, "eps": 0.9, "t": 16, "d": 256}
+
+
+_DEOR_3_3 = deor_descriptor(3, 3)
+
+
+@pytest.mark.parametrize("family,params,error", [
+    (ExtractorFamily.DEOR, {"n": 5, "m": 1}, InvalidArgumentError),
+    (ExtractorFamily.DEOR, {"n": 4, "m": 9}, InvalidArgumentError),
+    (ExtractorFamily.INNER_PRODUCT, {"n": 4, "n2": 2}, InvalidArgumentError),
+    (ExtractorFamily.TREVISAN_SEEDED, {"eps": 0.9}, InvalidArgumentError),
+    (ExtractorFamily.COMPOSED, {}, InvalidArgumentError),
+    (ExtractorFamily.DEOR, {"n": "8", "m": 2}, InvalidArgumentError),
+    (ExtractorFamily.COMPOSED, {"outer": _DEOR_3_3, "inner": _DEOR_3_3}, CompositionError),
+    (ExtractorFamily.DEOR, {"n": 8}, InvalidArgumentError),
+    (ExtractorFamily.DEOR, {"n": 8, "m": 2, "strong_in": [1]}, InvalidArgumentError),
+    (ExtractorFamily.TREVISAN_SEEDED, {"n": 8, "m": 3, "eps": 0.9, "t": 16, "d": 256},
+     InvalidArgumentError),
+    (ExtractorFamily.COMPOSED, {"outer": _PARITY_8_3, "inner": deor_descriptor(8, 3)},
+     CompositionError),
+    (ExtractorFamily.COMPOSED, {"outer": parity_seeded_descriptor(8, 3), "inner": None},
+     CompositionError),
+    ("NoSuchFamily", {"n": 8}, InvalidArgumentError),
+    (None, {"n": 8}, InvalidArgumentError),
+    (ExtractorFamily.INNER_PRODUCT, [("n", 8)], InvalidArgumentError),
+    (ExtractorFamily.INNER_PRODUCT, {"n": 8, 1: 2}, InvalidArgumentError),
+    (ExtractorFamily.PARITY_SEEDED, {"n": 8, "d": 5}, InvalidArgumentError),
+    (ExtractorFamily.TREVISAN_SEEDED, {"n": 8, "m": 3, "eps": 0.5}, ConstructionError),
+], ids=["deor_no_modulus", "deor_m_above_n", "inner_product_n2", "trevisan_eps_only",
+        "composed_empty", "deor_string_n", "composed_two_source_outer", "deor_missing_m",
+        "deor_unknown_strong_in", "trevisan_derived_keys", "composed_dict_outer",
+        "composed_none_inner", "unknown_family", "none_family", "params_not_a_dict",
+        "params_int_key", "parity_d_5", "trevisan_t_20"])
+def test_direct_construction_refuses_what_would_not_run(family, params, error):
+    with pytest.raises(error):
+        ExtractorDescriptor(family, params)
+
+
+# per family and params key, values that often build; any key may instead get a junk value
+_NEAR_VALID = {
+    ExtractorFamily.DEOR: {"n": [2, 3, 4, 5, 8, 64], "m": [1, 2, 3, 8]},
+    ExtractorFamily.INNER_PRODUCT: {"n": [0, 1, 4, 64]},
+    ExtractorFamily.PARITY_SEEDED: {"n": [1, 3, 8, 64], "d": [1, 3, 4, 5]},
+    ExtractorFamily.TREVISAN_SEEDED: {"n": [3, 4, 8], "m": [3, 4], "eps": [0.5, 0.75, 0.9]},
+    ExtractorFamily.COMPOSED: {
+        "outer": [parity_seeded_descriptor(8, 3), parity_seeded_descriptor(8, 1),
+                  trevisan_descriptor(8, 3, 0.9), deor_descriptor(8, 3)],
+        "inner": [deor_descriptor(8, 3), deor_descriptor(8, 1), inner_product_descriptor(8),
+                  parity_seeded_descriptor(8, 1)]},
+}
+_JUNK = [-1, 70, 8.0, True, "8", None, 0.9, _PARITY_8_3]
+
+
+@st.composite
+def _family_and_params(draw):
+    """A family with values for its params keys, and maybe one key dropped or added."""
+    family = draw(st.sampled_from(list(ExtractorFamily)))
+    params = {k: draw(st.sampled_from(v if draw(st.integers(0, 5)) else _JUNK))
+              for k, v in _NEAR_VALID[family].items()}
+    edit = draw(st.sampled_from(["none", "none", "none", "drop", "add"]))
+    if edit == "drop":
+        del params[draw(st.sampled_from(sorted(params)))]
+    elif edit == "add":
+        params[draw(st.sampled_from(["t", "n1", "x"]))] = 3
+    return family, params
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_family_and_params())
+def test_every_descriptor_the_constructor_builds_runs(family_params):
+    try:
+        d = ExtractorDescriptor(*family_params)
+    except MarkovExtError:
+        return
+    assert ExtractorDescriptor.from_dict(d.to_dict()) == d
+    rnd = random.Random(repr(family_params))
+    x1, x2 = BitString(rnd.getrandbits(d.n1), d.n1), BitString(rnd.getrandbits(d.n2), d.n2)
+    assert d.extract(x1, x2).length == d.m
+    assert 0.0 <= d.error_law(d.n1 / 2, d.n2 / 2) <= 1.0
 
 
 def test_from_dict_takes_only_the_constructor_fields():

@@ -2,6 +2,7 @@ import functools
 import math
 import random
 
+import numpy as np
 import pytest
 from mpmath import mp
 
@@ -121,13 +122,31 @@ _INF, _NAN = math.inf, math.nan
     (lambda: subnormalized_transfer(_INF), DomainError),
     (lambda: classical_markov_transfer((_INF, 5), 0.1, 2, 1), DomainError),
     (lambda: quantum_markov_transfer((5, _NAN), 0.1, 2, 1), DomainError),
+    (lambda: classical_markov_transfer((5, 5), 0.1, 2.0, 1.5), InvalidArgumentError),
+    (lambda: classical_markov_transfer((5, 5), 0.1, 2, 1.5), InvalidArgumentError),
+    (lambda: quantum_markov_transfer((5, 5), 0.1, 2, True), InvalidArgumentError),
+    (lambda: quantum_markov_transfer((5, 5), 0.1, "2", 2), InvalidArgumentError),
+    (lambda: quantum_markov_transfer((5, 5), 0.1, 2, 0), DomainError),
+    (lambda: SecurityAssessment(SecurityModel.PLAIN, 2, (1.0, 1.0), 0.5, -3), DomainError),
+    (lambda: SecurityAssessment(SecurityModel.PLAIN, 2.0, (1.0, 1.0), 0.5, 1),
+     InvalidArgumentError),
+    *[(lambda k=k: SecurityAssessment(SecurityModel.PLAIN, 2, k, 0.5, 1), DomainError)
+      for k in ((1.0, _NAN), (_INF, 1.0), ("1", 1.0))],
 ], ids=["corollary_k_inf", "corollary_k_nan", "corollary_n_negative", "corollary_m_above_n",
         "corollary_m_1.5", "raz_n1_negative", "raz_k_inf", "raz_m_1.5", "composition_k_inf",
         "composition_k_nan", "subnormalized_nan", "subnormalized_inf", "classical_k_inf",
-        "quantum_k_nan"])
+        "quantum_k_nan", "classical_float_l_and_m", "classical_float_m", "quantum_bool_m",
+        "quantum_string_l", "quantum_m_0", "assessment_m_negative", "assessment_float_l",
+        "assessment_nan_threshold", "assessment_inf_threshold", "assessment_string_threshold"])
 def test_calculus_refuses_non_finite_and_non_integer_input(build, error):
     with pytest.raises(error):
         build()
+
+
+def test_assessment_holds_l_and_m_as_ints():
+    a = SecurityAssessment(SecurityModel.PLAIN, np.int64(2), (1.0, 1.0), 0.5, np.int64(3))
+    assert type(a.l) is int and type(a.m) is int
+    assert a.to_dict()["m"] == 3
 
 
 def test_transfer_monotonicity_grid():
@@ -307,7 +326,7 @@ def test_solver_matches_the_200_step_bisection_bit_for_bit():
     # the Trevisan step sits at its threshold k = 16
     trevisan = trevisan_descriptor(8, 3, 0.9)
     for law, count, lo, hi in ((_composed_law(), 3, 5, 8),
-                               (trevisan.error_law, 40, trevisan.trevisan[0].k, 18),
+                               (trevisan.error_law, 40, trevisan_params(8, 3, 0.9).k, 18),
                                (lambda a, b: 0.25, 40, 0, 8)):
         cases += [(law, rnd.uniform(lo, hi), rnd.uniform(lo, hi)) for _ in range(count)]
     for law, k1, k2 in cases:

@@ -310,6 +310,8 @@ def _state(**changes):
     lambda: _state(weight="one"),
     lambda: _state(n2=1.0),
     *[lambda ck=ck: _state(certified_k=ck) for ck in (["1.0", "1.0"], [True, True])],
+    *[lambda args=args: random_ccq_markov_state(*args, np.random.default_rng(0))
+      for args in [(2, 2, 0, 2), (2, 2, 1, 0), (2.0, 2, 1, 2), (2, 2, True, 2), (2, -1, 1, 2)]],
 ], ids=["negative_component", "not_hermitian", "weights_1.5_-0.5", "nan_entry", "inf_weight",
         "ragged_source", "non_square", "negative_n", "n_1.7", "n_string", "n_bool",
         "state_float_n", "hmin_cq_ragged",
@@ -321,7 +323,8 @@ def _state(**changes):
         "weight_numeric_string", "weight_bool", "numeric_string_component", "bool_component",
         "bool_among_floats_component", "bool_array_component", "density_numeric_strings",
         "hmin_cq_bools", "dict_string_weight", "dict_n_1.0", "dict_certified_k_strings",
-        "dict_certified_k_bools"])
+        "dict_certified_k_bools", "random_no_blocks", "random_c_dim_0", "random_float_n1",
+        "random_bool_blocks", "random_negative_n2"])
 def test_malformed_state_refused_when_built(build):
     with pytest.raises(InvalidArgumentError):
         build()
@@ -498,7 +501,7 @@ def test_apply_extractor_channel_constant_extractor():
         def evaluate(self, x1, x2):
             return (x1 ^ x2) & 0
 
-    const = Constant(family=ExtractorFamily.DEOR, n1=2, n2=2, m=1)
+    const = Constant(ExtractorFamily.DEOR, {"n": 2, "m": 1})
     rho = DensityOperator(np.eye(16) / 16)
     out = apply_extractor_channel(rho, const, (4, 4, 1))
     assert out.matrix[0, 0] == pytest.approx(1.0)

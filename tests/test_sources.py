@@ -7,7 +7,12 @@ import pytest
 
 from markovext import sources
 from markovext.bitfield import BitString
-from markovext.errors import ConstructionError, InvalidArgumentError, ResourceBudgetError
+from markovext.errors import (
+    ConstructionError,
+    DomainError,
+    InvalidArgumentError,
+    ResourceBudgetError,
+)
 from markovext.extractors import (
     ExtractorDescriptor,
     ExtractorFamily,
@@ -40,7 +45,7 @@ class _ConstantExtractor(ExtractorDescriptor):
 
 
 def _constant_extractor(n: int, m: int) -> ExtractorDescriptor:
-    return _ConstantExtractor(family=ExtractorFamily.DEOR, n1=n, n2=n, m=m)
+    return _ConstantExtractor(ExtractorFamily.DEOR, {"n": n, "m": m})
 
 
 # ---------------------------------------------------------------------------
@@ -166,12 +171,39 @@ def test_markov_table_keeps_read_only_copies_of_the_rows_it_checked():
     (lambda: FlatSource(True, (0, 1)), InvalidArgumentError),
     *[(lambda pz=pz: MarkovSourceTable(pz, [[0.5, 0.5]] * len(pz), [[0.5, 0.5]] * len(pz)),
        InvalidArgumentError) for pz in (["1.0"], [True], [True, 0.0])],
+    (lambda: build_markov_table(3, 3, 2, math.nan, 2.0, 0), DomainError),
+    (lambda: build_markov_table(3, 3, 2, 2.0, -math.inf, 0), DomainError),
+    (lambda: build_markov_table(3, 3, 2, "2", 2.0, 0), DomainError),
+    (lambda: build_markov_table(3.0, 3, 2, 2.0, 2.0, 0), InvalidArgumentError),
+    (lambda: build_markov_table(3, 3, True, 2.0, 2.0, 0), InvalidArgumentError),
+    (lambda: random_flat_source(3, True, np.random.default_rng(0)), InvalidArgumentError),
+    (lambda: random_flat_source(3.0, 2, np.random.default_rng(0)), InvalidArgumentError),
+    (lambda: FlatSource(1, (True,)), InvalidArgumentError),
+    (lambda: random_joint(1, 1.0, np.random.default_rng(0)), InvalidArgumentError),
+    (lambda: random_joint(-1, 2, np.random.default_rng(0)), InvalidArgumentError),
 ], ids=["empty_table", "hmin_source_3", "output_table_n", "output_table_28_bits",
         "joint_shape", "flat_negative_n", "flat_bool_n", "table_pz_numeric_string",
-        "table_pz_bool", "table_pz_bool_among_floats"])
+        "table_pz_bool", "table_pz_bool_among_floats", "markov_nan_target",
+        "markov_infinite_target", "markov_string_target", "markov_float_n1", "markov_bool_z_card",
+        "flat_bool_k", "random_flat_float_n", "flat_bool_element", "joint_float_n2",
+        "joint_negative_n1"])
 def test_sources_refuse_malformed_input(build, error):
     with pytest.raises(error):
         build()
+
+
+class _NoDraws:
+    """An rng whose draws fail: a generator that reaches them would allocate the joint."""
+
+    def exponential(self, size):
+        raise AssertionError(f"drew {size}")
+
+
+def test_random_joint_refuses_an_over_budget_joint_before_drawing_it():
+    with pytest.raises(ResourceBudgetError):
+        random_joint(7, 7, _NoDraws())  # 2^28 entries, 2 GiB
+    with pytest.raises(AssertionError):  # 2 * (6 + 7) bits: in budget, as for the oracles
+        random_joint(6, 7, _NoDraws())
 
 
 @pytest.mark.parametrize("rows", [
