@@ -6,7 +6,7 @@ Run:  python3 demos/extract_from_files.py
 import tempfile
 from pathlib import Path
 
-from markovext import BitString, deor_extract
+from markovext import BitString, deor_descriptor
 from markovext.cli import main as xtract
 
 n, m = 16, 8
@@ -25,7 +25,7 @@ with tempfile.TemporaryDirectory() as tmp:
     assert rc == 0
 
     via_cli = (tmp / "y.bits").read_bytes()
-    via_lib = deor_extract(x1, x2, m).to_bytes()
+    via_lib = deor_descriptor(n, m).extract(x1, x2).to_bytes()
     print(f"x1 = {x1.value:#06x}, x2 = {x2.value:#06x}")
     print(f"cli output bytes: {via_cli.hex()}")
     print(f"lib output bytes: {via_lib.hex()}")

@@ -28,12 +28,9 @@ from .extractors import (
     compose,
     deor_descriptor,
     deor_error,
-    deor_extract,
     inner_product_descriptor,
     parity_seeded_descriptor,
-    rsh_one_bit,
     trevisan_descriptor,
-    trevisan_extract,
     trevisan_params,
     weak_design_build,
 )

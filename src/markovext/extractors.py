@@ -4,7 +4,8 @@
   classical error 2^{-(k1+k2+1-n-m)/2}; InnerProduct {n} is <x1, x2> over GF(2)^n.
 * ParitySeeded {n, d}: <low d bits of x, seed>, with an exact error law.
 * TrevisanSeeded {n, m, eps}: a block weak design and a Reed-Solomon-Hadamard
-  one-bit extractor; building it adds the derived t and d to the params.
+  one-bit extractor; output bit i is the RSH bit of x under the seed bits at set
+  i's positions. Building it adds the derived t and d to the params.
 * Composed {outer, inner}: Ext''(x1, x2) = Ext'(x1, Ext(x1, x2)) for a seeded
   outer Ext' and an inner Ext strong in input 1.
 
@@ -97,7 +98,9 @@ class ExtractorDescriptor:
             design = weak_design_build(m, tp.t, universe_blocks=-(-tp.d // (tp.t * tp.t)))
             if tp.t // 2 not in IRREDUCIBLE_POLY:
                 raise ConstructionError(f"no GF(2^{tp.t // 2}) modulus available for t={tp.t}")
-            object.__setattr__(self, "_trevisan", (tp, design))
+            # what evaluate and error_law read: the threshold k and each set's seed positions
+            object.__setattr__(self, "_trevisan",
+                               (tp.k, tuple(tuple(sorted(st)) for st in design.sets)))
             dims, p = (n, design.d_universe, m), {"n": n, "m": m, "eps": eps, "t": tp.t, "d": tp.d}
         else:
             outer, inner = p["outer"], p["inner"]
@@ -142,8 +145,11 @@ class ExtractorDescriptor:
             # <low n2 bits of x1, x2>; for the inner product n2 = n1
             return parity(x1 & x2, self.n2)
         if family is ExtractorFamily.TREVISAN_SEEDED:
-            return trevisan_extract(
-                BitString(x1, self.n1), BitString(x2, self.n2), *self._trevisan).value
+            y, s = 0, self.params["t"] // 2
+            for i, positions in enumerate(self._trevisan[1]):
+                seed = sum(((x2 >> j) & 1) << b for b, j in enumerate(positions))
+                y |= _rsh_bit(x1, self.n1, seed, s) << i
+            return y
         outer, inner = self.params["outer"], self.params["inner"]
         return outer.evaluate(x1, inner.evaluate(x1, x2))
 
@@ -157,9 +163,7 @@ class ExtractorDescriptor:
         if family is ExtractorFamily.PARITY_SEEDED:
             return _parity_flat_error(self.n1, self.n2, k1)
         if family is ExtractorFamily.TREVISAN_SEEDED:
-            if not math.isfinite(k1):
-                raise DomainError(f"entropy must be finite, got k={k1}")
-            return self.params["eps"] if k1 >= self._trevisan[0].k else 1.0
+            return self.params["eps"] if _finite_entropy(k1) >= self._trevisan[0] else 1.0
         outer, inner = self.params["outer"], self.params["inner"]
         return min(1.0, inner.error_law(k1, k2) + outer.error_law(k1))
 
@@ -214,9 +218,14 @@ class ExtractorDescriptor:
 # DEOR
 # ---------------------------------------------------------------------------
 
-def deor_extract(x1: BitString, x2: BitString, m: int) -> BitString:
-    """The m low-order bits of x1 * x2 in GF(2^n), n = x1.length."""
-    return deor_descriptor(x1.length, m).extract(x1, x2)
+def _finite_entropy(k):
+    """k, or DomainError when it is not a finite real number."""
+    try:
+        if math.isfinite(k):
+            return k
+    except TypeError:  # a string, None
+        pass
+    raise DomainError(f"entropy must be finite, got k={k!r}")
 
 
 def deor_error(n: int, k1: float, k2: float, m: int) -> float:
@@ -224,10 +233,14 @@ def deor_error(n: int, k1: float, k2: float, m: int) -> float:
 
     Evaluated in double precision, clamped before exponentiating so that very
     low entropies give 1.0 rather than an overflow. Raises DomainError for a
-    non-finite entropy.
+    non-finite entropy or one that is not a real number.
     """
-    if not (math.isfinite(k1) and math.isfinite(k2)):
-        raise DomainError(f"entropies must be finite, got k1={k1}, k2={k2}")
+    try:  # not is_real, which would cost more than the law on the solver's bisection path
+        finite = math.isfinite(k1) and math.isfinite(k2)
+    except TypeError:  # a string, None
+        finite = False
+    if not finite:
+        raise DomainError(f"entropies must be finite, got k1={k1!r}, k2={k2!r}")
     e = -(k1 + k2 + 1 - n - m) / 2
     return 1.0 if e >= 0 else 2.0 ** e
 
@@ -388,42 +401,19 @@ def trevisan_params(n: int, m: int, eps: float) -> TrevisanParams:
         )
 
 
-def rsh_one_bit(x: BitString, seed: BitString) -> int:
-    """Reed-Solomon-Hadamard one-bit extractor.
+def _rsh_bit(x: int, n: int, seed: int, s: int) -> int:
+    """Reed-Solomon-Hadamard bit of the n-bit x under a 2s-bit seed, unchecked.
 
-    The seed splits into a field element alpha (low t/2 bits) and a Hadamard
-    mask beta (high t/2 bits); x is parsed as Reed-Solomon coefficients over
-    GF(2^{t/2}), evaluated at alpha, and the output is <encode(x)(alpha), beta>.
+    The seed splits into a field element alpha (low s bits) and a Hadamard mask
+    beta (high s bits); x is parsed as Reed-Solomon coefficients over GF(2^s),
+    evaluated at alpha, and the output is <encode(x)(alpha), beta>.
     """
-    t = seed.length
-    if t % 2:
-        raise InvalidArgumentError(f"seed length {t} must be even")
-    s = t // 2
-    if s not in IRREDUCIBLE_POLY:
-        raise InvalidArgumentError(f"no GF(2^{s}) modulus for seed length {t}")
     mask = (1 << s) - 1
-    alpha, beta = seed.value & mask, seed.value >> s
+    alpha, beta = seed & mask, seed >> s
     acc = 0
-    for j in reversed(range(-(-x.length // s))):  # Horner on coefficients c_0..c_{L-1}
-        acc = gf_mul(acc, alpha, s) ^ ((x.value >> (j * s)) & mask)
+    for j in reversed(range(-(-n // s))):  # Horner on coefficients c_0..c_{L-1}
+        acc = gf_mul(acc, alpha, s) ^ ((x >> (j * s)) & mask)
     return parity(acc & beta, s)
-
-
-def trevisan_extract(
-    x: BitString, seed: BitString, params: TrevisanParams, design: WeakDesign
-) -> BitString:
-    """Output bit i = one-bit RSH extractor on x with seed bits seed|_{S_i}."""
-    if seed.length != design.d_universe:
-        raise InvalidArgumentError(
-            f"seed length {seed.length} != design universe {design.d_universe}"
-        )
-    if design.t != params.t:
-        raise InvalidArgumentError("design set size does not match params.t")
-    y = 0
-    for i, st in enumerate(design.sets):
-        sub = sum(((seed.value >> j) & 1) << b for b, j in enumerate(sorted(st)))
-        y |= rsh_one_bit(x, BitString(sub, params.t)) << i
-    return BitString(y, len(design.sets))
 
 
 def trevisan_descriptor(n: int, m: int, eps: float) -> ExtractorDescriptor:
@@ -440,9 +430,7 @@ def _parity_flat_error(n: int, d: int, k: float) -> float:
     the worst case is a vertex of the occupancy polytope, found exactly by
     maximizing over all sign patterns with a greedy fill.
     """
-    if not math.isfinite(k):
-        raise DomainError(f"entropy must be finite, got k={k}")
-    size = math.ceil(2.0 ** k - 1e-12)
+    size = math.ceil(2.0 ** _finite_entropy(k) - 1e-12)
     if not 1 <= size <= 1 << n:
         raise DomainError(f"entropy k={k} out of range for n={n}")
     import numpy as np  # this law is the module's only numpy user

@@ -48,11 +48,16 @@ class SecurityAssessment:
         two_source = (SecurityModel.PLAIN, SecurityModel.SMOOTH_MARKOV, SecurityModel.SUBNORMALIZED)
         if self.l != 2 and self.model in two_source:
             raise DomainError(f"the {self.model.value} model is stated for two sources; got l={self.l}")
-        if not 0.0 <= self.error <= 1.0:
-            raise DomainError(f"error {self.error} outside [0, 1]")
+        if not (is_real(self.error) and 0.0 <= self.error <= 1.0):
+            raise DomainError(f"error {self.error!r} outside [0, 1]")
         if not all(is_real(k) and 0 <= k < math.inf for k in self.required_k):
             raise DomainError(f"entropy thresholds must be finite and non-negative, got "
                               f"{self.required_k!r}")
+        if not (isinstance(self.strong_in, (set, frozenset)) and all(
+                type(i) is int and 1 <= i <= self.l for i in self.strong_in)):
+            raise DomainError(f"strong_in must be a set of source indices in 1..{self.l}, "
+                              f"got {self.strong_in!r}")
+        object.__setattr__(self, "strong_in", frozenset(self.strong_in))
 
     def to_dict(self) -> dict:
         return {
@@ -74,13 +79,13 @@ class SmoothParams:
 
     def __post_init__(self):
         for v in (self.delta1, self.delta2, self.eps1, self.eps2):
-            if not 0.0 <= v <= 1.0:
+            if not (is_real(v) and 0.0 <= v <= 1.0):
                 raise DomainError("smoothing parameters must lie in [0, 1]")
 
 
 def _finite_entropies(k1p: float, k2p: float) -> None:
-    if not (math.isfinite(k1p) and math.isfinite(k2p)):
-        raise DomainError(f"entropies must be finite, got k1'={k1p}, k2'={k2p}")
+    if not (is_real(k1p) and is_real(k2p) and math.isfinite(k1p) and math.isfinite(k2p)):
+        raise DomainError(f"entropies must be finite reals, got k1'={k1p!r}, k2'={k2p!r}")
 
 
 def _markov_transfer(
@@ -89,10 +94,10 @@ def _markov_transfer(
 ) -> SecurityAssessment:
     """k_i -> k_i + log(1/eps); the error is error_of(mpf(eps), l, m), clamped to 1."""
     l, m = checked_index(l, "l"), checked_index(m, "m")
-    if not 0 < eps < 1:
-        raise DomainError(f"need 0 < eps < 1, got {eps}")
-    if not all(math.isfinite(ki) for ki in k):
-        raise DomainError(f"entropies must be finite, got k={tuple(k)}")
+    if not (is_real(eps) and 0 < eps < 1):
+        raise DomainError(f"need 0 < eps < 1, got {eps!r}")
+    if not all(is_real(ki) and math.isfinite(ki) for ki in k):
+        raise DomainError(f"entropies must be finite reals, got k={tuple(k)!r}")
     from mpmath import mp
 
     with mp.workprec(120):
@@ -150,8 +155,8 @@ def smooth_transfer(base: SecurityAssessment, s: SmoothParams) -> SecurityAssess
 
 def subnormalized_transfer(eps: float) -> float:
     """Factor-2 law for extraction from subnormalized states (entropies reduced by 1 bit)."""
-    if not (math.isfinite(eps) and eps >= 0):
-        raise DomainError(f"error must be finite and non-negative, got {eps}")
+    if not (is_real(eps) and math.isfinite(eps) and eps >= 0):
+        raise DomainError(f"error must be a finite non-negative real, got {eps!r}")
     return min(1.0, 2.0 * eps)
 
 
@@ -223,8 +228,8 @@ def raz_quantum_feasible(
     (sqrt(3)/2) * 2^{-m/4}.
     """
     n1, n2, m = checked_index(n1, "n1"), checked_index(n2, "n2"), checked_index(m, "m")
-    if not 0 < delta_p < 19 / 32:
-        raise DomainError(f"need 0 < delta' < 19/32, got {delta_p}")
+    if not (is_real(delta_p) and 0 < delta_p < 19 / 32):
+        raise DomainError(f"need 0 < delta' < 19/32, got {delta_p!r}")
     if m < 1:
         raise DomainError(f"output length m must be at least 1, got {m}")
     if n1 < 0 or n2 < 0:
@@ -272,7 +277,7 @@ def trevisan_composition_plan(
     are reported by name, never silently clamped. Non-finite entropies are
     domain errors.
     """
-    if not 0 < eps_p < 1 or not 0 < eps_pp < 1:
+    if not all(is_real(e) and 0 < e < 1 for e in (eps_p, eps_pp)):
         raise DomainError("errors must lie in (0, 1)")
     _finite_entropies(k1p, k2p)
     seed_need = trevisan_params(n, m_pp, eps_pp).d

@@ -472,6 +472,8 @@ def random_ccq_markov_state(
 
     Within each block the source is uniform on a random support and the
     C-component does not depend on x, so H_min(X_i|C) = -log2 sum_t p(t)/|S_t,i|.
+    Refused before the first draw when the components it could hold, n_blocks
+    (2^n1 + 2^n2) matrices of up to max_c_dim^2 entries, exceed the enumeration budget.
     """
     n1, n2 = checked_index(n1, "n1"), checked_index(n2, "n2")
     n_blocks = checked_index(n_blocks, "n_blocks")
@@ -479,6 +481,11 @@ def random_ccq_markov_state(
     if n1 < 0 or n2 < 0 or n_blocks < 1 or max_c_dim < 1:
         raise InvalidArgumentError(f"need n1, n2 >= 0 and n_blocks, max_c_dim >= 1, got "
                                    f"{n1}, {n2}, {n_blocks}, {max_c_dim}")
+    # log2(n_blocks * (2^n1 + 2^n2) * max_c_dim^2), without building 2^n1
+    bits = (max(n1, n2) + math.log2(1 + 2.0 ** -abs(n1 - n2))
+            + math.log2(n_blocks) + 2 * math.log2(max_c_dim))
+    if bits > sources.ENUMERATION_BUDGET_BITS:
+        raise ResourceBudgetError(f"random state of {bits:.1f} bits exceeds the enumeration budget")
     w = rng.random(n_blocks) + 0.1
     w /= w.sum()
     blocks = []

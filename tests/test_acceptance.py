@@ -17,7 +17,6 @@ from markovext.extractors import (
     compose,
     deor_descriptor,
     deor_error,
-    deor_extract,
     parity_seeded_descriptor,
     trevisan_params,
     weak_design_build,
@@ -229,7 +228,7 @@ def test_criterion_10_cli_determinism_and_equivalence(tmp_path, capsys):
     rc = cli_main(["extract", str(in1), str(in2), str(out),
                    "--family", "deor", "--n1", "8", "--m", "6"])
     assert rc == 0
-    expected = deor_extract(BitString(0xB5, 8), BitString(0x63, 8), 6)
+    expected = deor_descriptor(8, 6).extract(BitString(0xB5, 8), BitString(0x63, 8))
     assert out.read_bytes() == expected.to_bytes()
 
     runs = []

@@ -22,7 +22,6 @@ from markovext.extractors import (
     ExtractorDescriptor,
     compose,
     deor_descriptor,
-    deor_extract,
     inner_product_descriptor,
     parity_seeded_descriptor,
     trevisan_descriptor,
@@ -153,7 +152,7 @@ def test_extract_matches_library(tmp_path):
     rc = main(["extract", str(in1), str(in2), str(out),
                "--family", "deor", "--n1", "8", "--m", "4"])
     assert rc == 0
-    expected = deor_extract(BitString(0x2A, 8), BitString(0x0F, 8), 4)
+    expected = deor_descriptor(8, 4).extract(BitString(0x2A, 8), BitString(0x0F, 8))
     assert out.read_bytes() == expected.to_bytes()
 
 
@@ -186,7 +185,8 @@ def test_extract_descriptor_file(tmp_path):
     desc.write_text(json.dumps({"family": "DEOR", "n1": 8, "n2": 8, "m": 4, "params": {}}))
     rc = main(["extract", str(in1), str(in2), str(out), "--descriptor", str(desc)])
     assert rc == 0
-    assert out.read_bytes() == deor_extract(BitString(0x2A, 8), BitString(0x0F, 8), 4).to_bytes()
+    expected = deor_descriptor(8, 4).extract(BitString(0x2A, 8), BitString(0x0F, 8))
+    assert out.read_bytes() == expected.to_bytes()
 
 
 @pytest.mark.parametrize("fields", [

@@ -22,16 +22,13 @@ from markovext.extractors import (
     WEAK_DESIGN_OVERLAP,
     ExtractorDescriptor,
     ExtractorFamily,
-    TrevisanParams,
+    _rsh_bit,
     compose,
     deor_descriptor,
     deor_error,
-    deor_extract,
     inner_product_descriptor,
     parity_seeded_descriptor,
-    rsh_one_bit,
     trevisan_descriptor,
-    trevisan_extract,
     trevisan_params,
     weak_design_build,
 )
@@ -43,27 +40,27 @@ from markovext.extractors import (
 
 def test_deor_zero_factor():
     for x in range(16):
-        out = deor_extract(BitString(x, 4), BitString(0, 4), 2)
+        out = deor_descriptor(4, 2).extract(BitString(x, 4), BitString(0, 4))
         assert out.value == 0 and out.length == 2
 
 
 def test_deor_identity_factor():
     for x in range(256):
-        assert deor_extract(BitString(x, 8), BitString(1, 8), 8).value == x
+        assert deor_descriptor(8, 8).extract(BitString(x, 8), BitString(1, 8)).value == x
 
 
 def test_deor_gf4_example():
     # truncating the field product 0b1010 to the 2 low bits
-    assert deor_extract(BitString(0b0011, 4), BitString(0b0110, 4), 2).value == 0b10
+    assert deor_descriptor(4, 2).extract(BitString(0b0011, 4), BitString(0b0110, 4)).value == 0b10
 
 
 def test_deor_argument_errors():
     with pytest.raises(InvalidArgumentError):
-        deor_extract(BitString(0, 5), BitString(0, 5), 1)
+        deor_descriptor(5, 1).extract(BitString(0, 5), BitString(0, 5))
     with pytest.raises(InvalidArgumentError):
-        deor_extract(BitString(0, 4), BitString(0, 4), 5)
+        deor_descriptor(4, 5).extract(BitString(0, 4), BitString(0, 4))
     with pytest.raises(InvalidArgumentError):
-        deor_extract(BitString(0, 4), BitString(0, 3), 2)
+        deor_descriptor(4, 2).extract(BitString(0, 4), BitString(0, 3))
 
 
 def test_deor_error_values():
@@ -137,11 +134,6 @@ def test_weak_design_layout_search_takes_a_second_block():
 @pytest.mark.parametrize("build,error", [
     (lambda: weak_design_build(0, 4), ConstructionError),
     (lambda: weak_design_build(200, 4, universe_blocks=1), ConstructionError),
-    (lambda: trevisan_extract(BitString(0, 8), BitString(0, 100), *_toy_trevisan_parts()),
-     InvalidArgumentError),
-    (lambda: trevisan_extract(BitString(0, 8), BitString(0, 16),
-                              _toy_trevisan_parts()[0], weak_design_build(3, 4)),
-     InvalidArgumentError),
     (lambda: parity_seeded_descriptor(4, 2).error_law(5.0), DomainError),
     (lambda: deor_descriptor(8, 3).error_law(7.0), DomainError),
     (lambda: inner_product_descriptor(8).error_law(7.0), DomainError),
@@ -151,8 +143,7 @@ def test_weak_design_layout_search_takes_a_second_block():
     (lambda: weak_design_build(4, 4, universe_blocks=-1), InvalidArgumentError),
     (lambda: weak_design_build(4.0, 4), InvalidArgumentError),
     (lambda: weak_design_build(4, True), InvalidArgumentError),
-], ids=["design_no_sets", "design_one_block_of_200", "trevisan_seed_length",
-        "trevisan_design_t", "parity_k_above_n", "deor_law_without_k2",
+], ids=["design_no_sets", "design_one_block_of_200", "parity_k_above_n", "deor_law_without_k2",
         "inner_product_law_without_k2", "composed_law_without_k2", "design_zero_blocks",
         "design_negative_blocks", "design_float_m", "design_bool_t"])
 def test_constructions_refuse_out_of_range_input(build, error):
@@ -218,14 +209,7 @@ def test_rsh_matches_straight_line_oracle(t):
     for _ in range(200):
         x = BitString(rnd.randrange(256), 8)
         seed = BitString(rnd.randrange(1 << t), t)
-        assert rsh_one_bit(x, seed) == _rsh_oracle(x, seed)
-
-
-def test_rsh_rejects_odd_or_unsupported_seed():
-    with pytest.raises(InvalidArgumentError):
-        rsh_one_bit(BitString(0, 8), BitString(0, 5))
-    with pytest.raises(InvalidArgumentError):
-        rsh_one_bit(BitString(0, 8), BitString(0, 10))  # GF(2^5) not in the table
+        assert _rsh_bit(x.value, x.length, seed.value, t // 2) == _rsh_oracle(x, seed)
 
 
 def _toy_trevisan():
@@ -233,9 +217,10 @@ def _toy_trevisan():
     return trevisan_descriptor(8, 3, 0.75)
 
 
-def _toy_trevisan_parts():
-    """The (TrevisanParams, WeakDesign) pair of _toy_trevisan, rebuilt as the descriptor does."""
-    params = trevisan_params(8, 3, 0.75)
+def _toy_trevisan_parts(eps=0.75):
+    """The (TrevisanParams, WeakDesign) pair of trevisan_descriptor(8, 3, eps), rebuilt as the
+    descriptor builds it."""
+    params = trevisan_params(8, 3, eps)
     return params, weak_design_build(3, params.t, universe_blocks=-(-params.d // params.t ** 2))
 
 
@@ -250,18 +235,20 @@ def test_trevisan_descriptor_executes_and_is_deterministic():
     assert out1 == out2 and out1.length == 3
 
 
-def test_trevisan_m1_reduces_to_single_rsh():
-    p = trevisan_params(8, 4, 0.75)  # only used for its t
-    design = weak_design_build(1, 16)
-    params = TrevisanParams(t=16, a=1.0, k=10, d=256, t_exact=16.0, k_exact=10.0)
-    rnd = random.Random(3)
-    x = BitString(rnd.randrange(256), 8)
-    seed = BitString(rnd.randrange(1 << 256), 256)
-    out = trevisan_extract(x, seed, params, design)
-    sub = 0  # the seed bits at the positions of the set, lowest position lowest
-    for j in sorted(design.sets[0], reverse=True):
-        sub = (sub << 1) | ((seed.value >> j) & 1)
-    assert out.value == rsh_one_bit(x, BitString(sub, 16))
+@pytest.mark.parametrize("eps", [0.99, 0.95, 0.9, 0.75])
+def test_every_trevisan_output_bit_is_the_rsh_bit_of_its_set(eps):
+    d = trevisan_descriptor(8, 3, eps)
+    params, design = _toy_trevisan_parts(eps)
+    rnd = random.Random(int(100 * eps))
+    for _ in range(50):
+        x = BitString(rnd.randrange(256), 8)
+        seed = rnd.randrange(1 << d.n2)
+        out = d.extract(x, BitString(seed, d.n2)).value
+        for i, st in enumerate(design.sets):
+            sub = 0  # the seed bits at the positions of S_i, lowest position lowest
+            for j in sorted(st, reverse=True):
+                sub = (sub << 1) | ((seed >> j) & 1)
+            assert (out >> i) & 1 == _rsh_oracle(x, BitString(sub, params.t))
 
 
 def test_trevisan_output_bit_locality():

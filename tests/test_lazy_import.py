@@ -21,9 +21,8 @@ PUBLIC = {
     "errors": ["CertificationError", "CompositionError", "ConstructionError", "DomainError",
                "InvalidArgumentError", "MarkovExtError", "ResourceBudgetError"],
     "extractors": ["ExtractorDescriptor", "ExtractorFamily", "TrevisanParams", "WeakDesign",
-                   "compose", "deor_descriptor", "deor_error", "deor_extract",
-                   "inner_product_descriptor", "parity_seeded_descriptor", "rsh_one_bit",
-                   "trevisan_descriptor", "trevisan_extract", "trevisan_params",
+                   "compose", "deor_descriptor", "deor_error", "inner_product_descriptor",
+                   "parity_seeded_descriptor", "trevisan_descriptor", "trevisan_params",
                    "weak_design_build"],
     "paramcalc": ["CompositionPlan", "FeasibilityReport", "SecurityAssessment", "SecurityModel",
                   "SmoothParams", "classical_markov_transfer", "deor_quantum_corollary",
@@ -129,6 +128,15 @@ _REFUSED_CALCULUS = textwrap.dedent("""
         lambda: paramcalc.classical_markov_transfer((5, 5), 1.0, 2, 1),
         lambda: paramcalc.quantum_markov_transfer((5, nan), 0.1, 2, 1),
         lambda: trevisan_params(8, 3, 1.5),
+        lambda: paramcalc.deor_quantum_corollary(8, "4", 4, 2),
+        lambda: paramcalc.raz_quantum_feasible(64, 64, 40, 40, 1, "0.1"),
+        lambda: paramcalc.trevisan_composition_plan(64, 40, 40, "0.1", 4, 0.1),
+        lambda: paramcalc.subnormalized_transfer("0.1"),
+        lambda: paramcalc.classical_markov_transfer(("5", 5), 0.1, 2, 1),
+        lambda: paramcalc.classical_markov_transfer((5, 5), "0.1", 2, 1),
+        lambda: paramcalc.SecurityAssessment(paramcalc.SecurityModel.PLAIN, 2, (1.0, 1.0),
+                                             "0.5", 1),
+        lambda: paramcalc.SmoothParams("a", 0, 0, 0),
     ]
     for call in calls:
         try:

@@ -132,15 +132,54 @@ _INF, _NAN = math.inf, math.nan
      InvalidArgumentError),
     *[(lambda k=k: SecurityAssessment(SecurityModel.PLAIN, 2, k, 0.5, 1), DomainError)
       for k in ((1.0, _NAN), (_INF, 1.0), ("1", 1.0))],
+    (lambda: SecurityAssessment(SecurityModel.PLAIN, 2, (1.0, 1.0), "0.5", 1), DomainError),
+    (lambda: SecurityAssessment(SecurityModel.PLAIN, 2, (1.0, 1.0), True, 1), DomainError),
+    *[(lambda s=s: SecurityAssessment(SecurityModel.PLAIN, 2, (1.0, 1.0), 0.5, 1, s),
+       DomainError) for s in ({3}, {0}, {True}, {1, "x"}, {1.0}, [1, 2], None)],
+    (lambda: SmoothParams("a", 0, 0, 0), DomainError),
+    (lambda: SmoothParams(0, None, 0, 0), DomainError),
+    (lambda: SmoothParams(True, 0, 0, 0), DomainError),
+    (lambda: deor_quantum_corollary(8, "4", 4, 2), DomainError),
+    (lambda: deor_quantum_corollary(8, 4, True, 2), DomainError),
+    (lambda: classical_markov_transfer(("5", 5), 0.1, 2, 1), DomainError),
+    (lambda: classical_markov_transfer((5, 5), "0.1", 2, 1), DomainError),
+    (lambda: subnormalized_transfer("0.1"), DomainError),
+    (lambda: subnormalized_transfer(None), DomainError),
+    (lambda: raz_quantum_feasible(64, 64, 40, 40, 1, "0.1"), DomainError),
+    (lambda: raz_quantum_feasible(64, 64, "40", 40, 1, 0.1), DomainError),
+    (lambda: trevisan_composition_plan(64, 40, 40, "0.1", 4, 0.1), DomainError),
+    (lambda: trevisan_composition_plan(64, 40, 40, 0.1, 4, "0.1"), DomainError),
+    (lambda: solve_self_consistent_error(lambda a, b: 0.5, "8", 8), DomainError),
+    (lambda: deor_error(8, "1", 2, 1), DomainError),
+    (lambda: deor_error(8, 1, None, 1), DomainError),
+    (lambda: deor_descriptor(8, 2).error_law("3", 4), DomainError),
+    (lambda: trevisan_descriptor(8, 3, 0.9).error_law("3"), DomainError),
+    (lambda: parity_seeded_descriptor(8, 3).error_law(None), DomainError),
 ], ids=["corollary_k_inf", "corollary_k_nan", "corollary_n_negative", "corollary_m_above_n",
         "corollary_m_1.5", "raz_n1_negative", "raz_k_inf", "raz_m_1.5", "composition_k_inf",
         "composition_k_nan", "subnormalized_nan", "subnormalized_inf", "classical_k_inf",
         "quantum_k_nan", "classical_float_l_and_m", "classical_float_m", "quantum_bool_m",
         "quantum_string_l", "quantum_m_0", "assessment_m_negative", "assessment_float_l",
-        "assessment_nan_threshold", "assessment_inf_threshold", "assessment_string_threshold"])
+        "assessment_nan_threshold", "assessment_inf_threshold", "assessment_string_threshold",
+        "assessment_string_error", "assessment_bool_error", "assessment_strong_in_3",
+        "assessment_strong_in_0", "assessment_strong_in_bool", "assessment_strong_in_string",
+        "assessment_strong_in_float", "assessment_strong_in_list", "assessment_strong_in_none",
+        "smooth_string", "smooth_none", "smooth_bool", "corollary_string_k",
+        "corollary_bool_k", "classical_string_k", "classical_string_eps",
+        "subnormalized_string", "subnormalized_none", "raz_string_delta", "raz_string_k",
+        "composition_string_eps", "composition_string_outer_eps", "solver_string_k",
+        "deor_law_string_k1", "deor_law_none_k2", "deor_descriptor_law_string_k",
+        "trevisan_law_string_k", "parity_law_none_k"])
 def test_calculus_refuses_non_finite_and_non_integer_input(build, error):
     with pytest.raises(error):
         build()
+
+
+def test_assessment_holds_strong_in_as_a_frozenset():
+    a = SecurityAssessment(SecurityModel.PLAIN, 2, (1.0, 1.0), 0.5, 1, {2, 1})
+    assert a.strong_in == frozenset({1, 2}) and isinstance(a.strong_in, frozenset)
+    assert a.to_dict()["strong_in"] == [1, 2]
+    hash(a)
 
 
 def test_assessment_holds_l_and_m_as_ints():

@@ -241,6 +241,23 @@ def test_assemble_refuses_a_state_beyond_the_enumeration_budget():
         assemble(state)
 
 
+class _NoDraws:
+    """An rng whose draws fail: a generator that reaches them would allocate its state."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"drew from rng.{name}")
+
+
+def test_random_state_refuses_an_over_budget_state_before_drawing_it():
+    for args in [(26, 0, 1, 4),  # up to 16 GiB of components per block
+                 (21, 21, 2, 4),  # log2(2 * 2^22 * 16) = 27 bits
+                 (10 ** 9, 2, 1, 1)]:  # refused without building 2^n1
+        with pytest.raises(ResourceBudgetError):
+            random_ccq_markov_state(*args, _NoDraws())
+    with pytest.raises(AssertionError):  # 26 bits: in budget, so it goes on to draw
+        random_ccq_markov_state(20, 20, 2, 4, _NoDraws())
+
+
 def test_classical_embedding_matches_sources_distance():
     table = build_markov_table(3, 3, 2, 2, 2, seed=13)
     state = from_markov_table(table)
