@@ -233,8 +233,13 @@ def deor_error(n: int, k1: float, k2: float, m: int) -> float:
 
     Evaluated in double precision, clamped before exponentiating so that very
     low entropies give 1.0 rather than an overflow. Raises DomainError for a
-    non-finite entropy or one that is not a real number.
+    non-finite entropy or one that is not a real number, and for m outside [1, n];
+    n and m are taken only as integers.
     """
+    if not (type(n) is int and type(m) is int):  # the solver's path passes ints
+        n, m = checked_index(n, "n"), checked_index(m, "m")
+    if not 1 <= m <= n:
+        raise DomainError(f"need 1 <= m <= n, got n={n}, m={m}")
     try:  # not is_real, which would cost more than the law on the solver's bisection path
         finite = math.isfinite(k1) and math.isfinite(k2)
     except TypeError:  # a string, None

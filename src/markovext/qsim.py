@@ -20,7 +20,6 @@ from . import sources
 from .errors import (
     CertificationError,
     InvalidArgumentError,
-    ResourceBudgetError,
     checked_index,
     is_real,
     numeric_array,
@@ -230,20 +229,29 @@ class CcqMarkovState:
 
     def side_information(self) -> np.ndarray:
         """rho_C as a dense matrix (block diagonal over t)."""
-        return _block_diagonal(
-            [b.weight * np.kron(sum(b.comp1), sum(b.comp2)) for b in self.blocks]
-        )
+        return _on_c(self, ())
+
+
+def _on_c(state: CcqMarkovState, given: Tuple[int, ...]) -> np.ndarray:
+    """Block-diagonal operators on C, one per value of the sources in `given`, x1 major,
+    the others summed out; refused before any Kronecker product beyond the budget."""
+    sources.check_budget(state.n1 * (1 in given) + state.n2 * (2 in given)
+                         + 2 * math.log2(state.c_dim), "operators on C")
+    # np.kron of two stacks is the stack of every kron(comp1[x1], comp2[x2]), x1 major;
+    # builtin sum adds the x-slices in order, where ndarray.sum may move the last bit
+    return _block_diagonal([
+        b.weight * np.kron(b.comp1 if 1 in given else sum(b.comp1),
+                           b.comp2 if 2 in given else sum(b.comp2))
+        for b in state.blocks
+    ])
 
 
 def assemble(state: CcqMarkovState) -> DensityOperator:
     """Dense density operator on X1 (x) X2 (x) C with orthogonal C-blocks; refused before
-    allocating when it would hold more than 2^ENUMERATION_BUDGET_BITS entries."""
+    allocating when it would not fit the enumeration budget."""
     xs, dc = 1 << (state.n1 + state.n2), state.c_dim
-    if 2 * math.log2(xs * dc) > sources.ENUMERATION_BUDGET_BITS:
-        raise ResourceBudgetError(f"dense state of {xs * dc} rows exceeds the enumeration budget")
-    # np.kron of the (2^n1, c1, c1) and (2^n2, c2, c2) stacks is the stack of every
-    # kron(comp1[x1], comp2[x2]), x1 major: rho_C(x1, x2) for all pairs in one product
-    cond = _block_diagonal([b.weight * np.kron(b.comp1, b.comp2) for b in state.blocks])
+    sources.check_budget(2 * math.log2(xs * dc), "dense state")
+    cond = _on_c(state, (1, 2))
     dense = np.zeros((xs, dc, xs, dc), dtype=complex)
     x = np.arange(xs)
     dense[x, :, x, :] = cond
@@ -293,10 +301,8 @@ def markov_cmi(state: CcqMarkovState) -> float:
 
 def _one_hot_outputs(ext: ExtractorDescriptor, n1: int, n2: int) -> np.ndarray:
     """Array H of shape (2^n1, 2^n2, M) with H[x1, x2, y] = [Ext(x1, x2) = y]; refused before
-    the output table is built when H would hold more than 2^ENUMERATION_BUDGET_BITS entries."""
-    if n1 + n2 + ext.m > sources.ENUMERATION_BUDGET_BITS:
-        raise ResourceBudgetError(
-            f"one-hot output of {n1} + {n2} + {ext.m} bits exceeds the enumeration budget")
+    the output table is built when H would not fit the enumeration budget."""
+    sources.check_budget(n1 + n2 + ext.m, "one-hot output")
     return np.eye(1 << ext.m)[sources.extractor_output_table(ext, n1, n2)]
 
 
@@ -374,21 +380,13 @@ def hmin_cq(components: Sequence[np.ndarray]) -> float:
     raise CertificationError("p_guess for |X| > 2 with quantum C is unsupported")
 
 
-def _marginal_components(state: CcqMarkovState, source: int) -> np.ndarray:
-    """(2^n_source, D, D) stack of the subnormalized operators on C, one per x_source."""
-    # builtin sum adds the x-slices in order; ndarray.sum may reorder and move the last bit
-    return _block_diagonal([
-        b.weight * (np.kron(b.comp1, sum(b.comp2)) if source == 1
-                    else np.kron(sum(b.comp1), b.comp2))
-        for b in state.blocks
-    ])
-
-
 def certify_hmin(state: CcqMarkovState, source: int) -> float:
     """Certified H_min(X_i|C): by-construction value if recorded, else hmin_cq."""
+    if source not in (1, 2):
+        raise InvalidArgumentError("source index must be 1 or 2")
     if state.certified_k is not None:
         return state.certified_k[source - 1]
-    return hmin_cq(_marginal_components(state, source))
+    return hmin_cq(_on_c(state, (source,)))
 
 
 # ---------------------------------------------------------------------------
@@ -484,8 +482,7 @@ def random_ccq_markov_state(
     # log2(n_blocks * (2^n1 + 2^n2) * max_c_dim^2), without building 2^n1
     bits = (max(n1, n2) + math.log2(1 + 2.0 ** -abs(n1 - n2))
             + math.log2(n_blocks) + 2 * math.log2(max_c_dim))
-    if bits > sources.ENUMERATION_BUDGET_BITS:
-        raise ResourceBudgetError(f"random state of {bits:.1f} bits exceeds the enumeration budget")
+    sources.check_budget(bits, "random state")
     w = rng.random(n_blocks) + 0.1
     w /= w.sum()
     blocks = []
@@ -516,7 +513,12 @@ def random_ccq_markov_state(
 
 
 def random_channel(dim: int, n_kraus: int, rng: np.random.Generator) -> List[np.ndarray]:
-    """Random CPTP map via a Haar-ish isometry (QR of a Ginibre matrix)."""
+    """Random CPTP map via a Haar-ish isometry (QR of a Ginibre matrix); refused before
+    the first draw when its n_kraus dim x dim operators would not fit the budget."""
+    dim, n_kraus = checked_index(dim, "dim"), checked_index(n_kraus, "n_kraus")
+    if dim < 1 or n_kraus < 1:
+        raise InvalidArgumentError(f"need dim, n_kraus >= 1, got {dim}, {n_kraus}")
+    sources.check_budget(math.log2(n_kraus) + 2 * math.log2(dim), "random channel")
     g = rng.normal(size=(dim * n_kraus, dim)) + 1j * rng.normal(size=(dim * n_kraus, dim))
     q, _ = np.linalg.qr(g)
     return [q[j * dim : (j + 1) * dim, :] for j in range(n_kraus)]

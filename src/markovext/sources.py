@@ -29,6 +29,13 @@ ROW_SUM_TOL = 1e-12
 ENUMERATION_BUDGET_BITS = 26
 
 
+def check_budget(bits: float, what: str) -> None:
+    """Refuse (ResourceBudgetError) `what`, of 2^bits entries, beyond the enumeration
+    budget: every oracle and generator asks this before it allocates."""
+    if bits > ENUMERATION_BUDGET_BITS:
+        raise ResourceBudgetError(f"{what} of {bits:g} bits exceeds the enumeration budget")
+
+
 @dataclass(frozen=True)
 class FlatSource:
     """Uniform distribution over a support set of n-bit strings."""
@@ -49,6 +56,7 @@ class FlatSource:
             raise InvalidArgumentError("support element out of range")
 
     def distribution(self) -> np.ndarray:
+        check_budget(self.n, "flat distribution")
         p = np.zeros(1 << self.n)
         p[list(self.support)] = 1.0 / len(self.support)
         return p
@@ -114,8 +122,7 @@ def extractor_output_table(ext: ExtractorDescriptor, n1: int, n2: int) -> np.nda
     """
     if ext.n1 != n1 or ext.n2 != n2:
         raise InvalidArgumentError("extractor dimensions do not match the table")
-    if n1 + n2 > ENUMERATION_BUDGET_BITS:
-        raise ResourceBudgetError(f"output table of {n1}+{n2} bits exceeds the budget")
+    check_budget(n1 + n2, "output table")
     T = ext.evaluate(np.arange(1 << n1)[:, None], np.arange(1 << n2)[None, :])
     T.flags.writeable = False
     return T
@@ -134,12 +141,9 @@ def statistical_distance_from_uniform(
     if not cond <= {"Z", "X1", "X2"}:
         raise InvalidArgumentError(f"unknown conditioning registers: {cond}")
     n1, n2 = table.n1, table.n2
-    if n1 + n2 + math.log2(table.z_card) > ENUMERATION_BUDGET_BITS:
-        raise ResourceBudgetError("joint support exceeds the enumeration budget")
+    check_budget(n1 + n2 + math.log2(table.z_card), "joint support")
     row_bits = n1 * ("X1" in cond) + n2 * ("X2" in cond)
-    if row_bits + ext.m > ENUMERATION_BUDGET_BITS:
-        raise ResourceBudgetError(
-            f"histogram of {row_bits} + {ext.m} bits exceeds the enumeration budget")
+    check_budget(row_bits + ext.m, "histogram")
     T = extractor_output_table(ext, n1, n2)
     M = 1 << ext.m
 
@@ -175,8 +179,7 @@ def _checked_joint(ext: ExtractorDescriptor, joint: np.ndarray) -> np.ndarray:
     (before its shape), to hold numbers only and to be a probability distribution.
     A float ndarray is used as given: it may hold 2^26 entries."""
     n1, n2 = ext.n1, ext.n2
-    if 2 * (n1 + n2) > ENUMERATION_BUDGET_BITS:
-        raise ResourceBudgetError("joint exceeds the enumeration budget")
+    check_budget(2 * (n1 + n2), "joint")
     joint = numeric_array(joint, float, "joint", copy=False)
     if joint.shape != (1 << n1, 1 << n2, 1 << n1, 1 << n2):
         raise InvalidArgumentError("joint shape must be (2^n1, 2^n2, 2^n1, 2^n2)")
@@ -229,6 +232,7 @@ def build_markov_table(
         raise ConstructionError("entropy target exceeds the source length")
     if target_k1 < 0 or target_k2 < 0 or z_card < 1:
         raise ConstructionError("invalid targets")
+    check_budget(math.log2(z_card) + max(n1, n2), "conditional rows")
     rng = np.random.default_rng(seed)
     pz = rng.random(z_card) + 0.1
     pz /= pz.sum()
@@ -245,10 +249,12 @@ def build_markov_table(
 
 
 def random_flat_source(n: int, k: int, rng: np.random.Generator) -> FlatSource:
-    """Uniformly random support of size 2^k."""
+    """Uniformly random support of size 2^k; refused before the draw when the source's
+    dense distribution would not fit the enumeration budget."""
     n, k = checked_index(n, "n"), checked_index(k, "k")
     if not 0 <= k <= n:
         raise InvalidArgumentError(f"need 0 <= k <= n, got k={k}, n={n}")
+    check_budget(n, "flat distribution")
     support = rng.choice(1 << n, size=1 << k, replace=False)
     return FlatSource(n, tuple(support.tolist()))
 
@@ -259,8 +265,7 @@ def random_joint(n1: int, n2: int, rng: np.random.Generator) -> np.ndarray:
     n1, n2 = checked_index(n1, "n1"), checked_index(n2, "n2")
     if n1 < 0 or n2 < 0:
         raise InvalidArgumentError(f"need n1, n2 >= 0, got n1={n1}, n2={n2}")
-    if 2 * (n1 + n2) > ENUMERATION_BUDGET_BITS:
-        raise ResourceBudgetError("joint exceeds the enumeration budget")
+    check_budget(2 * (n1 + n2), "joint")
     shape = (1 << n1, 1 << n2, 1 << n1, 1 << n2)
     j = rng.exponential(size=shape)
     return j / j.sum()

@@ -155,6 +155,11 @@ _INF, _NAN = math.inf, math.nan
     (lambda: deor_descriptor(8, 2).error_law("3", 4), DomainError),
     (lambda: trevisan_descriptor(8, 3, 0.9).error_law("3"), DomainError),
     (lambda: parity_seeded_descriptor(8, 3).error_law(None), DomainError),
+    (lambda: deor_error(8.5, 6, 6, 2), InvalidArgumentError),
+    (lambda: deor_error(8, 1, 2, "1"), InvalidArgumentError),
+    (lambda: deor_error(8, 6, 6, True), InvalidArgumentError),
+    (lambda: deor_error(8, 6, 6, 99), DomainError),
+    (lambda: deor_error(8, 6, 6, 0), DomainError),
 ], ids=["corollary_k_inf", "corollary_k_nan", "corollary_n_negative", "corollary_m_above_n",
         "corollary_m_1.5", "raz_n1_negative", "raz_k_inf", "raz_m_1.5", "composition_k_inf",
         "composition_k_nan", "subnormalized_nan", "subnormalized_inf", "classical_k_inf",
@@ -169,10 +174,15 @@ _INF, _NAN = math.inf, math.nan
         "subnormalized_string", "subnormalized_none", "raz_string_delta", "raz_string_k",
         "composition_string_eps", "composition_string_outer_eps", "solver_string_k",
         "deor_law_string_k1", "deor_law_none_k2", "deor_descriptor_law_string_k",
-        "trevisan_law_string_k", "parity_law_none_k"])
+        "trevisan_law_string_k", "parity_law_none_k", "deor_law_n_8.5", "deor_law_string_m",
+        "deor_law_bool_m", "deor_law_m_above_n", "deor_law_m_0"])
 def test_calculus_refuses_non_finite_and_non_integer_input(build, error):
     with pytest.raises(error):
         build()
+
+
+def test_deor_law_takes_numpy_integer_lengths():
+    assert deor_error(np.int64(8), 6, 6, np.int64(2)) == deor_error(8, 6, 6, 2)
 
 
 def test_assessment_holds_strong_in_as_a_frozenset():

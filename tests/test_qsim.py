@@ -1,12 +1,14 @@
 import dataclasses
 import hashlib
 import math
+from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from markovext import qsim
 from markovext.bitfield import BitString
 from markovext.errors import CertificationError, InvalidArgumentError, ResourceBudgetError
 from markovext.extractors import (
@@ -14,6 +16,7 @@ from markovext.extractors import (
     ExtractorFamily,
     deor_descriptor,
     inner_product_descriptor,
+    parity_seeded_descriptor,
 )
 from markovext.qsim import (
     TRACE_TOL,
@@ -38,8 +41,13 @@ from markovext.qsim import (
 )
 from markovext import sources
 from markovext.sources import (
+    FlatSource,
     MarkovSourceTable,
     build_markov_table,
+    distinguishing_event_statistic,
+    extractor_output_table,
+    random_flat_source,
+    random_joint,
     statistical_distance_from_uniform,
 )
 
@@ -329,6 +337,9 @@ def _state(**changes):
     *[lambda ck=ck: _state(certified_k=ck) for ck in (["1.0", "1.0"], [True, True])],
     *[lambda args=args: random_ccq_markov_state(*args, np.random.default_rng(0))
       for args in [(2, 2, 0, 2), (2, 2, 1, 0), (2.0, 2, 1, 2), (2, 2, True, 2), (2, -1, 1, 2)]],
+    *[lambda args=args: random_channel(*args, np.random.default_rng(0))
+      for args in [(2, 0), (0, 1), (2.0, 1), (True, 1), (2, "1")]],
+    *[lambda source=source: certify_hmin(_state(certified_k=None), source) for source in (0, 3)],
 ], ids=["negative_component", "not_hermitian", "weights_1.5_-0.5", "nan_entry", "inf_weight",
         "ragged_source", "non_square", "negative_n", "n_1.7", "n_string", "n_bool",
         "state_float_n", "hmin_cq_ragged",
@@ -341,7 +352,9 @@ def _state(**changes):
         "bool_among_floats_component", "bool_array_component", "density_numeric_strings",
         "hmin_cq_bools", "dict_string_weight", "dict_n_1.0", "dict_certified_k_strings",
         "dict_certified_k_bools", "random_no_blocks", "random_c_dim_0", "random_float_n1",
-        "random_bool_blocks", "random_negative_n2"])
+        "random_bool_blocks", "random_negative_n2", "channel_no_kraus", "channel_dim_0",
+        "channel_float_dim", "channel_bool_dim", "channel_string_kraus", "certify_source_0",
+        "certify_source_3"])
 def test_malformed_state_refused_when_built(build):
     with pytest.raises(InvalidArgumentError):
         build()
@@ -679,6 +692,91 @@ def test_one_hot_output_is_counted_against_the_enumeration_budget(monkeypatch):
         verify_quantum_bound(state, ext, 13, 13)
     with pytest.raises(ResourceBudgetError, match="one-hot"):
         channel_monotonicity_check(state, ext, [np.eye(1)])
+
+
+def _refuse_operators_on_c(monkeypatch):
+    def built(*args):
+        raise AssertionError("an operator on C was built")
+
+    monkeypatch.setattr(qsim, "_block_diagonal", built)
+    monkeypatch.setattr(np, "kron", built)
+
+
+def test_certification_refuses_an_over_budget_stack_before_building_it(monkeypatch):
+    """16 blocks of c1 = c2 = 4 at n1 = 11 store 2^19 entries, but the (2^11, 256, 256) stack
+    that certifies H_min(X1|C) would hold 2^27 (2 GiB): refused before any kron."""
+    block = CcqBlock(1 / 16, np.broadcast_to(np.eye(4) / (4 << 11), (1 << 11, 4, 4)),
+                     np.broadcast_to(np.eye(4) / 8, (2, 4, 4)))
+    state = CcqMarkovState(11, 1, (block,) * 16)
+    _refuse_operators_on_c(monkeypatch)
+    with pytest.raises(ResourceBudgetError, match="operators on C of 27 bits"):
+        certify_hmin(state, 1)
+    with pytest.raises(ResourceBudgetError):
+        verify_quantum_bound(state, parity_seeded_descriptor(11, 1), 1, 1)
+
+
+def test_side_information_refuses_an_over_budget_matrix_before_building_it(monkeypatch):
+    """4096 blocks of c1 = c2 = 2 at n1 = n2 = 1 store 2^16 entries, but rho_C has 2^28 and
+    the stack that certifies H_min(X1|C) 2^29: both refused before any kron."""
+    comp = np.stack([np.eye(2) / 4] * 2)
+    state = CcqMarkovState(1, 1, (CcqBlock(2.0 ** -12, comp, comp),) * 4096)
+    _refuse_operators_on_c(monkeypatch)
+    with pytest.raises(ResourceBudgetError, match="of 28 bits"):
+        state.side_information()
+    with pytest.raises(ResourceBudgetError, match="of 29 bits"):
+        certify_hmin(state, 2)
+
+
+def _small_state(n, c1, c2, certified=True):
+    """n1 = n2 = n, each X_i uniform and each C_i maximally mixed of dimension c_i."""
+    comps = [np.stack([np.eye(c) / (c << n)] * (1 << n)) for c in (c1, c2)]
+    return CcqMarkovState(n, n, (CcqBlock(1.0, *comps),),
+                          certified_k=(n, n) if certified else None)
+
+
+# Each site that asks `sources.check_budget`: a builder, run at the full budget, of the call
+# that the site refuses at a budget of 4 bits.
+BUDGET_SITES = {
+    "output_table": lambda: partial(extractor_output_table, inner_product_descriptor(3), 3, 3),
+    "joint_support": lambda: partial(statistical_distance_from_uniform, deor_descriptor(3, 1),
+                                     build_markov_table(3, 3, 2, 1, 1, seed=0)),
+    "histogram": lambda: partial(statistical_distance_from_uniform, deor_descriptor(2, 1),
+                                 build_markov_table(2, 2, 1, 1, 1, seed=0), ("X1", "X2")),
+    "checked_joint": lambda: partial(distinguishing_event_statistic, deor_descriptor(2, 1),
+                                     random_joint(2, 2, np.random.default_rng(0))),
+    "random_joint": lambda: partial(random_joint, 2, 1, _NoDraws()),
+    "flat_distribution": lambda: FlatSource(5, (0,)).distribution,
+    "from_flat_pair": lambda: partial(MarkovSourceTable.from_flat_pair,
+                                      FlatSource(5, (0,)), FlatSource(5, (1,))),
+    "build_markov_table": lambda: partial(build_markov_table, 4, 4, 2, 1, 1, 0),
+    "random_flat_source": lambda: partial(random_flat_source, 5, 1, _NoDraws()),
+    "assemble": lambda: partial(assemble, _small_state(1, 2, 1)),
+    "side_information": lambda: _small_state(1, 3, 2).side_information,
+    "certify_hmin": lambda: partial(certify_hmin, _small_state(1, 2, 2, certified=False), 1),
+    "one_hot_verify": lambda: partial(verify_quantum_bound, _small_state(2, 1, 1),
+                                      inner_product_descriptor(2), 1, 1),
+    "one_hot_channel": lambda: partial(apply_extractor_channel, assemble(_small_state(2, 1, 1)),
+                                       inner_product_descriptor(2), (4, 4, 1)),
+    "random_state": lambda: partial(random_ccq_markov_state, 2, 2, 2, 2, _NoDraws()),
+    "random_channel": lambda: partial(random_channel, 3, 2, _NoDraws()),
+}
+
+
+@pytest.mark.parametrize("site", BUDGET_SITES)
+def test_every_budget_site_refuses_before_allocating(site, monkeypatch):
+    attempt = BUDGET_SITES[site]()
+    extractor_output_table.cache_clear()  # a cached table returns without a check
+    monkeypatch.setattr(sources, "ENUMERATION_BUDGET_BITS", 4)
+    _refuse_operators_on_c(monkeypatch)
+
+    def allocated(*args, **kwargs):
+        raise AssertionError("allocated past the budget")
+
+    for owner, name in [(np, "zeros"), (np, "eye"), (np.random, "default_rng"),
+                        (ExtractorDescriptor, "evaluate")]:
+        monkeypatch.setattr(owner, name, allocated)
+    with pytest.raises(ResourceBudgetError):
+        attempt()
 
 
 def test_block_oracle_eigensolves_at_block_dimension(monkeypatch):

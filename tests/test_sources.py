@@ -181,12 +181,13 @@ def test_markov_table_keeps_read_only_copies_of_the_rows_it_checked():
     (lambda: FlatSource(1, (True,)), InvalidArgumentError),
     (lambda: random_joint(1, 1.0, np.random.default_rng(0)), InvalidArgumentError),
     (lambda: random_joint(-1, 2, np.random.default_rng(0)), InvalidArgumentError),
+    (lambda: random_flat_source(63, 1, np.random.default_rng(0)), ResourceBudgetError),
 ], ids=["empty_table", "hmin_source_3", "output_table_n", "output_table_28_bits",
         "joint_shape", "flat_negative_n", "flat_bool_n", "table_pz_numeric_string",
         "table_pz_bool", "table_pz_bool_among_floats", "markov_nan_target",
         "markov_infinite_target", "markov_string_target", "markov_float_n1", "markov_bool_z_card",
         "flat_bool_k", "random_flat_float_n", "flat_bool_element", "joint_float_n2",
-        "joint_negative_n1"])
+        "joint_negative_n1", "random_flat_63_bits"])
 def test_sources_refuse_malformed_input(build, error):
     with pytest.raises(error):
         build()
