@@ -10,6 +10,7 @@ cross-check.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
@@ -157,6 +158,19 @@ def _block_diagonal(parts: Sequence[np.ndarray]) -> np.ndarray:
     return out
 
 
+def _checked_weight(weight) -> float:
+    if not (is_real(weight) and math.isfinite(weight) and weight >= 0.0):
+        raise InvalidArgumentError(f"block weight {weight} is not finite and >= 0")
+    return float(weight)
+
+
+def _check_trace_sums(sums: np.ndarray) -> None:
+    """Each entry of `sums` is one cq stack's traces over x, summed: it must be 1."""
+    off = np.abs(sums - 1.0) > TRACE_TOL
+    if off.any():
+        raise InvalidArgumentError(f"cq component traces sum to {float(sums[off][0])}, not 1")
+
+
 @dataclass(frozen=True)
 class CcqBlock:
     """One direct-sum block: weight p(t) >= 0, held as a float, and per-source cq components.
@@ -172,15 +186,20 @@ class CcqBlock:
     comp2: np.ndarray
 
     def __post_init__(self):
-        if not (is_real(self.weight) and math.isfinite(self.weight) and self.weight >= 0.0):
-            raise InvalidArgumentError(f"block weight {self.weight} is not finite and >= 0")
-        object.__setattr__(self, "weight", float(self.weight))
+        object.__setattr__(self, "weight", _checked_weight(self.weight))
         for name in ("comp1", "comp2"):
             comp = _psd_matrices(getattr(self, name), 3, name)
-            tr = float(np.trace(comp, axis1=1, axis2=2).real.sum())
-            if abs(tr - 1.0) > TRACE_TOL:
-                raise InvalidArgumentError(f"cq component traces sum to {tr}, not 1")
+            _check_trace_sums(np.trace(comp, axis1=1, axis2=2).real.sum(keepdims=True))
             object.__setattr__(self, name, comp)
+
+    @classmethod
+    def _derived(cls, weight: float, comp1: np.ndarray, comp2: np.ndarray) -> "CcqBlock":
+        """Wrap the parts, stacks made read-only, without the check: `_checked_blocks` ran it."""
+        comp1.flags.writeable = comp2.flags.writeable = False
+        block = object.__new__(cls)
+        for name, value in (("weight", weight), ("comp1", comp1), ("comp2", comp2)):
+            object.__setattr__(block, name, value)
+        return block
 
     @property
     def c1_dim(self) -> int:
@@ -203,6 +222,13 @@ class CcqMarkovState:
     def __post_init__(self):
         for name in ("n1", "n2"):
             object.__setattr__(self, name, checked_index(getattr(self, name), name))
+        try:
+            blocks = tuple(self.blocks)
+        except TypeError:
+            blocks = None
+        if blocks is None or not all(isinstance(b, CcqBlock) for b in blocks):
+            raise InvalidArgumentError("blocks must be an iterable of CcqBlock")
+        object.__setattr__(self, "blocks", blocks)
         if self.n1 < 0 or self.n2 < 0:
             raise InvalidArgumentError("n1 and n2 must be non-negative")
         if self.certified_k is not None:
@@ -258,12 +284,37 @@ def assemble(state: CcqMarkovState) -> DensityOperator:
     return DensityOperator._derived(dense.reshape(xs * dc, xs * dc))
 
 
+def _checked_blocks(parts: Sequence[tuple]) -> Tuple[CcqBlock, ...]:
+    """`CcqBlock(w, comp1, comp2)` for each (w, comp1, comp2) in `parts`, with the
+    constructor's checks run on all the stacks in one batched eigensolve.
+
+    Every stack is zero-padded to the largest C dimension, which adds only zero
+    eigenvalues. Used only where the padded stack is bounded: every stack of
+    `from_markov_table` has c = 1, and the generator's budget counts max_c_dim. A caller's
+    c = 1 stack padded to another's c = 64 could be far larger than its input, so
+    `CcqBlock(...)` checks stack by stack.
+    """
+    weights = [_checked_weight(w) for w, _, _ in parts]
+    stacks = [np.asarray(c, dtype=complex) for _, *pair in parts for c in pair]
+    lengths = [len(c) for c in stacks]
+    dim = max(c.shape[-1] for c in stacks)
+    padded = np.zeros((sum(lengths), dim, dim), dtype=complex)
+    starts = [0, *itertools.accumulate(lengths[:-1])]
+    for start, c in zip(starts, stacks):
+        d = c.shape[-1]
+        padded[start : start + len(c), :d, :d] = c
+    padded = _psd_matrices(padded, 3, "cq components")
+    _check_trace_sums(np.add.reduceat(np.trace(padded, axis1=1, axis2=2).real, starts))
+    return tuple(CcqBlock._derived(w, c1, c2)
+                 for w, c1, c2 in zip(weights, stacks[::2], stacks[1::2]))
+
+
 def from_markov_table(table) -> CcqMarkovState:
     """Embed a classical Markov table as a Markov state with 1-dimensional C-blocks."""
-    blocks = tuple(
-        CcqBlock(weight=float(w), comp1=p1[:, None, None], comp2=p2[:, None, None])
+    blocks = _checked_blocks([
+        (float(w), p1[:, None, None], p2[:, None, None])
         for w, p1, p2 in zip(table.pz, table.px1_given_z, table.px2_given_z)
-    )
+    ])
     return CcqMarkovState(
         n1=table.n1,
         n2=table.n2,
@@ -307,7 +358,13 @@ def _one_hot_outputs(ext: ExtractorDescriptor, n1: int, n2: int) -> np.ndarray:
 
 
 def _output_blocks(state: CcqMarkovState, ext: ExtractorDescriptor) -> List[np.ndarray]:
-    """Per block t, the (M, d_t, d_t) array p(t) sum_{Ext(x1,x2)=y} A_t[x1] (x) B_t[x2]."""
+    """Per block t, the (M, d_t, d_t) array p(t) sum_{Ext(x1,x2)=y} A_t[x1] (x) B_t[x2];
+    refused before the first block when the largest partial sum over x2, or all the
+    blocks together, would not fit the enumeration budget."""
+    largest_c2 = max(b.c2_dim for b in state.blocks)
+    sources.check_budget(state.n1 + ext.m + 2 * math.log2(largest_c2), "output partial sum")
+    entries = sum((b.c1_dim * b.c2_dim) ** 2 for b in state.blocks)
+    sources.check_budget(ext.m + math.log2(entries), "output blocks")
     onehot = _one_hot_outputs(ext, state.n1, state.n2)
     out = []
     for b in state.blocks:
@@ -441,6 +498,7 @@ def channel_monotonicity_check(
     comp = sum(K.conj().T @ K for K in kraus)
     if np.abs(comp - np.eye(dc)).max() > HERMITIAN_TOL:
         raise InvalidArgumentError("Kraus operators do not satisfy the completeness relation")
+    sources.check_budget(ext.m + 2 * math.log2(dc), "dense output")
     out = _output_blocks(state, ext)
     before = _distance_to_uniform(out)
     # Kraus operators mix the C-blocks, so the channel acts on the dense form
@@ -485,7 +543,7 @@ def random_ccq_markov_state(
     sources.check_budget(bits, "random state")
     w = rng.random(n_blocks) + 0.1
     w /= w.sum()
-    blocks = []
+    parts = []
     guess1 = guess2 = 0.0
     for t in range(n_blocks):
         d1 = int(rng.integers(1, max_c_dim + 1))
@@ -503,11 +561,11 @@ def random_ccq_markov_state(
         comp2, s2 = flat_component(n2, sigma2)
         guess1 += w[t] / s1
         guess2 += w[t] / s2
-        blocks.append(CcqBlock(weight=float(w[t]), comp1=comp1, comp2=comp2))
+        parts.append((float(w[t]), comp1, comp2))
     return CcqMarkovState(
         n1=n1,
         n2=n2,
-        blocks=tuple(blocks),
+        blocks=_checked_blocks(parts),
         certified_k=(-math.log2(guess1), -math.log2(guess2)),
     )
 

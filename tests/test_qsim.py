@@ -205,10 +205,8 @@ def test_assemble_of_a_classical_table_matches_the_pairwise_kron_loop():
         assert assemble(state).matrix.tobytes() == _assemble_by_pairs(state).tobytes()
 
 
-def test_derived_operators_skip_the_check_and_are_read_only(monkeypatch):
-    rng = np.random.default_rng(4)
-    a, b = DensityOperator(random_density(2, rng)), DensityOperator(random_density(3, rng))
-    state = random_ccq_markov_state(2, 2, 2, 2, rng)
+def _counting_eigvalsh(monkeypatch):
+    """Replace np.linalg.eigvalsh by a wrapper; the returned list grows by one per call."""
     calls = []
     eigvalsh = np.linalg.eigvalsh
 
@@ -217,6 +215,14 @@ def test_derived_operators_skip_the_check_and_are_read_only(monkeypatch):
         return eigvalsh(*args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    return calls
+
+
+def test_derived_operators_skip_the_check_and_are_read_only(monkeypatch):
+    rng = np.random.default_rng(4)
+    a, b = DensityOperator(random_density(2, rng)), DensityOperator(random_density(3, rng))
+    state = random_ccq_markov_state(2, 2, 2, 2, rng)
+    calls = _counting_eigvalsh(monkeypatch)
     ab = tensor(a, b)
     rho = assemble(state)
     derived = [ab, partial_trace(ab, [2, 3], 0), rho,
@@ -286,6 +292,75 @@ def test_generated_state_matches_its_digest():
     assert h.hexdigest() == "c8c909fc829b8d3f268a476c86ef7ba10088243948b6ffa22ca533796fce8a2c"
 
 
+def test_generated_blocks_are_checked_in_one_eigensolve(monkeypatch):
+    calls = _counting_eigvalsh(monkeypatch)
+    for n_blocks in (1, 2, 5, 16):
+        calls.clear()
+        random_ccq_markov_state(2, 3, n_blocks, 4, np.random.default_rng(n_blocks))
+        assert len(calls) == 1
+    calls.clear()
+    from_markov_table(build_markov_table(3, 2, 4, 1, 1, seed=0))
+    assert len(calls) == 1
+
+
+def test_generated_blocks_pass_the_public_check():
+    """The one padded eigensolve admits only what CcqBlock(...) admits stack by stack."""
+    for seed in range(12):
+        for shape in [(0, 1, 1, 1), (1, 1, 3, 3), (2, 3, 2, 4), (3, 2, 4, 2), (3, 3, 3, 4)]:
+            state = random_ccq_markov_state(*shape, np.random.default_rng(seed))
+            for b in state.blocks:
+                rebuilt = CcqBlock(b.weight, b.comp1, b.comp2)
+                assert rebuilt.weight == b.weight
+                for got, want in [(b.comp1, rebuilt.comp1), (b.comp2, rebuilt.comp2)]:
+                    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+                    assert not got.flags.writeable
+
+
+@pytest.mark.parametrize("bad", [
+    np.diag([1.2, -0.2]),
+    np.array([[0.5, 0.3], [0.0, 0.5]]),
+    np.array([[0.5, 0.3j], [0.3j, 0.5]]),
+    np.eye(2) / 4,
+    np.array([[math.nan, 0.0], [0.0, 1.0]]),
+], ids=["eigenvalue_-0.2", "not_hermitian", "not_hermitian_imaginary", "trace_0.5", "nan_entry"])
+def test_batched_check_refuses_a_bad_draw(bad, monkeypatch):
+    """Seed 4 draws one block with c1 = 3 and c2 = 2: the bad 2 x 2 matrix is checked padded
+    to 3 x 3, and refused as CcqBlock(...) refuses it."""
+    block = random_ccq_markov_state(1, 1, 1, 3, np.random.default_rng(4)).blocks[0]
+    assert (block.c1_dim, block.c2_dim) == (3, 2)
+    drawn = qsim.random_density
+
+    def bad_draw(dim, rng):
+        sigma = drawn(dim, rng)  # drawn all the same, so later draws are unchanged
+        return bad if dim == 2 else sigma
+
+    monkeypatch.setattr(qsim, "random_density", bad_draw)
+    with pytest.raises(InvalidArgumentError):
+        random_ccq_markov_state(1, 1, 1, 3, np.random.default_rng(4))
+    with pytest.raises(InvalidArgumentError):
+        CcqBlock(block.weight, block.comp1, [bad / 2, bad / 2])
+
+
+def test_table_blocks_equal_the_per_block_checked_ones():
+    for seed, (n1, n2, z) in enumerate([(1, 1, 1), (2, 3, 2), (3, 2, 4), (4, 4, 3)]):
+        table = build_markov_table(n1, n2, z, 1, 1, seed=seed)
+        state = from_markov_table(table)
+        for b, w, p1, p2 in zip(state.blocks, table.pz, table.px1_given_z, table.px2_given_z):
+            want = CcqBlock(float(w), p1[:, None, None], p2[:, None, None])
+            assert type(b.weight) is float and b.weight == want.weight
+            for got, ref in [(b.comp1, want.comp1), (b.comp2, want.comp2)]:
+                assert got.shape == ref.shape and got.dtype == ref.dtype
+                assert got.tobytes() == ref.tobytes() and not got.flags.writeable
+
+
+def test_blocks_are_held_as_a_tuple():
+    block = CcqBlock(1.0, _HALF_I2, [_ONE, 0 * _ONE])
+    for blocks in ([block], iter([block]), (block,)):
+        state = CcqMarkovState(1, 1, blocks)
+        assert type(state.blocks) is tuple and len(state.blocks) == 1
+        assert state.blocks[0] is block
+
+
 _ONE = np.ones((1, 1))
 _HALF_I2 = [0.25 * np.eye(2), 0.25 * np.eye(2)]
 
@@ -340,6 +415,9 @@ def _state(**changes):
     *[lambda args=args: random_channel(*args, np.random.default_rng(0))
       for args in [(2, 0), (0, 1), (2.0, 1), (True, 1), (2, "1")]],
     *[lambda source=source: certify_hmin(_state(certified_k=None), source) for source in (0, 3)],
+    lambda: CcqMarkovState(1, 1, ("x",)),
+    lambda: CcqMarkovState(1, 1, CcqBlock(1.0, _HALF_I2, [_ONE, 0 * _ONE])),
+    lambda: CcqMarkovState(1, 1, None),
 ], ids=["negative_component", "not_hermitian", "weights_1.5_-0.5", "nan_entry", "inf_weight",
         "ragged_source", "non_square", "negative_n", "n_1.7", "n_string", "n_bool",
         "state_float_n", "hmin_cq_ragged",
@@ -354,7 +432,7 @@ def _state(**changes):
         "dict_certified_k_bools", "random_no_blocks", "random_c_dim_0", "random_float_n1",
         "random_bool_blocks", "random_negative_n2", "channel_no_kraus", "channel_dim_0",
         "channel_float_dim", "channel_bool_dim", "channel_string_kraus", "certify_source_0",
-        "certify_source_3"])
+        "certify_source_3", "blocks_of_strings", "bare_block", "blocks_none"])
 def test_malformed_state_refused_when_built(build):
     with pytest.raises(InvalidArgumentError):
         build()
@@ -776,6 +854,45 @@ def test_every_budget_site_refuses_before_allocating(site, monkeypatch):
                         (ExtractorDescriptor, "evaluate")]:
         monkeypatch.setattr(owner, name, allocated)
     with pytest.raises(ResourceBudgetError):
+        attempt()
+
+
+def _four_block_state():
+    """n1 = n2 = 2 and four blocks of c1 = c2 = 2, so D = c_dim = 16."""
+    comp = np.stack([np.eye(2) / 8] * 4)
+    return CcqMarkovState(2, 2, (CcqBlock(0.25, comp, comp),) * 4, certified_k=(2, 2))
+
+
+# Each intermediate of the extractor-output oracles, with the bits it counts and a call that
+# forms it: n1 + m + 2 log2 c2 (the partial sum over x2), m + log2 sum_t (c1 c2)^2 (the
+# blocks) and m + 2 log2 D (the dense output of the monotonicity check). The one-hot output,
+# n1 + n2 + m = 5 bits, fits every budget below.
+OUTPUT_SITES = {
+    "partial_sum": (7, lambda: verify_quantum_bound(_small_state(2, 1, 4),
+                                                    inner_product_descriptor(2), 1, 1)),
+    "output_block": (9, lambda: verify_quantum_bound(_small_state(2, 4, 4),
+                                                     inner_product_descriptor(2), 1, 1)),
+    "output_blocks": (7, lambda: verify_quantum_bound(_four_block_state(),  # 5 bits a block
+                                                      inner_product_descriptor(2), 1, 1)),
+    "dense_output": (9, lambda: channel_monotonicity_check(
+        _four_block_state(), inner_product_descriptor(2), [np.eye(16)])),
+}
+
+
+@pytest.mark.parametrize("site", OUTPUT_SITES)
+def test_output_intermediates_are_refused_before_they_are_allocated(site, monkeypatch):
+    bits, attempt = OUTPUT_SITES[site]
+
+    def allocated(*args, **kwargs):
+        raise AssertionError("allocated past the budget")
+
+    monkeypatch.setattr(np, "einsum", allocated)
+    monkeypatch.setattr(qsim, "_block_diagonal", allocated)
+    monkeypatch.setattr(sources, "ENUMERATION_BUDGET_BITS", bits - 1)
+    with pytest.raises(ResourceBudgetError, match=f"of {bits} bits"):
+        attempt()
+    monkeypatch.setattr(sources, "ENUMERATION_BUDGET_BITS", bits)
+    with pytest.raises(AssertionError):  # admitted, so it goes on to allocate
         attempt()
 
 
