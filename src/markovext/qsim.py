@@ -55,7 +55,7 @@ def _psd_matrices(a, ndim: int, what: str) -> np.ndarray:
     return m
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityOperator:
     """Hermitian positive semidefinite matrix with 0 < trace <= 1 (+ tolerance).
 
@@ -171,7 +171,7 @@ def _check_trace_sums(sums: np.ndarray) -> None:
         raise InvalidArgumentError(f"cq component traces sum to {float(sums[off][0])}, not 1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CcqBlock:
     """One direct-sum block: weight p(t) >= 0, held as a float, and per-source cq components.
 
@@ -210,7 +210,7 @@ class CcqBlock:
         return self.comp2.shape[-1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CcqMarkovState:
     """Direct sum over blocks t of p(t) * rho^t_{X1 C1^t} (x) rho^t_{X2 C2^t}."""
 

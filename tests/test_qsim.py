@@ -365,6 +365,18 @@ _ONE = np.ones((1, 1))
 _HALF_I2 = [0.25 * np.eye(2), 0.25 * np.eye(2)]
 
 
+@pytest.mark.parametrize("build", [
+    lambda: DensityOperator(np.eye(2) / 2),
+    lambda: CcqBlock(1.0, _HALF_I2, [_ONE, 0 * _ONE]),
+    lambda: CcqMarkovState(1, 1, (CcqBlock(1.0, _HALF_I2, [_ONE, 0 * _ONE]),)),
+], ids=["density_operator", "block", "state"])
+def test_equality_and_hash_go_by_identity(build):
+    # a generated __eq__ over array fields raised ValueError, and __hash__ TypeError
+    a, b = build(), build()
+    assert a == a and not a == b and a != b
+    assert hash(a) == hash(a) and len({a, b}) == 2
+
+
 def test_block_weight_is_stored_as_a_float():
     block = CcqBlock(np.float32(0.5), _HALF_I2, [_ONE, 0 * _ONE])
     assert type(block.weight) is float and block.weight == 0.5

@@ -70,6 +70,12 @@ def test_flat_source_basics():
         FlatSource(2, (0.0, 1.0))
 
 
+def test_flat_source_holds_its_support_as_a_tuple():
+    as_list, as_tuple = FlatSource(3, [0, 5]), FlatSource(3, (0, 5))
+    assert as_list.support == (0, 5) and as_list == as_tuple
+    assert hash(as_list) == hash(as_tuple)
+
+
 def test_markov_table_validation():
     with pytest.raises(InvalidArgumentError):
         MarkovSourceTable(np.array([0.5, 0.5]), np.ones((2, 4)) / 4, np.ones((1, 4)) / 4)
@@ -103,6 +109,47 @@ def test_markov_table_refuses_non_finite_entries(name, value):
     arrays[name].flat[-1] = value  # a NaN row sum passes the row-sum check
     with pytest.raises(InvalidArgumentError):
         MarkovSourceTable(arrays["pz"], arrays["px1_given_z"], arrays["px2_given_z"])
+
+
+_TABLE_FAULTS = {
+    "nan": (math.nan, "has non-finite entries"),
+    "inf": (math.inf, "has non-finite entries"),
+    "negative": (-1e-9, "has negative entries"),
+    "row_sum": (0.75, "rows must sum to 1"),
+}
+
+
+def _uniform_table_arrays():
+    return {"pz": np.array([0.5, 0.5]), "px1_given_z": np.ones((2, 4)) / 4,
+            "px2_given_z": np.ones((2, 4)) / 4}
+
+
+@pytest.mark.parametrize("fault", _TABLE_FAULTS)
+@pytest.mark.parametrize("name", ["pz", "px1_given_z", "px2_given_z"])
+def test_markov_table_names_the_array_and_the_fault(name, fault):
+    arrays = _uniform_table_arrays()
+    value, reason = _TABLE_FAULTS[fault]
+    arrays[name].flat[-1] = value
+    with pytest.raises(InvalidArgumentError, match=f"^{name} {reason}"):
+        MarkovSourceTable(*arrays.values())
+
+
+@pytest.mark.parametrize("faults,named", [
+    ({"pz": "row_sum", "px1_given_z": "nan"}, "pz rows must sum to 1"),
+    ({"pz": "row_sum", "px2_given_z": "negative"}, "pz rows must sum to 1"),
+    ({"px1_given_z": "row_sum", "px2_given_z": "inf"}, "px1_given_z rows must sum to 1"),
+    ({"px1_given_z": "negative", "px2_given_z": "nan"}, "px1_given_z has negative entries"),
+    ({"pz": "nan", "px1_given_z": "row_sum"}, "pz has non-finite entries"),
+    ({"px2_given_z": "row_sum", "pz": "negative"}, "pz has negative entries"),
+], ids=["pz_sum_px1_nan", "pz_sum_px2_negative", "px1_sum_px2_inf", "px1_negative_px2_nan",
+        "pz_nan_px1_sum", "px2_sum_pz_negative"])
+def test_markov_table_names_the_first_faulty_array_in_order(faults, named):
+    # the array-by-array order: every check of pz, then of px1_given_z, then of px2_given_z
+    arrays = _uniform_table_arrays()
+    for name, fault in faults.items():
+        arrays[name].flat[-1] = _TABLE_FAULTS[fault][0]
+    with pytest.raises(InvalidArgumentError, match=f"^{named}"):
+        MarkovSourceTable(*arrays.values())
 
 
 def test_markov_table_from_dict_refuses_nan():
@@ -153,7 +200,9 @@ def test_markov_table_keeps_read_only_copies_of_the_rows_it_checked():
     pz[0], px1[0, 0] = 7.0, -3.0
     assert (statistical_distance_from_uniform(ext, t), hmin_conditional(t, 1)) == before
     assert t.px2_given_z[0, 0] == 0.0  # admitted within ROW_SUM_TOL, stored as 0.0
-    for arr in (t.pz, t.px1_given_z, t.px2_given_z):
+    buf = t.pz.base  # the one checked buffer the three arrays are views of
+    assert t.px1_given_z.base is buf and t.px2_given_z.base is buf
+    for arr in (t.pz, t.px1_given_z, t.px2_given_z, buf):
         with pytest.raises(ValueError):
             arr[0] = 1.0
 
@@ -163,6 +212,13 @@ def test_markov_table_keeps_read_only_copies_of_the_rows_it_checked():
      InvalidArgumentError),
     (lambda: hmin_conditional(build_markov_table(2, 2, 1, 1, 1, seed=0), 3),
      InvalidArgumentError),
+    (lambda: hmin_conditional(build_markov_table(2, 2, 1, 1, 1, seed=0), True),
+     InvalidArgumentError),
+    (lambda: hmin_conditional(build_markov_table(2, 2, 1, 1, 1, seed=0), 1.0),
+     InvalidArgumentError),
+    *[(lambda c=c: statistical_distance_from_uniform(
+        deor_descriptor(2, 1), build_markov_table(2, 2, 1, 1, 1, seed=0), c),
+       InvalidArgumentError) for c in ("Z", "X1")],
     (lambda: extractor_output_table(deor_descriptor(4, 2), 4, 3), InvalidArgumentError),
     (lambda: extractor_output_table(inner_product_descriptor(14), 14, 14), ResourceBudgetError),
     (lambda: distinguishing_event_statistic(deor_descriptor(3, 2), np.full((8, 8, 64), 1 / 4096)),
@@ -182,9 +238,10 @@ def test_markov_table_keeps_read_only_copies_of_the_rows_it_checked():
     (lambda: random_joint(1, 1.0, np.random.default_rng(0)), InvalidArgumentError),
     (lambda: random_joint(-1, 2, np.random.default_rng(0)), InvalidArgumentError),
     (lambda: random_flat_source(63, 1, np.random.default_rng(0)), ResourceBudgetError),
-], ids=["empty_table", "hmin_source_3", "output_table_n", "output_table_28_bits",
-        "joint_shape", "flat_negative_n", "flat_bool_n", "table_pz_numeric_string",
-        "table_pz_bool", "table_pz_bool_among_floats", "markov_nan_target",
+], ids=["empty_table", "hmin_source_3", "hmin_source_bool", "hmin_source_float",
+        "distance_conditioned_on_str_Z", "distance_conditioned_on_str_X1", "output_table_n",
+        "output_table_28_bits", "joint_shape", "flat_negative_n", "flat_bool_n",
+        "table_pz_numeric_string", "table_pz_bool", "table_pz_bool_among_floats", "markov_nan_target",
         "markov_infinite_target", "markov_string_target", "markov_float_n1", "markov_bool_z_card",
         "flat_bool_k", "random_flat_float_n", "flat_bool_element", "joint_float_n2",
         "joint_negative_n1", "random_flat_63_bits"])
@@ -233,6 +290,7 @@ def test_hmin_uniform_is_n():
     t = build_markov_table(4, 4, 3, 4, 4, seed=0)
     assert hmin_conditional(t, 1) == pytest.approx(4.0, abs=1e-12)
     assert hmin_conditional(t, 2) == pytest.approx(4.0, abs=1e-12)
+    assert hmin_conditional(t, np.int64(1)) == hmin_conditional(t, 1)
 
 
 def test_hmin_point_mass_is_zero():
@@ -337,13 +395,13 @@ def _distance_repeat_tile(ext, table, conditioned_on) -> float:
 
 
 def _reference_tables(n: int, rng: np.random.Generator):
-    """Flat pairs with k < n, generated Markov tables with |Z| = 1..5, and
+    """Flat pairs with k < n, generated Markov tables with |Z| = 1..5 and 8, and
     Dirichlet tables with zero columns and entries of -5e-13 and -0.0."""
     for _ in range(2):
         k1, k2 = rng.integers(0, n, size=2)
         yield MarkovSourceTable.from_flat_pair(
             random_flat_source(n, int(k1), rng), random_flat_source(n, int(k2), rng))
-    for z_card in range(1, 6):
+    for z_card in (1, 2, 3, 4, 5, 8):
         yield build_markov_table(n, n, z_card, rng.uniform(0, n), rng.uniform(0, n),
                                  seed=int(rng.integers(1 << 16)))
     for z_card in (2, 4):
@@ -394,6 +452,29 @@ def test_histogram_is_counted_against_the_enumeration_budget(monkeypatch):
     for cond in (("X1", "X2"), ("Z", "X1", "X2")):
         with pytest.raises(ResourceBudgetError, match="histogram"):
             statistical_distance_from_uniform(ext, table, cond)
+
+
+def test_histogram_of_every_z_is_counted_against_the_enumeration_budget(monkeypatch):
+    """Every z's histogram is binned at once: given X1 and X2 at n = m = 2 one z has
+    2^6 cells, so at a 10-bit budget 16 values of z run and 17 are refused before
+    the output table and the histogram are built."""
+    ext = deor_descriptor(2, 2)
+    rng = np.random.default_rng(4)
+    tables = [MarkovSourceTable(rng.dirichlet(np.ones(zc)), *rng.dirichlet(np.ones(4), (2, zc)))
+              for zc in (16, 17)]
+    cond = ("Z", "X1", "X2")
+    want = _distance_repeat_tile(ext, tables[0], cond)
+    monkeypatch.setattr(sources, "ENUMERATION_BUDGET_BITS", 10)
+    assert statistical_distance_from_uniform(ext, tables[0], cond) == want
+
+    def fail(*args, **kwargs):
+        raise AssertionError("allocated")
+
+    monkeypatch.setattr(sources, "extractor_output_table", fail)
+    monkeypatch.setattr(np, "bincount", fail)
+    for c in (cond, ("X1", "X2")):
+        with pytest.raises(ResourceBudgetError, match="histogram"):
+            statistical_distance_from_uniform(ext, tables[1], c)
 
 
 def test_equal_descriptors_share_one_read_only_table():
