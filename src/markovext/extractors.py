@@ -27,7 +27,7 @@ from .errors import (
     DomainError,
     InvalidArgumentError,
     checked_index,
-    is_real,
+    checked_real,
 )
 
 WEAK_DESIGN_OVERLAP = 2 * math.e  # declared overlap parameter r
@@ -93,7 +93,8 @@ class ExtractorDescriptor:
                 raise InvalidArgumentError(f"need 1 <= d <= 4 and d <= n, got d={d}, n={n}")
             dims, p = (n, d, 1), {"n": n, "d": d}
         elif family is ExtractorFamily.TREVISAN_SEEDED:
-            n, m, eps = checked_index(p["n"], "n"), checked_index(p["m"], "m"), p["eps"]
+            n, m = checked_index(p["n"], "n"), checked_index(p["m"], "m")
+            eps = checked_real(p["eps"], "eps")
             tp = trevisan_params(n, m, eps)
             design = weak_design_build(m, tp.t, universe_blocks=-(-tp.d // (tp.t * tp.t)))
             if tp.t // 2 not in IRREDUCIBLE_POLY:
@@ -163,7 +164,7 @@ class ExtractorDescriptor:
         if family is ExtractorFamily.PARITY_SEEDED:
             return _parity_flat_error(self.n1, self.n2, k1)
         if family is ExtractorFamily.TREVISAN_SEEDED:
-            return self.params["eps"] if _finite_entropy(k1) >= self._trevisan[0] else 1.0
+            return self.params["eps"] if checked_real(k1, "entropy") >= self._trevisan[0] else 1.0
         outer, inner = self.params["outer"], self.params["inner"]
         return min(1.0, inner.error_law(k1, k2) + outer.error_law(k1))
 
@@ -218,16 +219,6 @@ class ExtractorDescriptor:
 # DEOR
 # ---------------------------------------------------------------------------
 
-def _finite_entropy(k):
-    """k, or DomainError when it is not a finite real number."""
-    try:
-        if math.isfinite(k):
-            return k
-    except TypeError:  # a string, None
-        pass
-    raise DomainError(f"entropy must be finite, got k={k!r}")
-
-
 def deor_error(n: int, k1: float, k2: float, m: int) -> float:
     """Classical error 2^{-(k1+k2+1-n-m)/2}, clamped to 1.
 
@@ -240,12 +231,7 @@ def deor_error(n: int, k1: float, k2: float, m: int) -> float:
         n, m = checked_index(n, "n"), checked_index(m, "m")
     if not 1 <= m <= n:
         raise DomainError(f"need 1 <= m <= n, got n={n}, m={m}")
-    try:  # not is_real, which would cost more than the law on the solver's bisection path
-        finite = math.isfinite(k1) and math.isfinite(k2)
-    except TypeError:  # a string, None
-        finite = False
-    if not finite:
-        raise DomainError(f"entropies must be finite, got k1={k1!r}, k2={k2!r}")
+    k1, k2 = checked_real(k1, "entropy k1"), checked_real(k2, "entropy k2")
     e = -(k1 + k2 + 1 - n - m) / 2
     return 1.0 if e >= 0 else 2.0 ** e
 
@@ -378,11 +364,9 @@ def trevisan_params(n: int, m: int, eps: float) -> TrevisanParams:
     n, m = checked_index(n, "n"), checked_index(m, "m")
     if not (n >= m >= 1):
         raise DomainError(f"need n >= m >= 1, got n={n}, m={m}")
-    if not is_real(eps):
-        raise DomainError(f"eps must be a real number, got {eps!r}")
+    eps = checked_real(eps, "eps")
     if not 0 < eps < 1:
         raise DomainError(f"need 0 < eps < 1, got {eps}")
-    eps = float(eps)  # mpmath takes no Fraction
     if m <= math.e:
         raise DomainError(f"m={m} <= e leaves log(m - e) undefined")
     from mpmath import mp
@@ -435,7 +419,10 @@ def _parity_flat_error(n: int, d: int, k: float) -> float:
     the worst case is a vertex of the occupancy polytope, found exactly by
     maximizing over all sign patterns with a greedy fill.
     """
-    size = math.ceil(2.0 ** _finite_entropy(k) - 1e-12)
+    # past n + 1 the size is out of range; 2.0 ** k overflows from k = 1024, so 2^e is a shift
+    capped = min(checked_real(k, "entropy"), n + 1)
+    e = max(0, math.floor(capped) - 1000)
+    size = math.ceil(2.0 ** (capped - e) - 1e-12) << e
     if not 1 <= size <= 1 << n:
         raise DomainError(f"entropy k={k} out of range for n={n}")
     import numpy as np  # this law is the module's only numpy user
@@ -451,7 +438,7 @@ def _parity_flat_error(n: int, d: int, k: float) -> float:
     top = vals[:, :q].sum(axis=1).astype(object)
     nxt = vals[:, min(q, D - 1)].astype(object)  # r = 0 when q = D
     best = max(0, (cap * top + r * nxt).max())
-    return min(1.0, best / (2.0 * D * size))
+    return min(1.0, best / (2 * D * size))  # ints: 2.0 * size would overflow past n = 1023
 
 
 def parity_seeded_descriptor(n: int, d: int) -> ExtractorDescriptor:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Optional, Sequence
 
-from .errors import DomainError, checked_index, is_real
+from .errors import DomainError, checked_index, checked_real
 from .extractors import trevisan_params
 
 
@@ -48,11 +48,13 @@ class SecurityAssessment:
         two_source = (SecurityModel.PLAIN, SecurityModel.SMOOTH_MARKOV, SecurityModel.SUBNORMALIZED)
         if self.l != 2 and self.model in two_source:
             raise DomainError(f"the {self.model.value} model is stated for two sources; got l={self.l}")
-        if not (is_real(self.error) and 0.0 <= self.error <= 1.0):
+        object.__setattr__(self, "error", checked_real(self.error, "error"))
+        if not 0.0 <= self.error <= 1.0:
             raise DomainError(f"error {self.error!r} outside [0, 1]")
-        if not all(is_real(k) and 0 <= k < math.inf for k in self.required_k):
-            raise DomainError(f"entropy thresholds must be finite and non-negative, got "
-                              f"{self.required_k!r}")
+        object.__setattr__(self, "required_k",
+                           tuple(checked_real(k, "entropy threshold") for k in self.required_k))
+        if min(self.required_k) < 0:
+            raise DomainError(f"entropy thresholds must be non-negative, got {self.required_k!r}")
         if not (isinstance(self.strong_in, (set, frozenset)) and all(
                 type(i) is int and 1 <= i <= self.l for i in self.strong_in)):
             raise DomainError(f"strong_in must be a set of source indices in 1..{self.l}, "
@@ -78,14 +80,11 @@ class SmoothParams:
     eps2: float
 
     def __post_init__(self):
-        for v in (self.delta1, self.delta2, self.eps1, self.eps2):
-            if not (is_real(v) and 0.0 <= v <= 1.0):
+        for name in ("delta1", "delta2", "eps1", "eps2"):
+            v = checked_real(getattr(self, name), name)
+            if not 0.0 <= v <= 1.0:
                 raise DomainError("smoothing parameters must lie in [0, 1]")
-
-
-def _finite_entropies(k1p: float, k2p: float) -> None:
-    if not (is_real(k1p) and is_real(k2p) and math.isfinite(k1p) and math.isfinite(k2p)):
-        raise DomainError(f"entropies must be finite reals, got k1'={k1p!r}, k2'={k2p!r}")
+            object.__setattr__(self, name, v)
 
 
 def _markov_transfer(
@@ -93,11 +92,10 @@ def _markov_transfer(
     strong_in,
 ) -> SecurityAssessment:
     """k_i -> k_i + log(1/eps); the error is error_of(mpf(eps), l, m), clamped to 1."""
-    l, m = checked_index(l, "l"), checked_index(m, "m")
-    if not (is_real(eps) and 0 < eps < 1):
+    l, m, eps = checked_index(l, "l"), checked_index(m, "m"), checked_real(eps, "eps")
+    if not 0 < eps < 1:
         raise DomainError(f"need 0 < eps < 1, got {eps!r}")
-    if not all(is_real(ki) and math.isfinite(ki) for ki in k):
-        raise DomainError(f"entropies must be finite reals, got k={tuple(k)!r}")
+    k = [checked_real(ki, "entropy") for ki in k]
     from mpmath import mp
 
     with mp.workprec(120):
@@ -155,8 +153,9 @@ def smooth_transfer(base: SecurityAssessment, s: SmoothParams) -> SecurityAssess
 
 def subnormalized_transfer(eps: float) -> float:
     """Factor-2 law for extraction from subnormalized states (entropies reduced by 1 bit)."""
-    if not (is_real(eps) and math.isfinite(eps) and eps >= 0):
-        raise DomainError(f"error must be a finite non-negative real, got {eps!r}")
+    eps = checked_real(eps, "error")
+    if eps < 0:
+        raise DomainError(f"error must be non-negative, got {eps!r}")
     return min(1.0, 2.0 * eps)
 
 
@@ -165,7 +164,7 @@ def deor_quantum_corollary(n: int, k1p: float, k2p: float, m: int) -> float:
     n, m = checked_index(n, "n"), checked_index(m, "m")
     if not 1 <= m <= n:
         raise DomainError(f"need 1 <= m <= n, got n={n}, m={m}")
-    _finite_entropies(k1p, k2p)
+    k1p, k2p = checked_real(k1p, "entropy k1'"), checked_real(k2p, "entropy k2'")
     from mpmath import mp
 
     with mp.workprec(120):
@@ -186,7 +185,7 @@ def solve_self_consistent_error(
     place, so the result is the limit of the bisection. Raises DomainError
     for a non-finite k1' or k2'.
     """
-    _finite_entropies(k1p, k2p)
+    k1p, k2p = checked_real(k1p, "entropy k1'"), checked_real(k2p, "entropy k2'")
 
     def f(log_eps: float) -> float:
         e = error_law(k1p + log_eps, k2p + log_eps)
@@ -228,13 +227,14 @@ def raz_quantum_feasible(
     (sqrt(3)/2) * 2^{-m/4}.
     """
     n1, n2, m = checked_index(n1, "n1"), checked_index(n2, "n2"), checked_index(m, "m")
-    if not (is_real(delta_p) and 0 < delta_p < 19 / 32):
+    delta_p = checked_real(delta_p, "delta'")
+    if not 0 < delta_p < 19 / 32:
         raise DomainError(f"need 0 < delta' < 19/32, got {delta_p!r}")
     if m < 1:
         raise DomainError(f"output length m must be at least 1, got {m}")
     if n1 < 0 or n2 < 0:
         raise DomainError(f"input lengths must be non-negative, got n1={n1}, n2={n2}")
-    _finite_entropies(k1p, k2p)
+    k1p, k2p = checked_real(k1p, "entropy k1'"), checked_real(k2p, "entropy k2'")
     from mpmath import mp
 
     violated = []
@@ -277,9 +277,10 @@ def trevisan_composition_plan(
     are reported by name, never silently clamped. Non-finite entropies are
     domain errors.
     """
-    if not all(is_real(e) and 0 < e < 1 for e in (eps_p, eps_pp)):
+    eps_p, eps_pp = checked_real(eps_p, "eps'"), checked_real(eps_pp, "eps''")
+    if not (0 < eps_p < 1 and 0 < eps_pp < 1):
         raise DomainError("errors must lie in (0, 1)")
-    _finite_entropies(k1p, k2p)
+    k1p, k2p = checked_real(k1p, "entropy k1'"), checked_real(k2p, "entropy k2'")
     seed_need = trevisan_params(n, m_pp, eps_pp).d
     from mpmath import mp
 

@@ -22,7 +22,7 @@ from .errors import (
     CertificationError,
     InvalidArgumentError,
     checked_index,
-    is_real,
+    checked_real,
     numeric_array,
 )
 from .extractors import ExtractorDescriptor
@@ -97,8 +97,16 @@ def tensor(a: DensityOperator, b: DensityOperator) -> DensityOperator:
     return DensityOperator._derived(np.kron(a.matrix, b.matrix))
 
 
+def _checked_dims(dims: Sequence[int]) -> List[int]:
+    """`dims` as a list of integer register dimensions, each at least 1."""
+    dims = [checked_index(d, "dimension") for d in dims]
+    if any(d < 1 for d in dims):
+        raise InvalidArgumentError(f"dimensions must be at least 1, got {dims}")
+    return dims
+
+
 def partial_trace(rho: DensityOperator, dims: Sequence[int], traced: int) -> DensityOperator:
-    dims = list(dims)
+    dims, traced = _checked_dims(dims), checked_index(traced, "traced index")
     if int(np.prod(dims)) != rho.dim:
         raise InvalidArgumentError(f"dims {dims} do not multiply to {rho.dim}")
     if not 0 <= traced < len(dims):
@@ -128,7 +136,7 @@ def von_neumann_entropy(rho: DensityOperator) -> float:
 
 def conditional_mutual_information(rho: DensityOperator, dims: Tuple[int, int, int]) -> float:
     """I(A:B|C) = H(AC) + H(BC) - H(C) - H(ABC) for a tripartite state."""
-    dA, dB, dC = dims
+    dA, dB, dC = _checked_dims(dims)
     if dA * dB * dC != rho.dim:
         raise InvalidArgumentError(f"dims {dims} do not multiply to {rho.dim}")
     rho_ac = partial_trace(rho, [dA, dB, dC], 1)
@@ -159,9 +167,10 @@ def _block_diagonal(parts: Sequence[np.ndarray]) -> np.ndarray:
 
 
 def _checked_weight(weight) -> float:
-    if not (is_real(weight) and math.isfinite(weight) and weight >= 0.0):
-        raise InvalidArgumentError(f"block weight {weight} is not finite and >= 0")
-    return float(weight)
+    w = checked_real(weight, "block weight", InvalidArgumentError)
+    if w < 0.0:
+        raise InvalidArgumentError(f"block weight {weight} is negative")
+    return w
 
 
 def _check_trace_sums(sums: np.ndarray) -> None:
@@ -233,15 +242,16 @@ class CcqMarkovState:
             raise InvalidArgumentError("n1 and n2 must be non-negative")
         if self.certified_k is not None:
             try:
-                ks = tuple(self.certified_k)
+                ks = tuple(checked_real(k, "certified_k entry", InvalidArgumentError)
+                           for k in self.certified_k)
             except TypeError:
                 ks = ()
-            # -log2(p_guess) may pass n by a few ulp; nan fails both comparisons
-            if len(ks) != 2 or not all(is_real(k) and -ENTROPY_TOL <= k <= n + ENTROPY_TOL
+            # -log2(p_guess) may pass n by a few ulp
+            if len(ks) != 2 or not all(-ENTROPY_TOL <= k <= n + ENTROPY_TOL
                                        for k, n in zip(ks, (self.n1, self.n2))):
                 raise InvalidArgumentError(
                     f"certified_k must be a pair of reals in [0, n_i], got {self.certified_k!r}")
-            object.__setattr__(self, "certified_k", tuple(map(float, ks)))
+            object.__setattr__(self, "certified_k", ks)
         w = sum(b.weight for b in self.blocks)
         if abs(w - 1.0) > sources.ROW_SUM_TOL:
             raise InvalidArgumentError(f"block weights sum to {w}, not 1")
@@ -396,7 +406,7 @@ def apply_extractor_channel(
     dims = (2^n1, 2^n2, dC). Off-diagonal blocks in the X1 X2 basis beyond
     tolerance raise InvalidArgumentError.
     """
-    d1, d2, dc = dims
+    d1, d2, dc = _checked_dims(dims)
     if d1 != 1 << ext.n1 or d2 != 1 << ext.n2:
         raise InvalidArgumentError("extractor dimensions do not match dims")
     if d1 * d2 * dc != rho.dim:
@@ -439,7 +449,7 @@ def hmin_cq(components: Sequence[np.ndarray]) -> float:
 
 def certify_hmin(state: CcqMarkovState, source: int) -> float:
     """Certified H_min(X_i|C): by-construction value if recorded, else hmin_cq."""
-    if source not in (1, 2):
+    if checked_index(source, "source index") not in (1, 2):
         raise InvalidArgumentError("source index must be 1 or 2")
     if state.certified_k is not None:
         return state.certified_k[source - 1]
@@ -464,8 +474,9 @@ def verify_quantum_bound(
 
     eps is the base extractor error at entropies (k1 - log(1/eps),
     k2 - log(1/eps)), solved self-consistently. The asserted (k1, k2) must
-    be certified by the state.
+    be certified by the state; each must be a finite real (DomainError).
     """
+    k1, k2 = checked_real(k1, "entropy k1"), checked_real(k2, "entropy k2")
     cert1, cert2 = certify_hmin(state, 1), certify_hmin(state, 2)
     if k1 > cert1 + ENTROPY_TOL or k2 > cert2 + ENTROPY_TOL:
         raise CertificationError(

@@ -16,11 +16,10 @@ import numpy as np
 
 from .errors import (
     ConstructionError,
-    DomainError,
     InvalidArgumentError,
     ResourceBudgetError,
     checked_index,
-    is_real,
+    checked_real,
     numeric_array,
 )
 from .extractors import ExtractorDescriptor
@@ -250,13 +249,15 @@ def build_markov_table(
     """Per-z flat conditionals whose supports are random and large enough that
     hmin_conditional meets the targets (exactly when 2^target is integral)."""
     n1, n2 = checked_index(n1, "n1"), checked_index(n2, "n2")
-    z_card = checked_index(z_card, "z_card")
-    if not all(is_real(t) and math.isfinite(t) for t in (target_k1, target_k2)):
-        raise DomainError(f"entropy targets must be finite, got {target_k1!r}, {target_k2!r}")
+    z_card, seed = checked_index(z_card, "z_card"), checked_index(seed, "seed")
+    target_k1 = checked_real(target_k1, "entropy target k1")
+    target_k2 = checked_real(target_k2, "entropy target k2")
     if target_k1 > n1 or target_k2 > n2:
         raise ConstructionError("entropy target exceeds the source length")
     if target_k1 < 0 or target_k2 < 0 or z_card < 1:
         raise ConstructionError("invalid targets")
+    if seed < 0:
+        raise InvalidArgumentError(f"seed must be non-negative, got {seed}")
     check_budget(math.log2(z_card) + max(n1, n2), "conditional rows")
     rng = np.random.default_rng(seed)
     pz = rng.random(z_card) + 0.1

@@ -4,7 +4,10 @@ import json
 import math
 import pickle
 import random
+from decimal import Decimal
+from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -285,6 +288,10 @@ def test_parity_error_law_uniform_source():
     ks = [3, 4, 5, 6, 7, 8]
     errs = [d.error_law(k) for k in ks]
     assert all(a >= b - 1e-15 for a, b in zip(errs, errs[1:]))
+    # past n = 1023, where 2.0 ** k overflows: a concentrated source leaks its bit, and the
+    # uniform one still gives 2^{-d-1}
+    big = parity_seeded_descriptor(1100, 3)
+    assert (big.error_law(1050.0), big.error_law(1100)) == (0.5, 2 ** -4)
 
 
 @functools.cache
@@ -348,7 +355,8 @@ def test_parity_error_law_at_d4_keeps_the_loop_values(n, d, k, expected):
     assert parity_seeded_descriptor(n, d).error_law(k) == expected
 
 
-@pytest.mark.parametrize("k", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("k", [math.nan, math.inf, -math.inf, True, 10 ** 400, Decimal("7")],
+                         ids=["nan", "inf", "-inf", "bool", "huge", "decimal"])
 @pytest.mark.parametrize("build", [
     lambda: parity_seeded_descriptor(8, 3),
     lambda: compose(parity_seeded_descriptor(8, 3), deor_descriptor(8, 3)),
@@ -465,6 +473,13 @@ def test_a_descriptor_is_a_family_and_its_params():
     t = ExtractorDescriptor(ExtractorFamily.TREVISAN_SEEDED, {"n": 8, "m": 3, "eps": 0.9})
     assert t == trevisan_descriptor(8, 3, 0.9)
     assert t.params == {"n": 8, "m": 3, "eps": 0.9, "t": 16, "d": 256}
+    # eps is kept as the float it is checked as, so any real gives the same descriptor
+    for eps, as_float in ((Fraction(9, 10), 0.9), (np.float64(0.9), 0.9),
+                          (np.float32(0.75), 0.75)):
+        d = trevisan_descriptor(8, 3, eps)
+        assert d == trevisan_descriptor(8, 3, as_float) and type(d.params["eps"]) is float
+        assert json.dumps(d.to_dict()) == json.dumps(trevisan_descriptor(8, 3, as_float).to_dict())
+        assert d.error_law(100) == as_float
 
 
 _DEOR_3_3 = deor_descriptor(3, 3)

@@ -1,6 +1,8 @@
 import functools
 import math
 import random
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -103,7 +105,7 @@ def test_calculus_refuses_out_of_domain_input(build):
         build()
 
 
-_INF, _NAN = math.inf, math.nan
+_INF, _NAN, _HUGE = math.inf, math.nan, 10 ** 400  # _HUGE: an int beyond the float range
 
 
 @pytest.mark.parametrize("build,error", [
@@ -160,6 +162,16 @@ _INF, _NAN = math.inf, math.nan
     (lambda: deor_error(8, 6, 6, True), InvalidArgumentError),
     (lambda: deor_error(8, 6, 6, 99), DomainError),
     (lambda: deor_error(8, 6, 6, 0), DomainError),
+    (lambda: deor_quantum_corollary(8, _HUGE, 8, 2), DomainError),
+    (lambda: quantum_markov_transfer((5, _HUGE), 0.1, 2, 1), DomainError),
+    (lambda: subnormalized_transfer(_HUGE), DomainError),
+    (lambda: raz_quantum_feasible(64, 64, 40, _HUGE, 1, 0.1), DomainError),
+    (lambda: trevisan_composition_plan(64, _HUGE, 40, 0.1, 4, 0.1), DomainError),
+    (lambda: SecurityAssessment(SecurityModel.PLAIN, 2, (1.0, _HUGE), 0.5, 1), DomainError),
+    (lambda: parity_seeded_descriptor(8, 3).error_law(_HUGE), DomainError),
+    (lambda: parity_seeded_descriptor(8, 3).error_law(1e300), DomainError),
+    (lambda: parity_seeded_descriptor(1100, 3).error_law(1101.5), DomainError),
+    (lambda: trevisan_descriptor(8, 3, 0.9).error_law(_HUGE), DomainError),
 ], ids=["corollary_k_inf", "corollary_k_nan", "corollary_n_negative", "corollary_m_above_n",
         "corollary_m_1.5", "raz_n1_negative", "raz_k_inf", "raz_m_1.5", "composition_k_inf",
         "composition_k_nan", "subnormalized_nan", "subnormalized_inf", "classical_k_inf",
@@ -175,7 +187,11 @@ _INF, _NAN = math.inf, math.nan
         "composition_string_eps", "composition_string_outer_eps", "solver_string_k",
         "deor_law_string_k1", "deor_law_none_k2", "deor_descriptor_law_string_k",
         "trevisan_law_string_k", "parity_law_none_k", "deor_law_n_8.5", "deor_law_string_m",
-        "deor_law_bool_m", "deor_law_m_above_n", "deor_law_m_0"])
+        "deor_law_bool_m", "deor_law_m_above_n", "deor_law_m_0", "corollary_huge_k",
+        "quantum_huge_k", "subnormalized_huge", "raz_huge_k", "composition_huge_k",
+        "assessment_huge_threshold", "parity_law_huge_k", "parity_law_k_1e300",
+        "parity_law_k_past_n_at_n_1100",
+        "trevisan_law_huge_k"])
 def test_calculus_refuses_non_finite_and_non_integer_input(build, error):
     with pytest.raises(error):
         build()
@@ -402,7 +418,9 @@ def test_solver_agrees_with_the_deor_closed_form():
         assert abs(eps - closed) <= 1e-14 * closed
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, _HUGE, -_HUGE, True,
+                                 Decimal("7")],
+                         ids=["nan", "inf", "-inf", "huge", "-huge", "bool", "decimal"])
 def test_solver_and_deor_law_refuse_non_finite_entropies(bad):
     law = lambda a, b: deor_error(64, a, b, 4)
     with pytest.raises(DomainError):
@@ -413,6 +431,19 @@ def test_solver_and_deor_law_refuse_non_finite_entropies(bad):
         deor_error(64, bad, 2.5, 4)
     with pytest.raises(DomainError):
         deor_error(64, 2.5, bad, 4)
+
+
+@pytest.mark.parametrize("x", [Fraction(7, 3), Fraction(1, 10), np.float32(1.5)],
+                         ids=["fraction_7_3", "fraction_1_10", "float32"])
+@pytest.mark.parametrize("call", [
+    lambda x: classical_markov_transfer((x, 5), 0.1, 2, 1),
+    lambda x: quantum_markov_transfer((5, x), 0.1, 2, 1),
+    lambda x: deor_quantum_corollary(8, x, 6, 2),
+    lambda x: raz_quantum_feasible(64, 64, 40, x, 1, 0.1),
+    lambda x: trevisan_composition_plan(64, x, 40, 0.1, 4, 0.1),
+], ids=["classical", "quantum", "corollary", "raz", "composition"])
+def test_calculus_takes_any_real_entropy_as_its_float(call, x):
+    assert call(x) == call(float(x))
 
 
 def test_deor_law_in_floats_matches_mpmath_at_53_bits():

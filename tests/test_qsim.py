@@ -10,7 +10,12 @@ from hypothesis import strategies as st
 
 from markovext import qsim
 from markovext.bitfield import BitString
-from markovext.errors import CertificationError, InvalidArgumentError, ResourceBudgetError
+from markovext.errors import (
+    CertificationError,
+    DomainError,
+    InvalidArgumentError,
+    ResourceBudgetError,
+)
 from markovext.extractors import (
     ExtractorDescriptor,
     ExtractorFamily,
@@ -403,12 +408,20 @@ def _state(**changes):
     lambda: CcqMarkovState(1.0, 1, (CcqBlock(1.0, _HALF_I2, [_ONE, 0 * _ONE]),)),
     lambda: hmin_cq([0.5 * np.eye(1), 0.25 * np.eye(2)]),
     lambda: partial_trace(DensityOperator(np.eye(4) / 4), [2, 2], 2),
+    *[lambda dims=dims, traced=traced: partial_trace(DensityOperator(np.eye(4) / 4), dims,
+                                                     traced)
+      for dims, traced in [([2, 2], 1.0), ([2, 2], True), ([2.0, 2.0], 0), ([-2, -2], 0)]],
     lambda: conditional_mutual_information(DensityOperator(np.eye(4) / 4), (2, 2, 2)),
+    *[lambda dims=dims: conditional_mutual_information(DensityOperator(np.eye(4) / 4), dims)
+      for dims in [(2.0, 2, 1), (-2, -2, 1)]],
     lambda: apply_extractor_channel(DensityOperator(np.eye(16) / 16), deor_descriptor(2, 1),
                                     (2, 8, 1)),
+    lambda: apply_extractor_channel(DensityOperator(np.eye(16) / 16), deor_descriptor(2, 1),
+                                    (4.0, 4, 1)),
     lambda: hmin_cq([0.3 * _ONE, 0.3 * _ONE]),
     lambda: CcqBlock("x", _HALF_I2, [_ONE, 0 * _ONE]),
     lambda: CcqBlock(None, _HALF_I2, [_ONE, 0 * _ONE]),
+    lambda: CcqBlock(10 ** 400, _HALF_I2, [_ONE, 0 * _ONE]),
     *[lambda ck=ck: _state(certified_k=ck)
       for ck in [("a", "b"), (math.nan, 5.0), (5.0, 0.5), (0.5, 1 + 2e-9), (-0.5, 0.5),
                  (True, 0.5), 0.5, (0.5, 0.5, 0.5), [1.0], [], 0]],
@@ -427,14 +440,21 @@ def _state(**changes):
     *[lambda args=args: random_channel(*args, np.random.default_rng(0))
       for args in [(2, 0), (0, 1), (2.0, 1), (True, 1), (2, "1")]],
     *[lambda source=source: certify_hmin(_state(certified_k=None), source) for source in (0, 3)],
+    *[lambda source=source: certify_hmin(_state(certified_k=None), source)
+      for source in (True, 1.0)],
+    *[lambda source=source: certify_hmin(
+        from_markov_table(build_markov_table(2, 2, 1, 1, 1, seed=0)), source)
+      for source in (True, 1.0)],
     lambda: CcqMarkovState(1, 1, ("x",)),
     lambda: CcqMarkovState(1, 1, CcqBlock(1.0, _HALF_I2, [_ONE, 0 * _ONE])),
     lambda: CcqMarkovState(1, 1, None),
 ], ids=["negative_component", "not_hermitian", "weights_1.5_-0.5", "nan_entry", "inf_weight",
         "ragged_source", "non_square", "negative_n", "n_1.7", "n_string", "n_bool",
         "state_float_n", "hmin_cq_ragged",
-        "partial_trace_index_2_of_2", "cmi_dims", "channel_dims", "hmin_cq_traces_0.6",
-        "string_weight", "null_weight", "certified_k_strings", "certified_k_nan",
+        "partial_trace_index_2_of_2", "partial_trace_float_index", "partial_trace_bool_index",
+        "partial_trace_float_dims", "partial_trace_negative_dims", "cmi_dims", "cmi_float_dims",
+        "cmi_negative_dims", "channel_dims", "channel_dims_float", "hmin_cq_traces_0.6",
+        "string_weight", "null_weight", "huge_weight", "certified_k_strings", "certified_k_nan",
         "certified_k_above_n", "certified_k_past_tolerance", "certified_k_negative",
         "certified_k_bool", "certified_k_scalar", "certified_k_triple",
         "certified_k_not_pair", "certified_k_empty", "certified_k_zero",
@@ -444,7 +464,9 @@ def _state(**changes):
         "dict_certified_k_bools", "random_no_blocks", "random_c_dim_0", "random_float_n1",
         "random_bool_blocks", "random_negative_n2", "channel_no_kraus", "channel_dim_0",
         "channel_float_dim", "channel_bool_dim", "channel_string_kraus", "certify_source_0",
-        "certify_source_3", "blocks_of_strings", "bare_block", "blocks_none"])
+        "certify_source_3", "certify_source_bool", "certify_source_float",
+        "certify_certified_source_bool", "certify_certified_source_float", "blocks_of_strings",
+        "bare_block", "blocks_none"])
 def test_malformed_state_refused_when_built(build):
     with pytest.raises(InvalidArgumentError):
         build()
@@ -712,6 +734,15 @@ def test_verify_quantum_bound_rejects_uncertified_claim():
     ext = deor_descriptor(3, 2)
     with pytest.raises(CertificationError):
         verify_quantum_bound(state, ext, state.certified_k[0] + 0.5, state.certified_k[1])
+
+
+@pytest.mark.parametrize("k", ["1", None, True, math.nan, 10 ** 400],
+                         ids=["str", "none", "bool", "nan", "huge"])
+def test_verify_quantum_bound_refuses_an_entropy_that_is_not_a_finite_real(k):
+    state = from_markov_table(build_markov_table(3, 3, 1, 3, 3, seed=0))
+    for k1, k2 in ((k, 3.0), (3.0, k)):
+        with pytest.raises(DomainError):
+            verify_quantum_bound(state, deor_descriptor(3, 2), k1, k2)
 
 
 def test_monotonicity_identity_channel():

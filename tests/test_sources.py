@@ -232,6 +232,9 @@ def test_markov_table_keeps_read_only_copies_of_the_rows_it_checked():
     (lambda: build_markov_table(3, 3, 2, "2", 2.0, 0), DomainError),
     (lambda: build_markov_table(3.0, 3, 2, 2.0, 2.0, 0), InvalidArgumentError),
     (lambda: build_markov_table(3, 3, True, 2.0, 2.0, 0), InvalidArgumentError),
+    (lambda: build_markov_table(3, 3, 2, 10 ** 400, 2.0, 0), DomainError),
+    *[(lambda seed=seed: build_markov_table(3, 3, 2, 2.0, 2.0, seed), InvalidArgumentError)
+      for seed in (-1, 1.5, "3", True)],
     (lambda: random_flat_source(3, True, np.random.default_rng(0)), InvalidArgumentError),
     (lambda: random_flat_source(3.0, 2, np.random.default_rng(0)), InvalidArgumentError),
     (lambda: FlatSource(1, (True,)), InvalidArgumentError),
@@ -243,6 +246,8 @@ def test_markov_table_keeps_read_only_copies_of_the_rows_it_checked():
         "output_table_28_bits", "joint_shape", "flat_negative_n", "flat_bool_n",
         "table_pz_numeric_string", "table_pz_bool", "table_pz_bool_among_floats", "markov_nan_target",
         "markov_infinite_target", "markov_string_target", "markov_float_n1", "markov_bool_z_card",
+        "markov_huge_target", "markov_seed_negative", "markov_seed_float", "markov_seed_string",
+        "markov_seed_bool",
         "flat_bool_k", "random_flat_float_n", "flat_bool_element", "joint_float_n2",
         "joint_negative_n1", "random_flat_63_bits"])
 def test_sources_refuse_malformed_input(build, error):
