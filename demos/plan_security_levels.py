@@ -4,30 +4,18 @@ classical and quantum Markov models.
 
 Run:  python3 demos/plan_security_levels.py
 """
-import math
-
-from markovext import (
-    classical_markov_transfer,
-    deor_error,
-    quantum_markov_transfer,
-    solve_self_consistent_error,
-)
+from markovext import SecurityModel, deor_descriptor, deor_error, markov_assessment
 
 n, m = 64, 4
+ext = deor_descriptor(n, m)
 
 print(f"two-source extractor: n={n}, m={m} output bits")
 print(f"{'k1=k2':>6}  {'plain':>12}  {'classical':>12}  {'quantum':>12}")
 for k in range(40, 65, 4):
     plain = deor_error(n, k, k, m)
-    # solve eps = law(k - log(1/eps)) so the Markov thresholds land on k
-    law = lambda a, b: deor_error(n, a, b, m)
-    eps = solve_self_consistent_error(law, k, k)
-    if eps >= 1.0:
-        classical = quantum = 1.0
-    else:
-        shift = math.log2(eps)
-        classical = classical_markov_transfer((k + shift, k + shift), eps, 2, m).error
-        quantum = quantum_markov_transfer((k + shift, k + shift), eps, 2, m).error
+    # the base error is solved so that the Markov thresholds land on k
+    classical = markov_assessment(SecurityModel.CLASSICAL_MARKOV, ext, k, k).error
+    quantum = markov_assessment(SecurityModel.QUANTUM_MARKOV, ext, k, k).error
     print(f"{k:>6}  {plain:>12.3e}  {classical:>12.3e}  {quantum:>12.3e}")
 
 print()

@@ -42,6 +42,7 @@ from .paramcalc import (
     SmoothParams,
     classical_markov_transfer,
     deor_quantum_corollary,
+    markov_assessment,
     quantum_markov_transfer,
     raz_quantum_feasible,
     smooth_transfer,

@@ -141,34 +141,33 @@ def _plan_assessment(args) -> dict:
         )
         return {**dataclasses.asdict(plan), "model": quantum, "family": "trevisan-composition"}
 
-    law = build_descriptor(args.family, args.n1, args.n2, m).error_law
+    ext = build_descriptor(args.family, args.n1, args.n2, m)
     if l > MAX_PLAN_SOURCES:
         raise ResourceBudgetError(f"--l must be at most {MAX_PLAN_SOURCES}, got {l}")
     ks = [k1, k2] + [k1] * (l - 2)
     if model == "plain":  # direct laws: no self-consistent solve
-        error = law(k1, k2)
+        error = ext.error_law(k1, k2)
     elif model == "subnormalized":
-        error = paramcalc.subnormalized_transfer(law(k1 + 1, k2 + 1))
+        error = paramcalc.subnormalized_transfer(ext.error_law(k1 + 1, k2 + 1))
     else:
-        if args.eps is not None:
+        markov = _MODELS["quantum-markov" if model == "smooth-markov" else model]  # the base
+        if args.eps is None:
+            if l != 2:
+                raise DomainError(f"the self-consistent solve is for l = 2; pass --eps for l={l}")
+            a = paramcalc.markov_assessment(markov, ext, k1, k2)
+        elif args.eps < 1.0:
             # user-supplied base error: asserted entropies are the base thresholds
-            eps, base_k = args.eps, ks
-        elif l != 2:
-            raise DomainError(f"the self-consistent solve is for l = 2; pass --eps for l={l}")
-        else:
-            eps = paramcalc.solve_self_consistent_error(law, k1, k2)
-            base_k = [k1 + math.log2(eps), k2 + math.log2(eps)]
-        if eps < 1.0:
             transfer = (paramcalc.classical_markov_transfer if model == "classical-markov"
                         else paramcalc.quantum_markov_transfer)
-            a = transfer(base_k, eps, l, m, {1, 2})
-            if model == "smooth-markov":
-                smooth = paramcalc.SmoothParams(args.delta1, args.delta2, args.eps1, args.eps2)
-                a = paramcalc.smooth_transfer(a, smooth)
-            return a.to_dict()
-        error = 1.0
+            a = transfer(ks, args.eps, l, m, ext.strong_in)
+        else:
+            a = paramcalc.SecurityAssessment(markov, l, tuple(ks), 1.0, m, ext.strong_in)
+        if model == "smooth-markov":
+            smooth = paramcalc.SmoothParams(args.delta1, args.delta2, args.eps1, args.eps2)
+            a = paramcalc.smooth_transfer(a, smooth)
+        return a.to_dict()
     return paramcalc.SecurityAssessment(
-        _MODELS[model], l, tuple(ks), error, m, frozenset({1, 2})).to_dict()
+        _MODELS[model], l, tuple(ks), error, m, ext.strong_in).to_dict()
 
 
 def cmd_plan(args) -> int:
@@ -183,7 +182,7 @@ def cmd_plan(args) -> int:
 
 def _read_bits(path: str, length: int) -> BitString:
     with open(path, "rb") as fh:
-        data = fh.read()
+        data = fh.read((length + 7) // 8)
     if len(data) * 8 < length:
         raise DomainError(f"{path} supplies {len(data) * 8} bits, need {length}")
     return BitString.from_bytes(data, length)

@@ -43,16 +43,14 @@ class SecurityAssessment:
             raise DomainError(f"need at least two sources, got l={self.l}")
         if self.m < 1:
             raise DomainError(f"need an output length m >= 1, got m={self.m}")
-        if len(self.required_k) != self.l:
-            raise DomainError(f"got {len(self.required_k)} entropy thresholds for l={self.l} sources")
+        object.__setattr__(self, "required_k",
+                           _thresholds(self.required_k, self.l, "entropy threshold"))
         two_source = (SecurityModel.PLAIN, SecurityModel.SMOOTH_MARKOV, SecurityModel.SUBNORMALIZED)
         if self.l != 2 and self.model in two_source:
             raise DomainError(f"the {self.model.value} model is stated for two sources; got l={self.l}")
         object.__setattr__(self, "error", checked_real(self.error, "error"))
         if not 0.0 <= self.error <= 1.0:
             raise DomainError(f"error {self.error!r} outside [0, 1]")
-        object.__setattr__(self, "required_k",
-                           tuple(checked_real(k, "entropy threshold") for k in self.required_k))
         if min(self.required_k) < 0:
             raise DomainError(f"entropy thresholds must be non-negative, got {self.required_k!r}")
         if not (isinstance(self.strong_in, (set, frozenset)) and all(
@@ -87,51 +85,64 @@ class SmoothParams:
             object.__setattr__(self, name, v)
 
 
+def _thresholds(k, l: int, what: str) -> tuple:
+    """k as a tuple of l finite reals, one per source; DomainError otherwise."""
+    if not isinstance(k, Sequence) or len(k) != l:
+        raise DomainError(f"need a sequence of l={l} {what}s, got {k!r}")
+    return tuple(checked_real(ki, what) for ki in k)
+
+
+def _markov_error(model: SecurityModel, eps: float, l: int, m: int) -> float:
+    """(l+1) * eps classically, sqrt((l+1) * eps * 2^(m-2)) quantumly; 120 bits, clamped to 1."""
+    from mpmath import mp
+
+    with mp.workprec(120):
+        error = (l + 1) * mp.mpf(eps)
+        if model is SecurityModel.QUANTUM_MARKOV:
+            error = mp.sqrt(error * mp.mpf(2) ** (m - 2))
+        return min(1.0, float(error))
+
+
 def _markov_transfer(
-    model: SecurityModel, error_of: Callable, k: Sequence[float], eps: float, l: int, m: int,
-    strong_in,
+    model: SecurityModel, k: Sequence[float], eps: float, l: int, m: int, strong_in
 ) -> SecurityAssessment:
-    """k_i -> k_i + log(1/eps); the error is error_of(mpf(eps), l, m), clamped to 1."""
+    """k_i -> k_i + log(1/eps); the error is the model's law at eps."""
     l, m, eps = checked_index(l, "l"), checked_index(m, "m"), checked_real(eps, "eps")
     if not 0 < eps < 1:
         raise DomainError(f"need 0 < eps < 1, got {eps!r}")
-    k = [checked_real(ki, "entropy") for ki in k]
+    k = _thresholds(k, l, "entropy")
     from mpmath import mp
 
     with mp.workprec(120):
         shift = -mp.log(mp.mpf(eps), 2)
         required = tuple(float(mp.mpf(ki) + shift) for ki in k)
-        # .real: the quantum law is complex for l < -1, which the assessment refuses
-        error = min(1.0, float(error_of(mp.mpf(eps), l, m).real))
-    return SecurityAssessment(
-        model=model,
-        l=l,
-        required_k=required,
-        error=error,
-        m=m,
-        strong_in=frozenset(strong_in),
-    )
+    return SecurityAssessment(model, l, required, _markov_error(model, eps, l, m), m,
+                              frozenset(strong_in))
 
 
 def classical_markov_transfer(
     k: Sequence[float], eps: float, l: int, m: int, strong_in=frozenset()
 ) -> SecurityAssessment:
     """k_i -> k_i + log(1/eps), error -> (l+1) * eps."""
-    return _markov_transfer(
-        SecurityModel.CLASSICAL_MARKOV, lambda e, l, m: (l + 1) * e, k, eps, l, m, strong_in
-    )
+    return _markov_transfer(SecurityModel.CLASSICAL_MARKOV, k, eps, l, m, strong_in)
 
 
 def quantum_markov_transfer(
     k: Sequence[float], eps: float, l: int, m: int, strong_in=frozenset()
 ) -> SecurityAssessment:
     """k_i -> k_i + log(1/eps), error -> sqrt((l+1) * eps * 2^(m-2))."""
-    def error_of(e, l, m):
-        from mpmath import mp
+    return _markov_transfer(SecurityModel.QUANTUM_MARKOV, k, eps, l, m, strong_in)
 
-        return mp.sqrt((l + 1) * e * mp.mpf(2) ** (m - 2))
 
-    return _markov_transfer(SecurityModel.QUANTUM_MARKOV, error_of, k, eps, l, m, strong_in)
+def markov_assessment(model: SecurityModel, ext, k1p: float, k2p: float) -> SecurityAssessment:
+    """The ClassicalMarkov or QuantumMarkov guarantee of ext at asserted entropies k1', k2':
+    its thresholds are k1', k2' and its error the model's law at the solved eps, or 1 where
+    eps is 1. Another model is a DomainError."""
+    if model is not SecurityModel.CLASSICAL_MARKOV and model is not SecurityModel.QUANTUM_MARKOV:
+        raise DomainError(f"the Markov models are ClassicalMarkov and QuantumMarkov, got {model!r}")
+    eps = solve_self_consistent_error(ext.error_law, k1p, k2p)
+    error = 1.0 if eps >= 1.0 else _markov_error(model, eps, 2, ext.m)
+    return SecurityAssessment(model, 2, (k1p, k2p), error, ext.m, ext.strong_in)
 
 
 def smooth_transfer(base: SecurityAssessment, s: SmoothParams) -> SecurityAssessment:
@@ -178,7 +189,8 @@ def solve_self_consistent_error(
     """Solve eps = error_law(k1' - log(1/eps), k2' - log(1/eps)) by bisection on log2(eps).
 
     Requires error_law non-increasing in each entropy, which makes the fixed
-    point unique on (0, 1]. The search runs over log2(eps) in [-2000, 0] with
+    point unique on (0, 1]. No source has negative min-entropy, so the law is
+    called at max(k, 0). The search runs over log2(eps) in [-2000, 0] with
     f(lo) < 0 <= f(hi) and stops exactly when the midpoint is no longer
     strictly between lo and hi. Then lo and hi are adjacent floats, the
     midpoint rounds to one of them, and further steps would leave both in
@@ -188,7 +200,8 @@ def solve_self_consistent_error(
     k1p, k2p = checked_real(k1p, "entropy k1'"), checked_real(k2p, "entropy k2'")
 
     def f(log_eps: float) -> float:
-        e = error_law(k1p + log_eps, k2p + log_eps)
+        k1, k2 = k1p + log_eps, k2p + log_eps  # not max(): its calls made a solve ~30 % slower
+        e = error_law(k1 if k1 > 0.0 else 0.0, k2 if k2 > 0.0 else 0.0)
         if e <= 0:
             return -math.inf
         return log_eps - math.log2(e)

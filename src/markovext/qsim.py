@@ -26,7 +26,7 @@ from .errors import (
     numeric_array,
 )
 from .extractors import ExtractorDescriptor
-from .paramcalc import quantum_markov_transfer, solve_self_consistent_error
+from .paramcalc import SecurityModel, markov_assessment
 
 HERMITIAN_TOL = 1e-10
 EIGENVALUE_TOL = 1e-10
@@ -483,11 +483,8 @@ def verify_quantum_bound(
             f"asserted entropies ({k1}, {k2}) exceed certified ({cert1:.6f}, {cert2:.6f})"
         )
     distance = _distance_to_uniform(_output_blocks(state, ext))
-    eps = solve_self_consistent_error(ext.error_law, k1, k2)
-    if eps >= 1.0:
-        bound = 1.0
-    else:
-        bound = quantum_markov_transfer([k1 + math.log2(eps)] * 2, eps, 2, ext.m).error
+    # a certified entropy may sit below 0 by rounding; no source has less than 0
+    bound = markov_assessment(SecurityModel.QUANTUM_MARKOV, ext, max(k1, 0.0), max(k2, 0.0)).error
     return BoundCheck(distance=distance, bound=bound, holds=distance <= bound + DISTANCE_SLACK)
 
 

@@ -19,9 +19,10 @@ def classical(seeds):
         table = sources.build_markov_table(6, 6, 2, 5.0, 5.0, s)
         k1p = sources.hmin_conditional(table, 1)
         k2p = sources.hmin_conditional(table, 2)
-        eps = paramcalc.solve_self_consistent_error(ext.error_law, k1p, k2p)
+        bound = paramcalc.markov_assessment(paramcalc.SecurityModel.CLASSICAL_MARKOV, ext,
+                                            k1p, k2p).error
         dist = sources.statistical_distance_from_uniform(ext, table, conditioned_on=("Z",))
-        yield s, dist, min(1.0, 3.0 * eps)
+        yield s, dist, bound
 
 
 def quantum(seeds):

@@ -108,6 +108,22 @@ def test_plan_at_error_1_carries_one_threshold_per_source(capsys):
     assert assessment["required_k"] == [6.0, 5.0, 6.0]
 
 
+@pytest.mark.parametrize("k", ["1", "60"])
+def test_plan_checks_the_smoothing_flags_at_every_error(k):
+    # at k = 1 the solved error is 1, at k = 60 it is below 1: both refuse --delta1 5
+    rc, err = _refused(["plan", "--model", "smooth-markov", "--family", "deor", "--n1", "64",
+                        "--n2", "64", "--m", "4", "--k1", k, "--k2", k, "--delta1", "5"])
+    assert rc == 3 and "smoothing" in err
+
+
+@pytest.mark.parametrize("model", ["classical-markov", "quantum-markov", "smooth-markov"])
+def test_plan_reports_the_asserted_entropies_as_thresholds(capsys, model):
+    rc, out = _run(capsys, ["plan", "--model", model, "--family", "deor", "--n1", "64",
+                            "--n2", "64", "--m", "4", "--k1", "57.77", "--k2", "57.77"])
+    assert rc == 0
+    assert json.loads(out)["assessment"]["required_k"] == [57.77, 57.77]
+
+
 def test_plan_request_records_the_outer_flags(capsys):
     argv = ["plan", "--model", "quantum-markov", "--family", "trevisan-composition",
             "--n1", "65536", "--n2", "65536", "--m", "4", "--k1", "62000", "--k2", "59000",
@@ -175,6 +191,32 @@ def test_extract_short_input_is_exit_3(tmp_path):
     rc = main(["extract", str(in1), str(in2), str(out),
                "--family", "deor", "--n1", "8", "--m", "2"])
     assert rc == 3
+
+
+class _EndlessInput(io.BytesIO):
+    """An input of 0xA5 bytes without end: read() fails unless it is given a size."""
+
+    def __init__(self, limit):
+        super().__init__()
+        self.limit = limit
+
+    def read(self, size=-1):
+        assert size is not None and 0 <= size <= self.limit, f"read({size})"
+        return b"\xa5" * size
+
+
+@pytest.mark.parametrize("family,n1,m", [("composed", 8, 3), ("deor", 3, 2), ("deor", 16, 4)])
+def test_extract_reads_only_the_bytes_it_needs(tmp_path, monkeypatch, family, n1, m):
+    out = tmp_path / "y"
+    ext = cli.build_descriptor(family, n1, None, m)
+    limit = -(-max(ext.n1, ext.n2) // 8)
+    monkeypatch.setattr(cli, "open", lambda path, mode="r": (
+        _EndlessInput(limit) if path in ("x1", "x2") else open(path, mode)), raising=False)
+    rc = main(["extract", "x1", "x2", str(out), "--family", family, "--n1", str(n1),
+               "--m", str(m)])
+    assert rc == 0
+    x1, x2 = (BitString.from_bytes(b"\xa5" * limit, n) for n in (ext.n1, ext.n2))
+    assert out.read_bytes() == ext.extract(x1, x2).to_bytes()
 
 
 def test_extract_descriptor_file(tmp_path):

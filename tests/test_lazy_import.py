@@ -26,7 +26,7 @@ PUBLIC = {
                    "weak_design_build"],
     "paramcalc": ["CompositionPlan", "FeasibilityReport", "SecurityAssessment", "SecurityModel",
                   "SmoothParams", "classical_markov_transfer", "deor_quantum_corollary",
-                  "quantum_markov_transfer", "raz_quantum_feasible", "smooth_transfer",
+                  "markov_assessment", "quantum_markov_transfer", "raz_quantum_feasible", "smooth_transfer",
                   "solve_self_consistent_error", "subnormalized_transfer",
                   "trevisan_composition_plan"],
     "sources": ["FlatSource", "MarkovSourceTable", "build_markov_table",
@@ -137,6 +137,8 @@ _REFUSED_CALCULUS = textwrap.dedent("""
         lambda: paramcalc.SecurityAssessment(paramcalc.SecurityModel.PLAIN, 2, (1.0, 1.0),
                                              "0.5", 1),
         lambda: paramcalc.SmoothParams("a", 0, 0, 0),
+        lambda: paramcalc.SecurityAssessment(paramcalc.SecurityModel.PLAIN, 2, 5.0, 0.5, 1),
+        lambda: paramcalc.classical_markov_transfer(5.0, 0.1, 2, 1),
     ]
     for call in calls:
         try:

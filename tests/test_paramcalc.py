@@ -1,5 +1,7 @@
+import ast
 import functools
 import math
+import os
 import random
 from decimal import Decimal
 from fractions import Fraction
@@ -23,6 +25,7 @@ from markovext.paramcalc import (
     SmoothParams,
     classical_markov_transfer,
     deor_quantum_corollary,
+    markov_assessment,
     quantum_markov_transfer,
     raz_quantum_feasible,
     smooth_transfer,
@@ -330,6 +333,105 @@ def test_self_consistent_error_is_a_fixed_point():
 def test_self_consistent_error_clamps_to_one():
     law = lambda a, b: 1.0
     assert solve_self_consistent_error(law, 10, 10) == 1.0
+
+
+def test_solver_never_asks_the_law_for_a_negative_entropy():
+    # the parity law refuses a negative entropy; a threshold below 0 admits what 0 admits
+    law = compose(parity_seeded_descriptor(8, 3), deor_descriptor(8, 3)).error_law
+    asked = []
+
+    def probe(a, b):
+        asked.append(min(a, b))
+        return law(a, b)
+
+    for k, expected in ((8, 0.467), (7, 0.640)):
+        eps = solve_self_consistent_error(probe, k, k)
+        assert eps == pytest.approx(expected, abs=1e-3)
+        assert eps == pytest.approx(law(k + math.log2(eps), k + math.log2(eps)), rel=1e-9)
+    assert min(asked) == 0.0
+
+
+_MARKOV = (SecurityModel.CLASSICAL_MARKOV, SecurityModel.QUANTUM_MARKOV)
+
+
+@pytest.mark.parametrize("model,transfer", zip(_MARKOV, (classical_markov_transfer,
+                                                        quantum_markov_transfer)))
+def test_markov_assessment_is_the_transfer_at_the_solved_error(model, transfer):
+    solved = clamped = 0
+    for law, n, m, k1, k2 in _deor_grid(24, 8):
+        ext = deor_descriptor(n, m)
+        a = markov_assessment(model, ext, k1, k2)
+        assert (a.model, a.l, a.required_k, a.m) == (model, 2, (k1, k2), m)
+        assert a.strong_in == ext.strong_in
+        eps = solve_self_consistent_error(law, k1, k2)
+        if eps < 1.0:
+            base = (k1 + math.log2(eps), k2 + math.log2(eps))
+            assert a.error == transfer(base, eps, 2, m).error
+            solved += 1
+        else:
+            assert a.error == 1.0
+            clamped += 1
+        if model is SecurityModel.CLASSICAL_MARKOV:  # the classical suite's old bound
+            assert a.error == min(1.0, 3.0 * eps)
+    assert solved and clamped
+
+
+@pytest.mark.parametrize("model", [SecurityModel.PLAIN, SecurityModel.SMOOTH_MARKOV,
+                                   SecurityModel.SUBNORMALIZED, "QuantumMarkov", None])
+def test_markov_assessment_refuses_a_model_that_is_not_markov(model):
+    with pytest.raises(DomainError):
+        markov_assessment(model, deor_descriptor(8, 2), 6, 6)
+
+
+def test_markov_assessment_refuses_a_negative_entropy():
+    for model in _MARKOV:
+        with pytest.raises(DomainError):
+            markov_assessment(model, deor_descriptor(8, 2), -1, 6)
+
+
+SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src", "markovext")
+_SOLVER_AND_TRANSFERS = ("solve_self_consistent_error", "classical_markov_transfer",
+                         "quantum_markov_transfer")
+
+
+def _references(path):
+    """(enclosing function, innermost `if` condition, name) for each reference to the solver
+    or a transfer, imports included; the package's re-exports in __init__.py do not count."""
+    found = []
+
+    def visit(node, where, branch):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        name = getattr(node, "id", None) or getattr(node, "attr", None)
+        if isinstance(node, (ast.Name, ast.Attribute)) and name in _SOLVER_AND_TRANSFERS:
+            found.append((where, branch, name))
+        if isinstance(node, ast.ImportFrom) and not path.endswith("__init__.py"):
+            found.extend((where, branch, a.name) for a in node.names
+                         if a.name in _SOLVER_AND_TRANSFERS + ("*",))
+        if isinstance(node, ast.If):
+            test = ast.unparse(node.test)
+            visit(node.test, where, branch)
+            for child in node.body:
+                visit(child, where, test)
+            for child in node.orelse:
+                visit(child, where, f"not {test}")
+            return
+        for child in ast.iter_child_nodes(node):
+            visit(child, where, branch)
+
+    with open(path) as fh:
+        visit(ast.parse(fh.read()), None, None)
+    return found
+
+
+def test_only_markov_assessment_and_the_eps_path_solve_or_transfer():
+    # paramcalc owns the solver and the transfers; the plan's --eps path is a transfer by
+    # definition (its thresholds are the base ones), every other caller asks markov_assessment
+    found = {name: _references(os.path.join(SRC, name)) for name in sorted(os.listdir(SRC))
+             if name.endswith(".py") and name != "paramcalc.py"}
+    assert {name: refs for name, refs in found.items() if refs} == {"cli.py": [
+        ("_plan_assessment", "args.eps < 1.0", "classical_markov_transfer"),
+        ("_plan_assessment", "args.eps < 1.0", "quantum_markov_transfer")]}
 
 
 def _bisect_200_steps(error_law, k1p, k2p):

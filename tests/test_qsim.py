@@ -19,10 +19,12 @@ from markovext.errors import (
 from markovext.extractors import (
     ExtractorDescriptor,
     ExtractorFamily,
+    compose,
     deor_descriptor,
     inner_product_descriptor,
     parity_seeded_descriptor,
 )
+from markovext.paramcalc import SecurityModel, markov_assessment
 from markovext.qsim import (
     TRACE_TOL,
     CcqBlock,
@@ -727,6 +729,24 @@ def test_verify_quantum_bound_uniform_trivial_c():
     d_classical = statistical_distance_from_uniform(ext, table, conditioned_on=())
     assert chk.distance == pytest.approx(d_classical, abs=1e-10)
     assert chk.holds and chk.bound >= chk.distance
+
+
+def test_verify_quantum_bound_runs_a_composed_descriptor():
+    # the solver probes the parity law only at entropies >= 0, which it accepts
+    state = from_markov_table(build_markov_table(3, 3, 1, 3, 3, seed=0))
+    ext = compose(parity_seeded_descriptor(3, 2), deor_descriptor(3, 2))
+    chk = verify_quantum_bound(state, ext, 3, 3)
+    assert chk.bound == markov_assessment(SecurityModel.QUANTUM_MARKOV, ext, 3, 3).error
+    assert chk.holds and ext.error_law(3, 3) == 0.625
+
+
+def test_verify_quantum_bound_takes_an_entropy_below_0_by_rounding():
+    # CcqMarkovState admits certified_k 1e-9 below 0; the generator gives -3.2e-16 for a
+    # block whose source is a point
+    comp = np.full((4, 1, 1), 0.25)
+    state = CcqMarkovState(2, 2, (CcqBlock(1.0, comp, comp),), certified_k=(2.0, -5e-10))
+    chk = verify_quantum_bound(state, deor_descriptor(2, 1), *state.certified_k)
+    assert chk.bound == 1.0 and chk.holds
 
 
 def test_verify_quantum_bound_rejects_uncertified_claim():
