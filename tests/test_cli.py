@@ -124,6 +124,18 @@ def test_plan_reports_the_asserted_entropies_as_thresholds(capsys, model):
     assert json.loads(out)["assessment"]["required_k"] == [57.77, 57.77]
 
 
+def test_plan_error_falls_as_the_entropy_rises_past_the_law_underflow(capsys):
+    # at n = 4096 the inner-product law underflows to 0 near k = 3200: an error below every eps
+    errors = []
+    for k in ("3000", "3200"):
+        rc, out = _run(capsys, ["plan", "--model", "quantum-markov", "--family", "inner-product",
+                                "--n1", "4096", "--n2", "4096", "--m", "1", "--k1", k, "--k2", k])
+        assert rc == 0
+        errors.append(json.loads(out)["assessment"]["error"])
+    assert errors[0] == pytest.approx(2.77e-72, rel=1e-2)
+    assert errors[1] == pytest.approx(math.sqrt(3 * 2.0 ** -576 / 2), rel=1e-12)  # eps = 2^-576
+
+
 def test_plan_request_records_the_outer_flags(capsys):
     argv = ["plan", "--model", "quantum-markov", "--family", "trevisan-composition",
             "--n1", "65536", "--n2", "65536", "--m", "4", "--k1", "62000", "--k2", "59000",

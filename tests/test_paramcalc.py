@@ -1,13 +1,17 @@
 import ast
+import collections
 import functools
 import math
 import os
 import random
+import statistics
 from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp
 
 from markovext.errors import DomainError, InvalidArgumentError
@@ -15,6 +19,7 @@ from markovext.extractors import (
     compose,
     deor_descriptor,
     deor_error,
+    inner_product_descriptor,
     parity_seeded_descriptor,
     trevisan_descriptor,
     trevisan_params,
@@ -100,9 +105,11 @@ _CLASSICAL = SecurityModel.CLASSICAL_MARKOV
     lambda: quantum_markov_transfer((5, 5), 0.1, -3, 1),
     lambda: deor_quantum_corollary(8, 6, 6, 0),
     lambda: trevisan_composition_plan(1 << 20, 700000, 700000, 1.5, 256, 2 ** -40),
+    lambda: SecurityAssessment("Plain", 2, (1.0, 1.0), 0.5, 1),
+    lambda: SecurityAssessment(None, 2, (1.0, 1.0), 0.5, 1),
 ], ids=["error_1.5", "negative_threshold", "l1", "two_thresholds_for_l3", "plain_l3",
         "subnormalized_l3", "smooth_l3", "quantum_l_negative", "corollary_m0",
-        "composition_eps_1.5"])
+        "composition_eps_1.5", "model_string", "model_none"])
 def test_calculus_refuses_out_of_domain_input(build):
     with pytest.raises(DomainError):
         build()
@@ -501,16 +508,160 @@ def test_solver_matches_the_200_step_bisection_bit_for_bit():
 
 
 def test_solver_law_evaluations_per_deor_solve():
-    # From a width of 2000 down to adjacent floats near log2(eps) <= -1 takes at
-    # most 63 halvings, plus the two end checks. Closer to eps = 1 the float
-    # spacing near log2(eps) shrinks and the count grows.
-    solved = 0
+    # The bisection alone took up to 66 (63 halvings from a width of 2000 down to
+    # adjacent floats near log2(eps) <= -1, plus the two end checks). The secant
+    # lands on the root of the linear DEOR law in two or three steps; the most on
+    # this grid, 31, is a solve where rounding of k' + log2(eps) makes f a staircase.
+    calls = []
     for law, _, _, k1, k2 in _deor_grid(8, 40):
         counted = _CountingLaw(law)
         if solve_self_consistent_error(counted, k1, k2) <= 0.5:
-            assert counted.calls <= 66
-            solved += 1
-    assert solved > 100
+            calls.append(counted.calls)
+    assert len(calls) > 100
+    assert max(calls) <= 31
+    assert sum(calls) / len(calls) <= 8
+
+
+def _bisect_to_adjacent_floats(error_law, k1p, k2p):
+    """Reference: the solver as it was before it narrowed a bracket first, a bisection
+    over [-2000, 0] that stops when lo and hi are adjacent floats."""
+
+    def f(log_eps):
+        k1, k2 = k1p + log_eps, k2p + log_eps
+        e = error_law(k1 if k1 > 0.0 else 0.0, k2 if k2 > 0.0 else 0.0)
+        if e <= 0:
+            return -math.inf
+        return log_eps - math.log2(e)
+
+    lo, hi = -2000.0, 0.0
+    if f(hi) <= 0:
+        return 1.0
+    if f(lo) >= 0:
+        return float(2.0 ** lo)
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi:
+        if f(mid) < 0:
+            lo = mid
+        else:
+            hi = mid
+        mid = 0.5 * (lo + hi)
+    return float(2.0 ** mid)
+
+
+_TREVISAN = trevisan_descriptor(8, 3, 0.9)
+_TREVISAN_K = trevisan_params(8, 3, 0.9).k
+
+
+def _law_cases(seed):
+    """(family, law, k1', k2') for every law family, k' kept where no law underflows to 0."""
+    rnd = random.Random(seed)
+    for n in (2, 3, 5, 8, 13, 32, 64):
+        for m in sorted({1, 2, n // 2 or 1, n}):
+            law = lambda a, b, n=n, m=m: deor_error(n, a, b, m)
+            yield from (("deor", law, rnd.uniform(0, n), rnd.uniform(0, n)) for _ in range(12))
+    for n in (8, 256, 2048):
+        law = inner_product_descriptor(n).error_law
+        yield from (("inner_product", law, rnd.uniform(0, n), rnd.uniform(0, n))
+                    for _ in range(20))
+    law = _composed_law()
+    yield from (("composed", law, rnd.uniform(5, 8), rnd.uniform(5, 8)) for _ in range(20))
+    # a step: the Trevisan law is 1 below k and eps = 0.9 from k on
+    yield from (("trevisan", _TREVISAN.error_law, rnd.uniform(_TREVISAN_K, _TREVISAN_K + 0.3),
+                 rnd.uniform(0, 18)) for _ in range(40))
+    for c in (1e-300, 2.0 ** -40, 0.25, 0.999):
+        yield from (("constant", lambda a, b, c=c: c, rnd.uniform(0, 64), rnd.uniform(0, 64))
+                    for _ in range(10))
+
+
+def test_solver_never_takes_more_law_evaluations_than_the_bisection_alone():
+    solved = collections.defaultdict(list)
+    for family, law, k1, k2 in _law_cases(11):
+        new, old = _CountingLaw(law), _CountingLaw(law)
+        eps = solve_self_consistent_error(new, k1, k2)
+        assert eps == _bisect_to_adjacent_floats(old, k1, k2)
+        assert new.calls <= old.calls, (family, k1, k2)
+        if eps < 1.0:
+            solved[family].append(new.calls)
+    assert set(solved) == {"deor", "inner_product", "composed", "trevisan", "constant"}
+    assert statistics.median(solved["deor"]) <= 8
+    assert statistics.median(solved["constant"]) <= 4
+
+
+_COMPOSED = _composed_law()
+
+
+@st.composite
+def _law_and_entropies(draw):
+    """(family, law, k1', k2'), the entropies mostly where eps < 1 and no law underflows to 0."""
+    family = draw(st.sampled_from(["deor", "inner_product", "composed", "trevisan", "constant"]))
+    if family == "deor":
+        n = draw(st.integers(2, 64))
+        m = draw(st.integers(1, max(1, n // 4)))
+        law, lo, hi = (lambda a, b: deor_error(n, a, b, m)), n / 2, n
+    elif family == "inner_product":
+        n = draw(st.sampled_from([2, 8, 64, 512, 2048]))  # at 2048 the law stays above 0
+        law, lo, hi = inner_product_descriptor(n).error_law, n / 2, n
+    elif family == "composed":
+        law, lo, hi = _COMPOSED, 6, 8
+    elif family == "trevisan":  # k2' is not read
+        law, lo, hi = _TREVISAN.error_law, _TREVISAN_K - 1, _TREVISAN_K + 2
+    else:
+        c = draw(st.floats(2.0 ** -1000, 1.0))
+        law, lo, hi = (lambda a, b: c), 0, 64
+    entropy = st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+    return family, law, draw(entropy), draw(entropy)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_law_and_entropies())
+def test_solver_matches_the_200_step_bisection_on_any_law(case):
+    _, law, k1, k2 = case
+    # the reference calls the law at k' + log2(eps) unclamped; the solver clamps it at 0
+    clamped = lambda a, b: law(max(a, 0.0), max(b, 0.0))
+    assert solve_self_consistent_error(law, k1, k2) == _bisect_200_steps(clamped, k1, k2)
+
+
+def test_solver_reads_a_law_value_of_0_as_an_error_below_every_eps():
+    # at n = 4096 the inner-product law at k1 = k2 = 3200 underflows to 0; more entropy
+    # must not give a worse error
+    law = inner_product_descriptor(4096).error_law
+    low, high = (solve_self_consistent_error(law, k, k) for k in (3000, 3200))
+    assert low == pytest.approx(2.0 ** -476, rel=1e-12)
+    assert high == 2.0 ** -576  # the fixed point of eps = 2^-(2 (3200 + log2 eps) - 4096) / 2
+    assert solve_self_consistent_error(lambda a, b: 0.0, 5, 5) == 0.0
+
+
+@pytest.mark.parametrize("value", [math.nan, -0.25, -math.inf, math.inf, "0.1", None, True],
+                         ids=["nan", "negative", "-inf", "inf", "string", "none", "bool"])
+def test_solver_refuses_a_law_value_that_is_not_a_non_negative_real(value):
+    with pytest.raises(DomainError, match="error law value"):
+        solve_self_consistent_error(lambda a, b: value, 5, 5)
+
+
+def test_classical_suite_solves_take_few_law_evaluations(monkeypatch):
+    # a timing-free guard for the solver's gain: a plain bisection takes ~64 per solve here
+    from markovext import extractors, paramcalc, suites
+
+    counts, inside = {"solves": 0, "evals": 0}, [False]
+    deor, solve = extractors.deor_error, paramcalc.solve_self_consistent_error
+
+    def counting_deor(*args):
+        counts["evals"] += inside[0]
+        return deor(*args)
+
+    def counting_solve(*args):
+        counts["solves"] += 1
+        inside[0] = True
+        try:
+            return solve(*args)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(extractors, "deor_error", counting_deor)
+    monkeypatch.setattr(paramcalc, "solve_self_consistent_error", counting_solve)
+    assert len(list(suites.classical(range(20)))) == 20
+    assert counts["solves"] == 20
+    assert counts["evals"] / counts["solves"] <= 12
 
 
 def test_solver_agrees_with_the_deor_closed_form():
