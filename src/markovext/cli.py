@@ -142,6 +142,8 @@ def _plan_assessment(args) -> dict:
         return {**dataclasses.asdict(plan), "model": quantum, "family": "trevisan-composition"}
 
     ext = build_descriptor(args.family, args.n1, args.n2, m)
+    if l < 2:
+        raise DomainError(f"--l (the number of sources) must be at least 2, got {l}")
     if l > MAX_PLAN_SOURCES:
         raise ResourceBudgetError(f"--l must be at most {MAX_PLAN_SOURCES}, got {l}")
     ks = [k1, k2] + [k1] * (l - 2)
@@ -161,13 +163,13 @@ def _plan_assessment(args) -> dict:
                         else paramcalc.quantum_markov_transfer)
             a = transfer(ks, args.eps, l, m, ext.strong_in)
         else:
-            a = paramcalc.SecurityAssessment(markov, l, tuple(ks), 1.0, m, ext.strong_in)
+            a = paramcalc.SecurityAssessment(markov, ks, 1.0, m, ext.strong_in)
         if model == "smooth-markov":
             smooth = paramcalc.SmoothParams(args.delta1, args.delta2, args.eps1, args.eps2)
             a = paramcalc.smooth_transfer(a, smooth)
         return a.to_dict()
-    return paramcalc.SecurityAssessment(
-        _MODELS[model], l, tuple(ks), error, m, ext.strong_in).to_dict()
+    error = max(error, math.ulp(0.0))  # a law value underflowing to 0 is <= 2^-1075 = ulp(0) / 2
+    return paramcalc.SecurityAssessment(_MODELS[model], ks, error, m, ext.strong_in).to_dict()
 
 
 def cmd_plan(args) -> int:

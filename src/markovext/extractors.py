@@ -375,8 +375,6 @@ def trevisan_params(n: int, m: int, eps: float) -> TrevisanParams:
         t_exact = 2 * mp.log(2 * mp.mpf(n) * m * m / (mp.mpf(eps) ** 2), 2)
         t = int(mp.ceil(t_exact))
         t += t % 2
-        if t <= math.e:
-            raise DomainError(f"t={t} <= e leaves log(t - e) undefined")
         ratio = (mp.log(m - mp.e, 2) - mp.log(t - mp.e, 2)) / (
             mp.log(mp.e, 2) - mp.log(mp.e - 1, 2)
         )

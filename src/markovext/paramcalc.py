@@ -5,13 +5,13 @@ classical-proof and quantum-proof Markov-model guarantees, plus the smooth,
 subnormalized and construction-specific corollaries. All logarithms are base
 2; the transfers and closed-form bounds are evaluated at 120-bit precision,
 the self-consistent solver in double precision, and mpmath is imported on
-first use. All error outputs are clamped to [0, 1]. Non-finite entropies and
-errors are domain errors.
+first use. All error outputs are clamped to [0, 1], and a SecurityAssessment's
+error lies in (0, 1]. Non-finite entropies and errors are domain errors.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Callable, Optional, Sequence
 
@@ -30,7 +30,7 @@ class SecurityModel(str, Enum):
 @dataclass(frozen=True)
 class SecurityAssessment:
     model: SecurityModel
-    l: int
+    l: int = field(init=False)  # the number of thresholds
     required_k: tuple
     error: float
     m: int
@@ -39,20 +39,19 @@ class SecurityAssessment:
     def __post_init__(self):
         if not isinstance(self.model, SecurityModel):
             raise DomainError(f"model must be a SecurityModel member, got {self.model!r}")
-        for name in ("l", "m"):
-            object.__setattr__(self, name, checked_index(getattr(self, name), name))
-        if self.l < 2:
-            raise DomainError(f"need at least two sources, got l={self.l}")
+        object.__setattr__(self, "m", checked_index(self.m, "m"))
         if self.m < 1:
             raise DomainError(f"need an output length m >= 1, got m={self.m}")
-        object.__setattr__(self, "required_k",
-                           _thresholds(self.required_k, self.l, "entropy threshold"))
+        object.__setattr__(self, "required_k", _thresholds(self.required_k, "entropy threshold"))
+        object.__setattr__(self, "l", len(self.required_k))
+        if self.l < 2:
+            raise DomainError(f"need at least two sources, got l={self.l}")
         two_source = (SecurityModel.PLAIN, SecurityModel.SMOOTH_MARKOV, SecurityModel.SUBNORMALIZED)
         if self.l != 2 and self.model in two_source:
             raise DomainError(f"the {self.model.value} model is stated for two sources; got l={self.l}")
         object.__setattr__(self, "error", checked_real(self.error, "error"))
-        if not 0.0 <= self.error <= 1.0:
-            raise DomainError(f"error {self.error!r} outside [0, 1]")
+        if not 0.0 < self.error <= 1.0:
+            raise DomainError(f"error {self.error!r} outside (0, 1]")
         if min(self.required_k) < 0:
             raise DomainError(f"entropy thresholds must be non-negative, got {self.required_k!r}")
         if not (isinstance(self.strong_in, (set, frozenset)) and all(
@@ -87,10 +86,10 @@ class SmoothParams:
             object.__setattr__(self, name, v)
 
 
-def _thresholds(k, l: int, what: str) -> tuple:
-    """k as a tuple of l finite reals, one per source; DomainError otherwise."""
-    if not isinstance(k, Sequence) or len(k) != l:
-        raise DomainError(f"need a sequence of l={l} {what}s, got {k!r}")
+def _thresholds(k, what: str) -> tuple:
+    """k as a tuple of finite reals, one per source; DomainError otherwise."""
+    if not isinstance(k, Sequence):
+        raise DomainError(f"need a sequence of {what} values, one per source, got {k!r}")
     return tuple(checked_real(ki, what) for ki in k)
 
 
@@ -112,13 +111,15 @@ def _markov_transfer(
     l, m, eps = checked_index(l, "l"), checked_index(m, "m"), checked_real(eps, "eps")
     if not 0 < eps < 1:
         raise DomainError(f"need 0 < eps < 1, got {eps!r}")
-    k = _thresholds(k, l, "entropy")
+    k = _thresholds(k, "entropy")
+    if len(k) != l:
+        raise DomainError(f"need l={l} entropies, got {k!r}")
     from mpmath import mp
 
     with mp.workprec(120):
         shift = -mp.log(mp.mpf(eps), 2)
         required = tuple(float(mp.mpf(ki) + shift) for ki in k)
-    return SecurityAssessment(model, l, required, _markov_error(model, eps, l, m), m,
+    return SecurityAssessment(model, required, _markov_error(model, eps, l, m), m,
                               frozenset(strong_in))
 
 
@@ -138,13 +139,13 @@ def quantum_markov_transfer(
 
 def markov_assessment(model: SecurityModel, ext, k1p: float, k2p: float) -> SecurityAssessment:
     """The ClassicalMarkov or QuantumMarkov guarantee of ext at asserted entropies k1', k2':
-    its thresholds are k1', k2' and its error the model's law at the solved eps, or 1 where
-    eps is 1. Another model is a DomainError."""
+    its thresholds are k1', k2' and its error the model's law at the solved eps (at ulp(0) for
+    an eps of 0: any eps above the fixed point is valid), or 1 where eps is 1."""
     if model is not SecurityModel.CLASSICAL_MARKOV and model is not SecurityModel.QUANTUM_MARKOV:
         raise DomainError(f"the Markov models are ClassicalMarkov and QuantumMarkov, got {model!r}")
     eps = solve_self_consistent_error(ext.error_law, k1p, k2p)
-    error = 1.0 if eps >= 1.0 else _markov_error(model, eps, 2, ext.m)
-    return SecurityAssessment(model, 2, (k1p, k2p), error, ext.m, ext.strong_in)
+    error = 1.0 if eps >= 1.0 else _markov_error(model, max(eps, math.ulp(0.0)), 2, ext.m)
+    return SecurityAssessment(model, (k1p, k2p), error, ext.m, ext.strong_in)
 
 
 def smooth_transfer(base: SecurityAssessment, s: SmoothParams) -> SecurityAssessment:
@@ -154,14 +155,7 @@ def smooth_transfer(base: SecurityAssessment, s: SmoothParams) -> SecurityAssess
     error = min(
         1.0, 6 * s.delta1 + 6 * s.delta2 + 2 * s.eps1 + 2 * s.eps2 + 2 * base.error
     )
-    return SecurityAssessment(
-        model=SecurityModel.SMOOTH_MARKOV,
-        l=base.l,
-        required_k=base.required_k,
-        error=error,
-        m=base.m,
-        strong_in=base.strong_in,
-    )
+    return replace(base, model=SecurityModel.SMOOTH_MARKOV, error=error)
 
 
 def subnormalized_transfer(eps: float) -> float:
@@ -248,11 +242,11 @@ def _narrow_bracket(f: Callable[[float], float], a: float, fa: float, b: float, 
 
     Illinois false position (Dowell & Jarratt 1971): the secant through the last
     point tried and the far end, whose value is halved when that end is kept
-    twice running; a midpoint where the secant leaves (a, b). It stops when two
-    evaluations do not halve the bracket (a step in f, or rounding noise), and
-    the bisection does the rest. When the secant moves the last point by at
-    most one ulp, the root is next to it: steps of one ulp, two, four, ... away
-    from it close the bracket, usually to adjacent floats.
+    twice running; a midpoint where the secant leaves (a, b). When the secant moves
+    the last point by at most one ulp, or two evaluations do not halve the bracket
+    (a step in f, or rounding noise) after a short last move, steps of one ulp,
+    two, four, ... from that point close the bracket, usually to adjacent floats;
+    after a long one the bisection does the rest.
     """
     side = 1  # the end the last point tried went to: 1 for b, -1 for a
     width_before, width = math.inf, b - a
@@ -278,7 +272,11 @@ def _narrow_bracket(f: Callable[[float], float], a: float, fa: float, b: float, 
                 fa *= 0.5
             side = 1
         if b - a > 0.5 * width_before:
-            return a, b
+            # steps from s cost ~2 log2(|s - x| / ulp) calls, the bisection log2((b - a) / ulp)
+            if (s - x) ** 2 > (b - a) * math.ulp(s):
+                return a, b
+            x = s
+            break
         width_before, width = width, b - a
     step = math.ulp(x)
     while True:
@@ -297,9 +295,12 @@ def _narrow_bracket(f: Callable[[float], float], a: float, fa: float, b: float, 
 
 @dataclass(frozen=True)
 class FeasibilityReport:
-    feasible: bool
+    feasible: bool = field(init=False)  # no inequality violated
     error: float
     violated: tuple = ()
+
+    def __post_init__(self):
+        object.__setattr__(self, "feasible", not self.violated)
 
 
 def raz_quantum_feasible(
@@ -338,20 +339,20 @@ def raz_quantum_feasible(
         if not m <= bound_m:
             violated.append("m <= (16 delta'/19) min[n1/8, 4 k2'/163] - 1")
         error = min(1.0, float(mp.sqrt(3) / 2 * mp.mpf(2) ** (-mp.mpf(m) / 4)))
-    feasible = not violated
-    return FeasibilityReport(
-        feasible=feasible, error=error if feasible else 1.0, violated=tuple(violated)
-    )
+    return FeasibilityReport(error=1.0 if violated else error, violated=tuple(violated))
 
 
 @dataclass(frozen=True)
 class CompositionPlan:
-    feasible: bool
+    feasible: bool = field(init=False)  # no precondition violated
     m_inner: float
     m_total: Optional[int]
     error: Optional[float]
     required_k: tuple
     violated: tuple = ()
+
+    def __post_init__(self):
+        object.__setattr__(self, "feasible", not self.violated)
 
 
 def trevisan_composition_plan(
@@ -381,19 +382,10 @@ def trevisan_composition_plan(
             violated.append("m >= d(m'', eps'') (seed-length constraint)")
         if not max(k1p, k2p) >= entropy_need:
             violated.append("max(k1', k2') >= m'' + 4 log(m''/eps'') + 6")
-        if violated:
-            return CompositionPlan(
-                feasible=False,
-                m_inner=float(m_inner),
-                m_total=None,
-                error=None,
-                required_k=(k1p, k2p),
-                violated=tuple(violated),
-            )
         return CompositionPlan(
-            feasible=True,
             m_inner=float(m_inner),
-            m_total=int(mp.floor(m_inner)) + m_pp,
-            error=min(1.0, eps_p + eps_pp),
+            m_total=None if violated else int(mp.floor(m_inner)) + m_pp,
+            error=None if violated else min(1.0, eps_p + eps_pp),
             required_k=(k1p, k2p),
+            violated=tuple(violated),
         )

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -464,7 +464,10 @@ def certify_hmin(state: CcqMarkovState, source: int) -> float:
 class BoundCheck:
     distance: float
     bound: float
-    holds: bool
+    holds: bool = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "holds", self.distance <= self.bound + DISTANCE_SLACK)
 
 
 def verify_quantum_bound(
@@ -485,14 +488,17 @@ def verify_quantum_bound(
     distance = _distance_to_uniform(_output_blocks(state, ext))
     # a certified entropy may sit below 0 by rounding; no source has less than 0
     bound = markov_assessment(SecurityModel.QUANTUM_MARKOV, ext, max(k1, 0.0), max(k2, 0.0)).error
-    return BoundCheck(distance=distance, bound=bound, holds=distance <= bound + DISTANCE_SLACK)
+    return BoundCheck(distance, bound)
 
 
 @dataclass(frozen=True)
 class MonotonicityCheck:
     before: float
     after: float
-    holds: bool
+    holds: bool = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "holds", self.after <= self.before + DISTANCE_SLACK)
 
 
 def channel_monotonicity_check(
@@ -512,7 +518,7 @@ def channel_monotonicity_check(
     # Kraus operators mix the C-blocks, so the channel acts on the dense form
     full = _block_diagonal(out)
     after = _distance_to_uniform([sum(K @ full @ K.conj().T for K in kraus)])
-    return MonotonicityCheck(before=before, after=after, holds=after <= before + DISTANCE_SLACK)
+    return MonotonicityCheck(before, after)
 
 
 # ---------------------------------------------------------------------------

@@ -136,6 +136,39 @@ def test_plan_error_falls_as_the_entropy_rises_past_the_law_underflow(capsys):
     assert errors[1] == pytest.approx(math.sqrt(3 * 2.0 ** -576 / 2), rel=1e-12)  # eps = 2^-576
 
 
+def _plan_error(capsys, model, family, n, k):
+    rc, out = _run(capsys, ["plan", "--model", model, "--family", family, "--n1", str(n),
+                            "--n2", str(n), "--m", "1", "--k1", str(k), "--k2", str(k)])
+    assert rc == 0
+    return json.loads(out)["assessment"]["error"]
+
+
+def test_no_plan_reports_an_error_of_0(capsys):
+    # the inner-product law underflows to 0 from n = 4096 on; DEOR (64, 1) is the control
+    errors = [_plan_error(capsys, model, family, n, r * n)
+              for family, ns in (("deor", (64,)), ("inner-product", (64, 4096, 8192, 16384)))
+              for n in ns for model in cli._MODELS
+              for r in (0.5, 0.7, 0.85, 0.9, 0.95, 0.99, 1)]
+    assert len(errors) == 175 and all(0 < e <= 1 for e in errors)
+
+
+_ULP0 = math.ulp(0.0)  # 2^-1074, the smallest positive float
+_QUANTUM_AT_ULP0 = math.sqrt(1.5) * 2.0 ** -537  # sqrt(3 ulp(0) 2^(m-2)) at m = 1
+
+
+@pytest.mark.parametrize("model,n,k,error", [
+    ("plain", 4096, 3200, _ULP0), ("subnormalized", 4096, 3200, _ULP0),
+    ("quantum-markov", 8192, 7000, _QUANTUM_AT_ULP0),
+    ("classical-markov", 16384, 16384, 3 * _ULP0),
+    ("quantum-markov", 16384, 16384, _QUANTUM_AT_ULP0),
+    ("smooth-markov", 16384, 16384, 2 * _QUANTUM_AT_ULP0)])
+def test_plan_reports_the_floor_where_the_error_underflows(capsys, model, n, k, error):
+    # a law value that underflows to 0 is at most 2^-1075, so plain and subnormalized
+    # report ulp(0); a solved eps of 0 is read as ulp(0), and the Markov law runs there
+    assert _plan_error(capsys, model, "inner-product", n, k) == pytest.approx(error, rel=1e-12,
+                                                                              abs=0.0)
+
+
 def test_plan_request_records_the_outer_flags(capsys):
     argv = ["plan", "--model", "quantum-markov", "--family", "trevisan-composition",
             "--n1", "65536", "--n2", "65536", "--m", "4", "--k1", "62000", "--k2", "59000",
@@ -334,6 +367,10 @@ _PLAN = ["plan", "--model", "quantum-markov", "--family", "deor"]
     *[(["plan", "--model", "quantum-markov", "--family", "raz", "--n1", "4096", "--n2", "4096",
         "--k1", "4000", "--k2", "4000", "--delta-prime", "0.1", "--m", m], 3) for m in ("0", "-5")],
     (["extract", "{tmp}/a", "{tmp}/a", "{tmp}/y", "--descriptor", "{tmp}/n_2.json"], 3),
+    *[(["plan", "--model", "quantum-markov", "--family", "trevisan-composition", "--n1", "65536",
+        "--n2", "65536", "--m", "4", "--k1", "62000", "--k2", "59000", *flags], 3)
+      for flags in ([], ["--outer-m", "16", "--outer-eps", "1e-3"],
+                    ["--eps", "1e-6", "--outer-eps", "1e-3"], ["--eps", "1e-6", "--outer-m", "16"])],
 ], ids=["k1_nan", "k2_inf", "eps_nan", "k1_gt_n1", "k1_negative", "deor_n1_ne_n2",
         "deor_no_modulus", "m_gt_n", "missing_input", "missing_descriptor", "unwritable_output",
         "descriptor_not_json", "missing_report", "unwritable_report", "trevisan_no_modulus",
@@ -345,7 +382,8 @@ _PLAN = ["plan", "--model", "quantum-markov", "--family", "deor"]
         "raz_plain", "raz_l5", "trevisan_composition_plain", "trevisan_composition_l5",
         "k1_not_a_number", "raz_no_delta_prime", "extract_no_n1", "error_1_l1",
         "error_1_l_negative", "extract_deor_eps", "raz_m_0", "raz_m_negative",
-        "extract_descriptor_unwritten_field"])
+        "extract_descriptor_unwritten_field", "composition_no_flags", "composition_no_eps",
+        "composition_no_outer_m", "composition_no_outer_eps"])
 def test_malformed_request_exit_code(tmp_path, capsys, argv, code):
     (tmp_path / "a").write_bytes(bytes(64))
     (tmp_path / "bytes").write_bytes(bytes(range(256)))
@@ -954,6 +992,15 @@ def test_plan_refuses_an_l_above_the_ceiling():
     argv = ["plan", "--model", "quantum-markov", *_DEOR64, "--eps", "1e-6", "--l"]
     rc, err = _refused([*argv, "1000000000000"])
     assert rc == 4 and str(cli.MAX_PLAN_SOURCES) in err
+
+
+@pytest.mark.parametrize("eps", [[], ["--eps", "1e-6"], ["--eps", "2.0"]],
+                         ids=["solved", "eps", "eps_2.0"])
+@pytest.mark.parametrize("l", ["1", "0"])
+def test_plan_refuses_an_l_below_2_itself(l, eps):
+    # [k1, k2] + [k1] * (l - 2) would hand two thresholds to an l below 2
+    rc, err = _refused(["plan", "--model", "classical-markov", *_DEOR64, *eps, "--l", l])
+    assert rc == 3 and f"--l (the number of sources) must be at least 2, got {l}" in err
 
 
 def test_descriptor_file_with_a_string_eps_is_exit_3(tmp_path):

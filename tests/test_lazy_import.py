@@ -134,10 +134,9 @@ _REFUSED_CALCULUS = textwrap.dedent("""
         lambda: paramcalc.subnormalized_transfer("0.1"),
         lambda: paramcalc.classical_markov_transfer(("5", 5), 0.1, 2, 1),
         lambda: paramcalc.classical_markov_transfer((5, 5), "0.1", 2, 1),
-        lambda: paramcalc.SecurityAssessment(paramcalc.SecurityModel.PLAIN, 2, (1.0, 1.0),
-                                             "0.5", 1),
+        lambda: paramcalc.SecurityAssessment(paramcalc.SecurityModel.PLAIN, (1.0, 1.0), "0.5", 1),
         lambda: paramcalc.SmoothParams("a", 0, 0, 0),
-        lambda: paramcalc.SecurityAssessment(paramcalc.SecurityModel.PLAIN, 2, 5.0, 0.5, 1),
+        lambda: paramcalc.SecurityAssessment(paramcalc.SecurityModel.PLAIN, 5.0, 0.5, 1),
         lambda: paramcalc.classical_markov_transfer(5.0, 0.1, 2, 1),
     ]
     for call in calls:
