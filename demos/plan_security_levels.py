@@ -4,7 +4,7 @@ classical and quantum Markov models.
 
 Run:  python3 demos/plan_security_levels.py
 """
-from markovext import SecurityModel, deor_descriptor, deor_error, markov_assessment
+from markovext import SecurityModel, assessment, deor_descriptor
 
 n, m = 64, 4
 ext = deor_descriptor(n, m)
@@ -12,10 +12,10 @@ ext = deor_descriptor(n, m)
 print(f"two-source extractor: n={n}, m={m} output bits")
 print(f"{'k1=k2':>6}  {'plain':>12}  {'classical':>12}  {'quantum':>12}")
 for k in range(40, 65, 4):
-    plain = deor_error(n, k, k, m)
-    # the base error is solved so that the Markov thresholds land on k
-    classical = markov_assessment(SecurityModel.CLASSICAL_MARKOV, ext, k, k).error
-    quantum = markov_assessment(SecurityModel.QUANTUM_MARKOV, ext, k, k).error
+    # the plain law at k; for the Markov models the base error is solved so that their
+    # thresholds land on k
+    plain, classical, quantum = (assessment(model, ext, (k, k)).error for model in (
+        SecurityModel.PLAIN, SecurityModel.CLASSICAL_MARKOV, SecurityModel.QUANTUM_MARKOV))
     print(f"{k:>6}  {plain:>12.3e}  {classical:>12.3e}  {quantum:>12.3e}")
 
 print()

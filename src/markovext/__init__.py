@@ -40,9 +40,9 @@ from .paramcalc import (
     SecurityAssessment,
     SecurityModel,
     SmoothParams,
+    assessment,
     classical_markov_transfer,
     deor_quantum_corollary,
-    markov_assessment,
     quantum_markov_transfer,
     raz_quantum_feasible,
     smooth_transfer,

@@ -2,10 +2,12 @@
 
 Subcommands: ``plan`` (security-parameter calculus), ``extract`` (run an
 extractor over raw-bit files), ``verify`` (seeded numeric verification
-suites), ``report`` (re-render a report as json or csv). ``main`` builds the
-parser once per process, parses a request with the parser of the subcommand it
-names, and runs it through the ``cmd_<subcommand>`` function that the module
-holds at call time, so a wrapper installed later runs.
+suites), ``report`` (re-render a report as json or csv). It holds no security
+rule: a plan's guarantee is one ``paramcalc.assessment`` call, and a verify
+record's verdict the ``holds`` of the ``qsim.BoundCheck`` its suite yields.
+``main`` builds the parser once per process, parses a request with the parser
+of the subcommand it names, and runs it through the ``cmd_<subcommand>``
+function that the module holds at call time, so a wrapper installed later runs.
 
 Exit codes: 0 success, 2 usage (also a file that cannot be read or written),
 3 domain (also a report or descriptor file holding NaN or Infinity, or not
@@ -49,7 +51,6 @@ EXIT_RESOURCE = 4
 EXIT_VERIFY = 5
 
 REPORT_VERSION = "1"
-HOLDS_TOL = 1e-9
 MAX_VERIFY_BUDGET = 5000
 MAX_PLAN_SOURCES = 5000  # --l ceiling: a plan holds one threshold per source
 
@@ -146,30 +147,11 @@ def _plan_assessment(args) -> dict:
         raise DomainError(f"--l (the number of sources) must be at least 2, got {l}")
     if l > MAX_PLAN_SOURCES:
         raise ResourceBudgetError(f"--l must be at most {MAX_PLAN_SOURCES}, got {l}")
+    smoothing = (args.delta1, args.delta2, args.eps1, args.eps2)
+    smooth = (paramcalc.SmoothParams(*smoothing) if model == "smooth-markov" or any(smoothing)
+              else None)
     ks = [k1, k2] + [k1] * (l - 2)
-    if model == "plain":  # direct laws: no self-consistent solve
-        error = ext.error_law(k1, k2)
-    elif model == "subnormalized":
-        error = paramcalc.subnormalized_transfer(ext.error_law(k1 + 1, k2 + 1))
-    else:
-        markov = _MODELS["quantum-markov" if model == "smooth-markov" else model]  # the base
-        if args.eps is None:
-            if l != 2:
-                raise DomainError(f"the self-consistent solve is for l = 2; pass --eps for l={l}")
-            a = paramcalc.markov_assessment(markov, ext, k1, k2)
-        elif args.eps < 1.0:
-            # user-supplied base error: asserted entropies are the base thresholds
-            transfer = (paramcalc.classical_markov_transfer if model == "classical-markov"
-                        else paramcalc.quantum_markov_transfer)
-            a = transfer(ks, args.eps, l, m, ext.strong_in)
-        else:
-            a = paramcalc.SecurityAssessment(markov, ks, 1.0, m, ext.strong_in)
-        if model == "smooth-markov":
-            smooth = paramcalc.SmoothParams(args.delta1, args.delta2, args.eps1, args.eps2)
-            a = paramcalc.smooth_transfer(a, smooth)
-        return a.to_dict()
-    error = max(error, math.ulp(0.0))  # a law value underflowing to 0 is <= 2^-1075 = ulp(0) / 2
-    return paramcalc.SecurityAssessment(_MODELS[model], ks, error, m, ext.strong_in).to_dict()
+    return paramcalc.assessment(_MODELS[model], ext, ks, args.eps, smooth).to_dict()
 
 
 def cmd_plan(args) -> int:
@@ -209,18 +191,10 @@ def cmd_extract(args) -> int:
 # verify
 # ---------------------------------------------------------------------------
 
-def _record(seed: int, distance: float, bound: float) -> dict:
-    return {
-        "seed": seed,
-        "distance": float(distance),
-        "bound": float(bound),
-        "holds": bool(distance <= bound + HOLDS_TOL),
-    }
-
-
 def cmd_verify(args) -> int:
-    """Run the suite ``suites.<name>``, a generator of (seed, distance, bound) per instance.
-    The suites need numpy, so they load here and not with the CLI."""
+    """Run the suite ``suites.<name>``, a generator of (seed, qsim.BoundCheck) per instance,
+    and write each check's distance, bound and verdict. The suites need numpy, so they load
+    here and not with the CLI."""
     if args.budget < 1 or args.budget > MAX_VERIFY_BUDGET:
         raise ResourceBudgetError(
             f"budget must lie in [1, {MAX_VERIFY_BUDGET}], got {args.budget}"
@@ -228,7 +202,9 @@ def cmd_verify(args) -> int:
     from . import suites
 
     suite = getattr(suites, args.suite)
-    records = [_record(*r) for r in suite(range(args.seed, args.seed + args.budget))]
+    records = [{"seed": seed, "distance": float(check.distance), "bound": float(check.bound),
+                "holds": bool(check.holds)}
+               for seed, check in suite(range(args.seed, args.seed + args.budget))]
     request = {"command": "verify", "suite": args.suite, "seed": args.seed, "budget": args.budget}
     _emit(_report(request, None, records), args.out)
     return EXIT_OK if all(r["holds"] for r in records) else EXIT_VERIFY

@@ -137,15 +137,42 @@ def quantum_markov_transfer(
     return _markov_transfer(SecurityModel.QUANTUM_MARKOV, k, eps, l, m, strong_in)
 
 
-def markov_assessment(model: SecurityModel, ext, k1p: float, k2p: float) -> SecurityAssessment:
-    """The ClassicalMarkov or QuantumMarkov guarantee of ext at asserted entropies k1', k2':
-    its thresholds are k1', k2' and its error the model's law at the solved eps (at ulp(0) for
-    an eps of 0: any eps above the fixed point is valid), or 1 where eps is 1."""
-    if model is not SecurityModel.CLASSICAL_MARKOV and model is not SecurityModel.QUANTUM_MARKOV:
-        raise DomainError(f"the Markov models are ClassicalMarkov and QuantumMarkov, got {model!r}")
-    eps = solve_self_consistent_error(ext.error_law, k1p, k2p)
-    error = 1.0 if eps >= 1.0 else _markov_error(model, max(eps, math.ulp(0.0)), 2, ext.m)
-    return SecurityAssessment(model, (k1p, k2p), error, ext.m, ext.strong_in)
+def assessment(model: SecurityModel, ext, k: Sequence[float], eps: Optional[float] = None,
+               smooth: Optional[SmoothParams] = None) -> SecurityAssessment:
+    """The guarantee of `model` for ext at entropies k, one per source: the law at k (Plain)
+    or `subnormalized_transfer` of the law at k + 1 (Subnormalized), at least ulp(0), which
+    bounds a law value that underflows to 0; for ClassicalMarkov and QuantumMarkov, the
+    model's law at the solved eps (two sources; at ulp(0) for an eps of 0: any eps above the
+    fixed point is valid), its transfer from base thresholds k at a given eps < 1, or error 1
+    at eps >= 1; `smooth_transfer` of the QuantumMarkov guarantee (SmoothMarkov). An input the
+    model does not read is a DomainError, as is SmoothMarkov without smooth."""
+    if not isinstance(model, SecurityModel):
+        raise DomainError(f"model must be a SecurityModel member, got {model!r}")
+    if (smooth is None) == (model is SecurityModel.SMOOTH_MARKOV):
+        raise DomainError(f"SmoothMarkov alone reads smoothing parameters, and it needs them; "
+                          f"got {model.value} with {smooth!r}")
+    if model is SecurityModel.SMOOTH_MARKOV:
+        return smooth_transfer(assessment(SecurityModel.QUANTUM_MARKOV, ext, k, eps), smooth)
+    if not isinstance(k, Sequence) or len(k) < 2:
+        raise DomainError(f"need a sequence of at least two entropies, one per source, got {k!r}")
+    if model is SecurityModel.PLAIN or model is SecurityModel.SUBNORMALIZED:
+        if eps is not None:
+            raise DomainError(f"the {model.value} model reads no base error eps")
+        k1, k2 = checked_real(k[0], "entropy k1"), checked_real(k[1], "entropy k2")
+        error = max(math.ulp(0.0), ext.error_law(k1, k2) if model is SecurityModel.PLAIN
+                    else subnormalized_transfer(ext.error_law(k1 + 1, k2 + 1)))
+    elif eps is None:
+        if len(k) != 2:
+            raise DomainError(f"the self-consistent solve is for l = 2; pass --eps for l={len(k)}")
+        eps = solve_self_consistent_error(ext.error_law, k[0], k[1])
+        error = 1.0 if eps >= 1.0 else _markov_error(model, max(eps, math.ulp(0.0)), 2, ext.m)
+    elif checked_real(eps, "eps") < 1.0:
+        transfer = (classical_markov_transfer if model is SecurityModel.CLASSICAL_MARKOV
+                    else quantum_markov_transfer)
+        return transfer(k, eps, len(k), ext.m, ext.strong_in)
+    else:
+        error = 1.0
+    return SecurityAssessment(model, k, error, ext.m, ext.strong_in)
 
 
 def smooth_transfer(base: SecurityAssessment, s: SmoothParams) -> SecurityAssessment:
@@ -176,7 +203,7 @@ def deor_quantum_corollary(n: int, k1p: float, k2p: float, m: int) -> float:
 
     with mp.workprec(120):
         val = mp.sqrt(3) / 2 * mp.mpf(2) ** (-(mp.mpf(k1p) + k2p + 1 - n - 5 * m) / 8)
-        return min(1.0, float(val))
+        return min(1.0, max(float(val), math.ulp(0.0)))  # val > 0 rounds to 0 only below ulp(0)
 
 
 def solve_self_consistent_error(

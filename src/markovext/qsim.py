@@ -26,7 +26,7 @@ from .errors import (
     numeric_array,
 )
 from .extractors import ExtractorDescriptor
-from .paramcalc import SecurityModel, markov_assessment
+from .paramcalc import SecurityModel, assessment
 
 HERMITIAN_TOL = 1e-10
 EIGENVALUE_TOL = 1e-10
@@ -487,7 +487,7 @@ def verify_quantum_bound(
         )
     distance = _distance_to_uniform(_output_blocks(state, ext))
     # a certified entropy may sit below 0 by rounding; no source has less than 0
-    bound = markov_assessment(SecurityModel.QUANTUM_MARKOV, ext, max(k1, 0.0), max(k2, 0.0)).error
+    bound = assessment(SecurityModel.QUANTUM_MARKOV, ext, (max(k1, 0.0), max(k2, 0.0))).error
     return BoundCheck(distance, bound)
 
 

@@ -1,10 +1,10 @@
 """The seeded verification suites of ``xtract verify``.
 
-Each suite is a generator of ``(seed, distance, bound)``, one per instance, for
-the seeds it is given. They run the numpy oracles of `sources` and `qsim`, so
-`cli.cmd_verify` imports this module when it runs, and the other commands
-never load numpy. The suites call through the module attributes
-(``sources.build_markov_table(...)``), so a wrapper installed on them runs.
+Each suite is a generator of ``(seed, qsim.BoundCheck)``, one per instance, for
+the seeds it is given; the check's ``holds`` is the verdict. They run the numpy
+oracles of `sources` and `qsim`, so `cli.cmd_verify` imports this module when it
+runs, and the other commands never load numpy. The suites call through the module
+attributes (``sources.build_markov_table(...)``), so a wrapper installed on them runs.
 """
 from __future__ import annotations
 
@@ -17,12 +17,10 @@ def classical(seeds):
     ext = extractors.deor_descriptor(6, 2)
     for s in seeds:
         table = sources.build_markov_table(6, 6, 2, 5.0, 5.0, s)
-        k1p = sources.hmin_conditional(table, 1)
-        k2p = sources.hmin_conditional(table, 2)
-        bound = paramcalc.markov_assessment(paramcalc.SecurityModel.CLASSICAL_MARKOV, ext,
-                                            k1p, k2p).error
+        k = (sources.hmin_conditional(table, 1), sources.hmin_conditional(table, 2))
+        bound = paramcalc.assessment(paramcalc.SecurityModel.CLASSICAL_MARKOV, ext, k).error
         dist = sources.statistical_distance_from_uniform(ext, table, conditioned_on=("Z",))
-        yield s, dist, bound
+        yield s, qsim.BoundCheck(dist, bound)
 
 
 def quantum(seeds):
@@ -30,8 +28,7 @@ def quantum(seeds):
     for s in seeds:
         rng = np.random.default_rng(s)
         state = qsim.random_ccq_markov_state(3, 3, int(rng.integers(1, 4)), 2, rng)
-        chk = qsim.verify_quantum_bound(state, ext, *state.certified_k)
-        yield s, chk.distance, chk.bound
+        yield s, qsim.verify_quantum_bound(state, ext, *state.certified_k)
 
 
 def distinguishing(seeds):
@@ -39,7 +36,7 @@ def distinguishing(seeds):
     for s in seeds:
         joint = sources.random_joint(3, 3, np.random.default_rng(s))
         stat = sources.distinguishing_event_statistic(ext, joint)
-        yield s, stat, sources.conditional_distance_given_guess(ext, joint)
+        yield s, qsim.BoundCheck(stat, sources.conditional_distance_given_guess(ext, joint))
 
 
 def monotonicity(seeds):
@@ -49,7 +46,7 @@ def monotonicity(seeds):
         state = qsim.random_ccq_markov_state(2, 2, int(rng.integers(1, 3)), 2, rng)
         kraus = qsim.random_channel(state.c_dim, int(rng.integers(1, 4)), rng)
         chk = qsim.channel_monotonicity_check(state, ext, kraus)
-        yield s, chk.after, chk.before
+        yield s, qsim.BoundCheck(chk.after, chk.before)
 
 
 def composition(seeds):
@@ -61,4 +58,4 @@ def composition(seeds):
         s1 = sources.random_flat_source(8, 7, rng)
         s2 = sources.random_flat_source(8, 7, rng)
         table = sources.MarkovSourceTable.from_flat_pair(s1, s2)
-        yield s, sources.statistical_distance_from_uniform(ext, table, conditioned_on=()), bound
+        yield s, qsim.BoundCheck(sources.statistical_distance_from_uniform(ext, table, ()), bound)

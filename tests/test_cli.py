@@ -169,6 +169,31 @@ def test_plan_reports_the_floor_where_the_error_underflows(capsys, model, n, k, 
                                                                               abs=0.0)
 
 
+def test_plan_matches_the_golden_assessments(capsys):
+    # each model with no flag, --eps 1e-6, --eps 2.0 and --l 3 on deor (64, 4) and inner
+    # product 2048 at five entropy pairs; an exit code other than 0 stores no assessment
+    with open(os.path.join(DATA_DIR, "plan_golden.json")) as fh:
+        golden = json.load(fh)
+    assert len(golden) == 160
+    for entry in golden:
+        rc, out = _run(capsys, entry["argv"])
+        assert (rc, json.loads(out)["assessment"] if rc == 0 else None) == (
+            entry["exit"], entry["assessment"]), entry["argv"]
+
+
+@pytest.mark.parametrize("model,flag", [
+    ("plain", ["--eps", "1e-6"]), ("subnormalized", ["--eps", "2.0"]),
+    ("plain", ["--delta2", "0.1"]), ("subnormalized", ["--eps1", "0.5"]),
+    ("classical-markov", ["--eps2", "0.1"]), ("quantum-markov", ["--delta1", "0.5"]),
+    ("quantum-markov", ["--delta1", "5"])],
+    ids=["plain_eps", "subnormalized_eps_2", "plain_delta2", "subnormalized_eps1",
+         "classical_eps2", "quantum_delta1", "quantum_delta1_5"])
+def test_plan_refuses_a_flag_its_model_does_not_read(model, flag):
+    rc, err = _refused(["plan", "--model", model, "--family", "deor", "--n1", "64", "--n2", "64",
+                        "--m", "4", "--k1", "60", "--k2", "60", *flag])
+    assert rc == 3 and err.startswith("error: ")
+
+
 def test_plan_request_records_the_outer_flags(capsys):
     argv = ["plan", "--model", "quantum-markov", "--family", "trevisan-composition",
             "--n1", "65536", "--n2", "65536", "--m", "4", "--k1", "62000", "--k2", "59000",
@@ -584,6 +609,19 @@ def test_verify_quantum_and_composition(capsys):
         rep = json.loads(out)
         for r in rep["records"]:
             assert r["holds"] and r["distance"] <= r["bound"] + 1e-9
+
+
+@pytest.mark.parametrize("over,rc", [(2e-9, 5), (0.5e-9, 0)], ids=["fails", "within_slack"])
+def test_verify_verdict_is_the_checks_holds(monkeypatch, capsys, over, rc):
+    from markovext import qsim, suites
+
+    bound = 0.25
+    monkeypatch.setattr(suites, "classical",
+                        lambda seeds: ((s, qsim.BoundCheck(bound + over, bound)) for s in seeds))
+    code, out = _run(capsys, ["verify", "--suite", "classical", "--seed", "3", "--budget", "2"])
+    assert code == rc
+    assert json.loads(out)["records"] == [
+        {"seed": s, "distance": bound + over, "bound": bound, "holds": rc == 0} for s in (3, 4)]
 
 
 def test_composition_suite_runs_the_cli_composed_descriptor(monkeypatch):

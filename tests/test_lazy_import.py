@@ -25,9 +25,9 @@ PUBLIC = {
                    "parity_seeded_descriptor", "trevisan_descriptor", "trevisan_params",
                    "weak_design_build"],
     "paramcalc": ["CompositionPlan", "FeasibilityReport", "SecurityAssessment", "SecurityModel",
-                  "SmoothParams", "classical_markov_transfer", "deor_quantum_corollary",
-                  "markov_assessment", "quantum_markov_transfer", "raz_quantum_feasible", "smooth_transfer",
-                  "solve_self_consistent_error", "subnormalized_transfer",
+                  "SmoothParams", "assessment", "classical_markov_transfer",
+                  "deor_quantum_corollary", "quantum_markov_transfer", "raz_quantum_feasible",
+                  "smooth_transfer", "solve_self_consistent_error", "subnormalized_transfer",
                   "trevisan_composition_plan"],
     "sources": ["FlatSource", "MarkovSourceTable", "build_markov_table",
                 "conditional_distance_given_guess", "distinguishing_event_statistic",

@@ -32,9 +32,9 @@ from markovext.paramcalc import (
     SecurityAssessment,
     SecurityModel,
     SmoothParams,
+    assessment,
     classical_markov_transfer,
     deor_quantum_corollary,
-    markov_assessment,
     quantum_markov_transfer,
     raz_quantum_feasible,
     smooth_transfer,
@@ -355,6 +355,15 @@ def test_deor_corollary_values():
     )
 
 
+def test_deor_corollary_reports_ulp_0_where_its_value_underflows():
+    # the 120-bit value is ~2^-2047, positive, so ulp(0) bounds it; 0.0 would be no error
+    assert deor_quantum_corollary(16384, 16384, 16384, 1) == math.ulp(0.0)
+
+
+def test_deor_corollary_above_the_double_range_floor_is_unchanged():
+    assert deor_quantum_corollary(64, 60, 60, 4) == 0.03509674996750851
+
+
 def test_self_consistent_error_is_a_fixed_point():
     rnd = random.Random(12)
     for _ in range(50):
@@ -395,11 +404,11 @@ _MARKOV = (SecurityModel.CLASSICAL_MARKOV, SecurityModel.QUANTUM_MARKOV)
 
 @pytest.mark.parametrize("model,transfer", zip(_MARKOV, (classical_markov_transfer,
                                                         quantum_markov_transfer)))
-def test_markov_assessment_is_the_transfer_at_the_solved_error(model, transfer):
+def test_assessment_is_the_transfer_at_the_solved_error(model, transfer):
     solved = clamped = 0
     for law, n, m, k1, k2 in _deor_grid(24, 8):
         ext = deor_descriptor(n, m)
-        a = markov_assessment(model, ext, k1, k2)
+        a = assessment(model, ext, (k1, k2))
         assert (a.model, a.l, a.required_k, a.m) == (model, 2, (k1, k2), m)
         assert a.strong_in == ext.strong_in
         eps = solve_self_consistent_error(law, k1, k2)
@@ -415,62 +424,104 @@ def test_markov_assessment_is_the_transfer_at_the_solved_error(model, transfer):
     assert solved and clamped
 
 
-@pytest.mark.parametrize("model", [SecurityModel.PLAIN, SecurityModel.SMOOTH_MARKOV,
-                                   SecurityModel.SUBNORMALIZED, "QuantumMarkov", None])
-def test_markov_assessment_refuses_a_model_that_is_not_markov(model):
+_SMOOTH = SmoothParams(2 ** -12, 0, 2 ** -10, 0)
+
+
+def test_assessment_of_each_model():
+    ext, k = deor_descriptor(64, 4), (56.5, 60.25)
+    strong = ext.strong_in
+    plain = assessment(SecurityModel.PLAIN, ext, k)
+    assert plain == SecurityAssessment(SecurityModel.PLAIN, k, deor_error(64, *k, 4), 4, strong)
+    sub = assessment(SecurityModel.SUBNORMALIZED, ext, k)
+    assert sub.error == subnormalized_transfer(deor_error(64, k[0] + 1, k[1] + 1, 4))
+    assert sub.required_k == k and sub.model is SecurityModel.SUBNORMALIZED
+    for model, transfer in zip(_MARKOV, (classical_markov_transfer, quantum_markov_transfer)):
+        # a given base error: k are the base thresholds, as the transfer reads them
+        assert assessment(model, ext, k + (50.0,), 2 ** -30) == transfer(
+            k + (50.0,), 2 ** -30, 3, 4, strong)
+        for eps in (1.0, 2.0):
+            assert assessment(model, ext, k, eps) == SecurityAssessment(model, k, 1.0, 4, strong)
+    for eps in (None, 2 ** -30, 2.0):
+        assert assessment(SecurityModel.SMOOTH_MARKOV, ext, k, eps, _SMOOTH) == smooth_transfer(
+            assessment(SecurityModel.QUANTUM_MARKOV, ext, k, eps), _SMOOTH)
+
+
+def test_assessment_floors_an_underflowing_law_at_ulp_0():
+    ext = inner_product_descriptor(4096)
+    assert ext.error_law(3200, 3200) == 0.0
+    for model in (SecurityModel.PLAIN, SecurityModel.SUBNORMALIZED):
+        assert assessment(model, ext, (3200, 3200)).error == math.ulp(0.0)
+
+
+@pytest.mark.parametrize("model,eps,smooth", [
+    (SecurityModel.PLAIN, 1e-6, None),
+    (SecurityModel.SUBNORMALIZED, 2.0, None),
+    (SecurityModel.PLAIN, None, _SMOOTH),
+    (SecurityModel.SUBNORMALIZED, None, _SMOOTH),
+    (SecurityModel.CLASSICAL_MARKOV, None, _SMOOTH),
+    (SecurityModel.QUANTUM_MARKOV, 1e-6, _SMOOTH),
+    (SecurityModel.SMOOTH_MARKOV, None, None),
+    (SecurityModel.SMOOTH_MARKOV, 1e-6, None),
+], ids=["plain_eps", "subnormalized_eps", "plain_smooth", "subnormalized_smooth",
+        "classical_smooth", "quantum_smooth", "smooth_none", "smooth_none_eps"])
+def test_assessment_refuses_an_input_its_model_does_not_read(model, eps, smooth):
     with pytest.raises(DomainError):
-        markov_assessment(model, deor_descriptor(8, 2), 6, 6)
+        assessment(model, deor_descriptor(8, 2), (6, 6), eps, smooth)
 
 
-def test_markov_assessment_refuses_a_negative_entropy():
-    for model in _MARKOV:
+@pytest.mark.parametrize("model", ["QuantumMarkov", "Plain", None])
+def test_assessment_refuses_a_model_that_is_not_a_member(model):
+    with pytest.raises(DomainError):
+        assessment(model, deor_descriptor(8, 2), (6, 6))
+
+
+def test_assessment_refuses_a_negative_entropy():
+    for model in SecurityModel:
+        smooth = _SMOOTH if model is SecurityModel.SMOOTH_MARKOV else None
         with pytest.raises(DomainError):
-            markov_assessment(model, deor_descriptor(8, 2), -1, 6)
+            assessment(model, deor_descriptor(8, 2), (-1, 6), smooth=smooth)
+
+
+@pytest.mark.parametrize("k", [(6,), (), 6, None, (6, math.nan), (6, "6"), (True, 6)],
+                         ids=["one", "none_given", "scalar", "null", "nan", "str", "bool"])
+def test_assessment_refuses_entropies_that_are_not_one_real_per_source(k):
+    for model in SecurityModel:
+        for eps in ((None, 2.0, 1e-6) if model in _MARKOV + (SecurityModel.SMOOTH_MARKOV,)
+                    else (None,)):
+            smooth = _SMOOTH if model is SecurityModel.SMOOTH_MARKOV else None
+            with pytest.raises(DomainError):
+                assessment(model, deor_descriptor(8, 2), k, eps, smooth)
 
 
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src", "markovext")
-_SOLVER_AND_TRANSFERS = ("solve_self_consistent_error", "classical_markov_transfer",
-                         "quantum_markov_transfer")
+_SOLVER_TRANSFERS_AND_ULP = ("solve_self_consistent_error", "classical_markov_transfer",
+                             "quantum_markov_transfer", "smooth_transfer",
+                             "subnormalized_transfer", "ulp")
 
 
 def _references(path):
-    """(enclosing function, innermost `if` condition, name) for each reference to the solver
-    or a transfer, imports included; the package's re-exports in __init__.py do not count."""
-    found = []
-
-    def visit(node, where, branch):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            where = node.name
-        name = getattr(node, "id", None) or getattr(node, "attr", None)
-        if isinstance(node, (ast.Name, ast.Attribute)) and name in _SOLVER_AND_TRANSFERS:
-            found.append((where, branch, name))
-        if isinstance(node, ast.ImportFrom) and not path.endswith("__init__.py"):
-            found.extend((where, branch, a.name) for a in node.names
-                         if a.name in _SOLVER_AND_TRANSFERS + ("*",))
-        if isinstance(node, ast.If):
-            test = ast.unparse(node.test)
-            visit(node.test, where, branch)
-            for child in node.body:
-                visit(child, where, test)
-            for child in node.orelse:
-                visit(child, where, f"not {test}")
-            return
-        for child in ast.iter_child_nodes(node):
-            visit(child, where, branch)
-
+    """(line, name) of each reference to the solver, a transfer or `ulp`, imports included;
+    the package's re-exports in __init__.py do not count."""
     with open(path) as fh:
-        visit(ast.parse(fh.read()), None, None)
+        tree = ast.parse(fh.read())
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Name, ast.Attribute)):
+            name = getattr(node, "id", None) or node.attr
+            if name in _SOLVER_TRANSFERS_AND_ULP:
+                found.append((node.lineno, name))
+        elif isinstance(node, ast.ImportFrom) and not path.endswith("__init__.py"):
+            found.extend((node.lineno, a.name) for a in node.names
+                         if a.name in _SOLVER_TRANSFERS_AND_ULP + ("*",))
     return found
 
 
-def test_only_markov_assessment_and_the_eps_path_solve_or_transfer():
-    # paramcalc owns the solver and the transfers; the plan's --eps path is a transfer by
-    # definition (its thresholds are the base ones), every other caller asks markov_assessment
+def test_only_paramcalc_names_the_solver_a_transfer_or_ulp():
+    # paramcalc.assessment owns what each model guarantees, its floors included: every
+    # other module asks it, and none solves, transfers or floors by hand
     found = {name: _references(os.path.join(SRC, name)) for name in sorted(os.listdir(SRC))
              if name.endswith(".py") and name != "paramcalc.py"}
-    assert {name: refs for name, refs in found.items() if refs} == {"cli.py": [
-        ("_plan_assessment", "args.eps < 1.0", "classical_markov_transfer"),
-        ("_plan_assessment", "args.eps < 1.0", "quantum_markov_transfer")]}
+    assert {name: refs for name, refs in found.items() if refs} == {}
 
 
 def _bisect_200_steps(error_law, k1p, k2p):

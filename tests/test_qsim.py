@@ -24,7 +24,7 @@ from markovext.extractors import (
     inner_product_descriptor,
     parity_seeded_descriptor,
 )
-from markovext.paramcalc import SecurityModel, markov_assessment
+from markovext.paramcalc import SecurityModel, assessment
 from markovext.qsim import (
     TRACE_TOL,
     CcqBlock,
@@ -736,7 +736,7 @@ def test_verify_quantum_bound_runs_a_composed_descriptor():
     state = from_markov_table(build_markov_table(3, 3, 1, 3, 3, seed=0))
     ext = compose(parity_seeded_descriptor(3, 2), deor_descriptor(3, 2))
     chk = verify_quantum_bound(state, ext, 3, 3)
-    assert chk.bound == markov_assessment(SecurityModel.QUANTUM_MARKOV, ext, 3, 3).error
+    assert chk.bound == assessment(SecurityModel.QUANTUM_MARKOV, ext, (3, 3)).error
     assert chk.holds and ext.error_law(3, 3) == 0.625
 
 
