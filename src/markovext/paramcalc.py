@@ -114,6 +114,8 @@ def _markov_transfer(
     k = _thresholds(k, "entropy")
     if len(k) != l:
         raise DomainError(f"need l={l} entropies, got {k!r}")
+    if min(k) < 0:
+        raise DomainError(f"base entropy thresholds must be non-negative, got {k!r}")
     from mpmath import mp
 
     with mp.workprec(120):
@@ -149,8 +151,8 @@ def assessment(model: SecurityModel, ext, k: Sequence[float], eps: Optional[floa
     if not isinstance(model, SecurityModel):
         raise DomainError(f"model must be a SecurityModel member, got {model!r}")
     if (smooth is None) == (model is SecurityModel.SMOOTH_MARKOV):
-        raise DomainError(f"SmoothMarkov alone reads smoothing parameters, and it needs them; "
-                          f"got {model.value} with {smooth!r}")
+        raise DomainError(f"smooth is read by SmoothMarkov alone, which needs it; "
+                          f"got {model.value} with smooth={smooth!r}")
     if model is SecurityModel.SMOOTH_MARKOV:
         return smooth_transfer(assessment(SecurityModel.QUANTUM_MARKOV, ext, k, eps), smooth)
     if not isinstance(k, Sequence) or len(k) < 2:
@@ -163,7 +165,7 @@ def assessment(model: SecurityModel, ext, k: Sequence[float], eps: Optional[floa
                     else subnormalized_transfer(ext.error_law(k1 + 1, k2 + 1)))
     elif eps is None:
         if len(k) != 2:
-            raise DomainError(f"the self-consistent solve is for l = 2; pass --eps for l={len(k)}")
+            raise DomainError(f"the self-consistent solve is for l = 2; pass eps for l={len(k)}")
         eps = solve_self_consistent_error(ext.error_law, k[0], k[1])
         error = 1.0 if eps >= 1.0 else _markov_error(model, max(eps, math.ulp(0.0)), 2, ext.m)
     elif checked_real(eps, "eps") < 1.0:

@@ -6,6 +6,7 @@ import math
 import os
 import random
 import statistics
+import sys
 from decimal import Decimal
 from fractions import Fraction
 
@@ -475,11 +476,21 @@ def test_assessment_refuses_a_model_that_is_not_a_member(model):
         assessment(model, deor_descriptor(8, 2), (6, 6))
 
 
-def test_assessment_refuses_a_negative_entropy():
+def test_assessment_refuses_a_negative_entropy(monkeypatch):
     for model in SecurityModel:
         smooth = _SMOOTH if model is SecurityModel.SMOOTH_MARKOV else None
         with pytest.raises(DomainError):
             assessment(model, deor_descriptor(8, 2), (-1, 6), smooth=smooth)
+    # at a given eps < 1 the transfer refuses a negative base threshold before mpmath loads
+    monkeypatch.setitem(sys.modules, "mpmath", None)
+    for model in _MARKOV + (SecurityModel.SMOOTH_MARKOV,):
+        smooth = _SMOOTH if model is SecurityModel.SMOOTH_MARKOV else None
+        for k in ((6, -1), (-1, 6), (6, 6, -0.5)):
+            with pytest.raises(DomainError):
+                assessment(model, deor_descriptor(8, 2), k, 1e-6, smooth)
+    for transfer in (classical_markov_transfer, quantum_markov_transfer):
+        with pytest.raises(DomainError):
+            transfer((6, -1), 1e-6, 2, 2)
 
 
 @pytest.mark.parametrize("k", [(6,), (), 6, None, (6, math.nan), (6, "6"), (True, 6)],

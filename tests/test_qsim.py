@@ -92,6 +92,23 @@ def test_tensor_examples():
     assert tensor(a, b).trace == pytest.approx(a.trace * b.trace, rel=1e-12)
 
 
+def _complex_normal(rng, *shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+@pytest.mark.parametrize("a_stack,b_stack", [((), ()), ((5,), (3,)), ((4,), ()), ((), (6,))],
+                         ids=["2d_2d", "3d_3d", "3d_2d", "2d_3d"])
+def test_kron_is_numpys_kron_bit_for_bit(a_stack, b_stack):
+    rng = np.random.default_rng(len(a_stack) + 2 * len(b_stack))
+    for c, d in [(1, 1), (1, 3), (2, 1), (3, 4)]:
+        empty_a, empty_b = (0,) * len(a_stack), (0,) * len(b_stack)
+        for sa, sb in {(a_stack, b_stack), (empty_a, b_stack), (a_stack, empty_b)}:
+            a, b = _complex_normal(rng, *sa, c, c), _complex_normal(rng, *sb, d, d)
+            got, want = qsim._kron(a, b), np.kron(a, b)
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert np.array_equal(got, want) and got.tobytes() == want.tobytes()
+
+
 def test_partial_trace_product_and_entangled():
     rng = np.random.default_rng(2)
     a = DensityOperator(random_density(2, rng))
@@ -194,15 +211,44 @@ def _assemble_by_pairs(state):
     return dense
 
 
+def _on_c_by_kron(state, source):
+    """rho_C (source None) or the stack over x_source of the operators on C, built one block
+    and one x at a time with np.kron; the other source is summed out in order."""
+    xs = [None] if source is None else range(1 << (state.n1, state.n2)[source - 1])
+    out = np.zeros((len(xs), state.c_dim, state.c_dim), dtype=complex)
+    for i, x in enumerate(xs):
+        off = 0
+        for b in state.blocks:
+            a1 = b.comp1[x] if source == 1 else sum(b.comp1)
+            a2 = b.comp2[x] if source == 2 else sum(b.comp2)
+            d = b.c1_dim * b.c2_dim
+            out[i, off : off + d, off : off + d] = b.weight * np.kron(a1, a2)
+            off += d
+    return out[0] if source is None else out
+
+
 @pytest.mark.parametrize("n1,n2,blocks,max_c_dim", [
     (2, 2, 2, 2), (1, 3, 3, 3), (3, 1, 4, 3), (0, 2, 2, 2), (2, 3, 1, 3), (3, 3, 3, 2),
 ])
-def test_assemble_matches_the_pairwise_kron_loop(n1, n2, blocks, max_c_dim):
+def test_assemble_matches_the_pairwise_kron_loop(n1, n2, blocks, max_c_dim, monkeypatch):
+    # certify_hmin hands its stack to hmin_cq, which refuses |X| > 2 with quantum C
+    stacks = []
+    monkeypatch.setattr(qsim, "hmin_cq", lambda comps: stacks.append(comps) or 0.0)
     dims_seen = set()
     for seed in range(8):
         state = random_ccq_markov_state(n1, n2, blocks, max_c_dim, np.random.default_rng(seed))
         dims_seen.update(b.c1_dim * b.c2_dim for b in state.blocks)
         assert assemble(state).matrix.tobytes() == _assemble_by_pairs(state).tobytes()
+        rho_c = _on_c_by_kron(state, None)
+        assert state.side_information().tobytes() == rho_c.tobytes()
+        uniform = np.eye(2) / 2
+        assert tensor(DensityOperator(uniform), DensityOperator(rho_c)).matrix.tobytes() == \
+            np.kron(uniform, rho_c).tobytes()
+        uncertified = dataclasses.replace(state, certified_k=None)
+        for source in (1, 2):
+            stacks.clear()
+            certify_hmin(uncertified, source)
+            assert stacks[0].tobytes() == _on_c_by_kron(state, source).tobytes()
     assert len(dims_seen) > 1  # blocks of different C dimensions
 
 
@@ -413,6 +459,7 @@ def _state(**changes):
     *[lambda dims=dims, traced=traced: partial_trace(DensityOperator(np.eye(4) / 4), dims,
                                                      traced)
       for dims, traced in [([2, 2], 1.0), ([2, 2], True), ([2.0, 2.0], 0), ([-2, -2], 0)]],
+    lambda: partial_trace(DensityOperator(np.eye(4) / 4), [2 ** 62 + 1, 4], 0),
     lambda: conditional_mutual_information(DensityOperator(np.eye(4) / 4), (2, 2, 2)),
     *[lambda dims=dims: conditional_mutual_information(DensityOperator(np.eye(4) / 4), dims)
       for dims in [(2.0, 2, 1), (-2, -2, 1)]],
@@ -454,7 +501,8 @@ def _state(**changes):
         "ragged_source", "non_square", "negative_n", "n_1.7", "n_string", "n_bool",
         "state_float_n", "hmin_cq_ragged",
         "partial_trace_index_2_of_2", "partial_trace_float_index", "partial_trace_bool_index",
-        "partial_trace_float_dims", "partial_trace_negative_dims", "cmi_dims", "cmi_float_dims",
+        "partial_trace_float_dims", "partial_trace_negative_dims",
+        "partial_trace_dims_past_int64", "cmi_dims", "cmi_float_dims",
         "cmi_negative_dims", "channel_dims", "channel_dims_float", "hmin_cq_traces_0.6",
         "string_weight", "null_weight", "huge_weight", "certified_k_strings", "certified_k_nan",
         "certified_k_above_n", "certified_k_past_tolerance", "certified_k_negative",
@@ -638,6 +686,29 @@ def test_apply_extractor_channel_rejects_coherences():
     # classical but wrong dims
     with pytest.raises(InvalidArgumentError):
         apply_extractor_channel(DensityOperator(np.eye(8) / 8), deor_descriptor(2, 1), (4, 4, 2))
+
+
+@pytest.mark.parametrize("scale,refused", [(1.01, True), (0.99, False)])
+def test_apply_extractor_channel_classical_check_is_at_the_tolerance(scale, refused):
+    # dims (4, 4, 2): entries 0 and 2 lie in the C blocks of (x1, x2) = (0, 0) and (0, 1)
+    m = np.eye(32, dtype=complex) / 32
+    m[0, 2], m[2, 0] = 1j * scale * qsim.HERMITIAN_TOL, -1j * scale * qsim.HERMITIAN_TOL
+    rho = DensityOperator(m)
+    if refused:
+        with pytest.raises(InvalidArgumentError):
+            apply_extractor_channel(rho, deor_descriptor(2, 1), (4, 4, 2))
+    else:
+        assert apply_extractor_channel(rho, deor_descriptor(2, 1), (4, 4, 2)).trace == \
+            pytest.approx(1.0)
+
+
+def test_apply_extractor_channel_keeps_coherence_inside_a_register_block():
+    m = np.eye(32, dtype=complex) / 32
+    m[0, 1], m[1, 0] = 1j / 32, -1j / 32  # C coherence inside (x1, x2) = (0, 0)
+    out = apply_extractor_channel(DensityOperator(m), deor_descriptor(2, 1), (4, 4, 2))
+    y = sources.extractor_output_table(deor_descriptor(2, 1), 2, 2)[0, 0]
+    assert out.matrix[2 * y, 2 * y + 1] == 1j / 32
+    assert out.trace == pytest.approx(1.0)
 
 
 def test_apply_extractor_channel_constant_extractor():
