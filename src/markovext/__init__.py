@@ -23,7 +23,6 @@ from .errors import (
 from .extractors import (
     ExtractorDescriptor,
     ExtractorFamily,
-    TrevisanParams,
     WeakDesign,
     compose,
     deor_descriptor,
@@ -31,7 +30,6 @@ from .extractors import (
     inner_product_descriptor,
     parity_seeded_descriptor,
     trevisan_descriptor,
-    trevisan_params,
     weak_design_build,
 )
 from .paramcalc import (
@@ -40,6 +38,7 @@ from .paramcalc import (
     SecurityAssessment,
     SecurityModel,
     SmoothParams,
+    TrevisanParams,
     assessment,
     classical_markov_transfer,
     deor_quantum_corollary,
@@ -49,6 +48,7 @@ from .paramcalc import (
     solve_self_consistent_error,
     subnormalized_transfer,
     trevisan_composition_plan,
+    trevisan_params,
 )
 # The oracles below need numpy; they load on first access (PEP 562), so that
 # `import markovext` and the `plan`/`extract`/`report` commands never import it.

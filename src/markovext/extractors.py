@@ -5,7 +5,8 @@
 * ParitySeeded {n, d}: <low d bits of x, seed>, with an exact error law.
 * TrevisanSeeded {n, m, eps}: a block weak design and a Reed-Solomon-Hadamard
   one-bit extractor; output bit i is the RSH bit of x under the seed bits at set
-  i's positions. Building it adds the derived t and d to the params.
+  i's positions. Building it adds the derived t and d to the params, which
+  `paramcalc.trevisan_params` computes.
 * Composed {outer, inner}: Ext''(x1, x2) = Ext'(x1, Ext(x1, x2)) for a seeded
   outer Ext' and an inner Ext strong in input 1.
 
@@ -29,6 +30,7 @@ from .errors import (
     checked_index,
     checked_real,
 )
+from .paramcalc import trevisan_params
 
 WEAK_DESIGN_OVERLAP = 2 * math.e  # declared overlap parameter r
 
@@ -340,53 +342,8 @@ def weak_design_build(m: int, t: int, universe_blocks: Optional[int] = None) -> 
 
 
 # ---------------------------------------------------------------------------
-# Trevisan parameters and extraction
+# Trevisan extraction
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class TrevisanParams:
-    """Closed-form seeded-extractor parameters, after the documented rounding.
-
-    Rounding rule: t is the exact value rounded up to the next even integer;
-    a is kept exact (as a real); k is rounded up to an integer; d = a*t^2 is
-    rounded up to the next integer multiple of t.
-    """
-
-    t: int
-    a: float
-    k: int
-    d: int
-    t_exact: float
-    k_exact: float
-
-
-def trevisan_params(n: int, m: int, eps: float) -> TrevisanParams:
-    n, m = checked_index(n, "n"), checked_index(m, "m")
-    if not (n >= m >= 1):
-        raise DomainError(f"need n >= m >= 1, got n={n}, m={m}")
-    eps = checked_real(eps, "eps")
-    if not 0 < eps < 1:
-        raise DomainError(f"need 0 < eps < 1, got {eps}")
-    if m <= math.e:
-        raise DomainError(f"m={m} <= e leaves log(m - e) undefined")
-    from mpmath import mp
-
-    with mp.workprec(120):
-        t_exact = 2 * mp.log(2 * mp.mpf(n) * m * m / (mp.mpf(eps) ** 2), 2)
-        t = int(mp.ceil(t_exact))
-        t += t % 2
-        ratio = (mp.log(m - mp.e, 2) - mp.log(t - mp.e, 2)) / (
-            mp.log(mp.e, 2) - mp.log(mp.e - 1, 2)
-        )
-        a = 1 + max(mp.mpf(0), ratio)
-        k_exact = m + 4 * mp.log(mp.mpf(m) / eps, 2) + 6
-        k = int(mp.ceil(k_exact))
-        d_raw = a * t * t
-        d = int(mp.ceil(d_raw / t)) * t
-        return TrevisanParams(
-            t=t, a=float(a), k=k, d=d, t_exact=float(t_exact), k_exact=float(k_exact)
-        )
-
 
 def _rsh_bit(x: int, n: int, seed: int, s: int) -> int:
     """Reed-Solomon-Hadamard bit of the n-bit x under a 2s-bit seed, unchecked.

@@ -2,21 +2,31 @@
 
 Transfers a plain extractor's (k_1, ..., k_l, eps) guarantee into
 classical-proof and quantum-proof Markov-model guarantees, plus the smooth,
-subnormalized and construction-specific corollaries. All logarithms are base
-2; the transfers and closed-form bounds are evaluated at 120-bit precision,
-the self-consistent solver in double precision, and mpmath is imported on
-first use. All error outputs are clamped to [0, 1], and a SecurityAssessment's
+subnormalized and construction-specific corollaries and `trevisan_params`.
+All logarithms are base 2; the transfers and closed-form bounds are evaluated
+at 120-bit precision in one context, `_at_120_bits`, which imports mpmath on
+first use (no other module uses it), the self-consistent solver in double
+precision. All error outputs are clamped to [0, 1], and a SecurityAssessment's
 error lies in (0, 1]. Non-finite entropies and errors are domain errors.
 """
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Callable, Optional, Sequence
 
 from .errors import DomainError, checked_index, checked_real
-from .extractors import trevisan_params
+
+
+@contextmanager
+def _at_120_bits():
+    """mpmath's `mp` at 120-bit working precision; mpmath is imported on first use."""
+    from mpmath import mp
+
+    with mp.workprec(120):
+        yield mp
 
 
 class SecurityModel(str, Enum):
@@ -95,9 +105,7 @@ def _thresholds(k, what: str) -> tuple:
 
 def _markov_error(model: SecurityModel, eps: float, l: int, m: int) -> float:
     """(l+1) * eps classically, sqrt((l+1) * eps * 2^(m-2)) quantumly; 120 bits, clamped to 1."""
-    from mpmath import mp
-
-    with mp.workprec(120):
+    with _at_120_bits() as mp:
         error = (l + 1) * mp.mpf(eps)
         if model is SecurityModel.QUANTUM_MARKOV:
             error = mp.sqrt(error * mp.mpf(2) ** (m - 2))
@@ -116,9 +124,7 @@ def _markov_transfer(
         raise DomainError(f"need l={l} entropies, got {k!r}")
     if min(k) < 0:
         raise DomainError(f"base entropy thresholds must be non-negative, got {k!r}")
-    from mpmath import mp
-
-    with mp.workprec(120):
+    with _at_120_bits() as mp:
         shift = -mp.log(mp.mpf(eps), 2)
         required = tuple(float(mp.mpf(ki) + shift) for ki in k)
     return SecurityAssessment(model, required, _markov_error(model, eps, l, m), m,
@@ -169,9 +175,7 @@ def assessment(model: SecurityModel, ext, k: Sequence[float], eps: Optional[floa
         eps = solve_self_consistent_error(ext.error_law, k[0], k[1])
         error = 1.0 if eps >= 1.0 else _markov_error(model, max(eps, math.ulp(0.0)), 2, ext.m)
     elif checked_real(eps, "eps") < 1.0:
-        transfer = (classical_markov_transfer if model is SecurityModel.CLASSICAL_MARKOV
-                    else quantum_markov_transfer)
-        return transfer(k, eps, len(k), ext.m, ext.strong_in)
+        return _markov_transfer(model, k, eps, len(k), ext.m, ext.strong_in)
     else:
         error = 1.0
     return SecurityAssessment(model, k, error, ext.m, ext.strong_in)
@@ -179,11 +183,11 @@ def assessment(model: SecurityModel, ext, k: Sequence[float], eps: Optional[floa
 
 def smooth_transfer(base: SecurityAssessment, s: SmoothParams) -> SecurityAssessment:
     """Error 6*delta1 + 6*delta2 + 2*eps1 + 2*eps2 + 2*eps for two sources."""
-    if base.model is not SecurityModel.QUANTUM_MARKOV:
-        raise DomainError("smooth transfer applies to a quantum-Markov base assessment")
-    error = min(
-        1.0, 6 * s.delta1 + 6 * s.delta2 + 2 * s.eps1 + 2 * s.eps2 + 2 * base.error
-    )
+    if not (isinstance(base, SecurityAssessment) and base.model is SecurityModel.QUANTUM_MARKOV):
+        raise DomainError(f"smooth transfer needs a quantum-Markov assessment, got {base!r}")
+    if not isinstance(s, SmoothParams):
+        raise DomainError(f"smoothing parameters must be a SmoothParams, got {s!r}")
+    error = min(1.0, 6 * s.delta1 + 6 * s.delta2 + 2 * s.eps1 + 2 * s.eps2 + 2 * base.error)
     return replace(base, model=SecurityModel.SMOOTH_MARKOV, error=error)
 
 
@@ -201,9 +205,7 @@ def deor_quantum_corollary(n: int, k1p: float, k2p: float, m: int) -> float:
     if not 1 <= m <= n:
         raise DomainError(f"need 1 <= m <= n, got n={n}, m={m}")
     k1p, k2p = checked_real(k1p, "entropy k1'"), checked_real(k2p, "entropy k2'")
-    from mpmath import mp
-
-    with mp.workprec(120):
+    with _at_120_bits() as mp:
         val = mp.sqrt(3) / 2 * mp.mpf(2) ** (-(mp.mpf(k1p) + k2p + 1 - n - 5 * m) / 8)
         return min(1.0, max(float(val), math.ulp(0.0)))  # val > 0 rounds to 0 only below ulp(0)
 
@@ -221,15 +223,12 @@ def solve_self_consistent_error(
     +inf there; a law value that is negative, NaN or not a finite real is a
     DomainError, as is a non-finite k1' or k2'.
 
-    The result is the bisection's: its loop runs over [-2000, 0] with
-    f(lo) < 0 <= f(hi) and stops exactly when the midpoint is no longer
-    strictly between lo and hi. Then lo and hi are adjacent floats, the
-    midpoint rounds to one of them, and further steps would leave both in
-    place. Before it runs, `_narrow_bracket` finds a < b with f(a) < 0 <= f(b),
-    in most solves adjacent floats. A monotone law makes the sign of f monotone
-    along the floats, so the loop takes a midpoint <= a as negative and one
-    >= b as non-negative without calling the law: those are the decisions it
-    would make anyway. It calls the law only strictly inside (a, b).
+    `_narrow_bracket` finds a < b in [-2000, 0] with f(a) < 0 <= f(b), in most
+    solves adjacent floats, and a bisection of (a, b) runs until its midpoint is
+    no longer strictly between them. Then a and b are adjacent floats and the
+    midpoint rounds to one of them. The result is that of a bisection over all
+    of [-2000, 0]: a monotone law makes f change sign once along the floats, so
+    every bisection of a bracket ends at the same adjacent pair.
 
     A DEOR solve takes ~5-8 law evaluations where the bisection alone took ~65;
     a step in the law (the Trevisan threshold) leaves most of the work to the
@@ -255,13 +254,13 @@ def solve_self_consistent_error(
     if f_lo >= 0:
         return float(2.0 ** lo)
     a, b = _narrow_bracket(f, lo, f_lo, hi, f_hi)
-    mid = 0.5 * (lo + hi)
-    while lo < mid < hi:
-        if mid <= a or mid < b and f(mid) < 0:
-            lo = mid
+    mid = 0.5 * (a + b)
+    while a < mid < b:
+        if f(mid) < 0:
+            a = mid
         else:
-            hi = mid
-        mid = 0.5 * (lo + hi)
+            b = mid
+        mid = 0.5 * (a + b)
     return float(2.0 ** mid)
 
 
@@ -337,11 +336,11 @@ def raz_quantum_feasible(
 ) -> FeasibilityReport:
     """Quantum-proof feasibility of the Raz extractor parameters.
 
-    Checks the four printed inequalities; a logarithm of a non-positive
-    argument makes the tuple infeasible rather than raising. delta' outside
-    (0, 19/32), a negative input length, an output length m < 1 and a
-    non-finite entropy are domain errors. The error on feasible tuples is
-    (sqrt(3)/2) * 2^{-m/4}.
+    Checks the four printed inequalities; an inequality with a logarithm of a
+    non-positive argument (an input length of 0 included) counts as violated
+    rather than raising. delta' outside (0, 19/32), a negative input length, an
+    output length m < 1 and a non-finite entropy are domain errors. The error
+    on feasible tuples is (sqrt(3)/2) * 2^{-m/4}.
     """
     n1, n2, m = checked_index(n1, "n1"), checked_index(n2, "n2"), checked_index(m, "m")
     delta_p = checked_real(delta_p, "delta'")
@@ -352,23 +351,65 @@ def raz_quantum_feasible(
     if n1 < 0 or n2 < 0:
         raise DomainError(f"input lengths must be non-negative, got n1={n1}, n2={n2}")
     k1p, k2p = checked_real(k1p, "entropy k1'"), checked_real(k2p, "entropy k2'")
-    from mpmath import mp
-
     violated = []
-    with mp.workprec(120):
-        log = lambda v: mp.log(mp.mpf(v), 2)
+    with _at_120_bits() as mp:
+        # the log of v <= 0 is NaN, which fails every comparison: its inequality is violated
+        log = lambda v: mp.log(mp.mpf(v), 2) if v > 0 else mp.nan
         if not n1 >= 6 * log(n1) + 2 * log(n2):
             violated.append("n1 >= 6 log n1 + 2 log n2")
         if not k1p >= (mp.mpf(1) / 2 + delta_p) * n1 + 3 * log(n1) + log(n2):
             violated.append("k1' >= (1/2 + delta') n1 + 3 log n1 + log n2")
         arg = (1 + 3 * mp.mpf(delta_p) / 19) * n1 - k1p
-        if arg <= 0 or not k2p >= mp.mpf(163) / 32 * log(arg):
+        if not k2p >= mp.mpf(163) / 32 * log(arg):
             violated.append("k2' >= (163/32) log((1 + 3 delta'/19) n1 - k1')")
         bound_m = 16 * mp.mpf(delta_p) / 19 * min(mp.mpf(n1) / 8, 4 * mp.mpf(k2p) / 163) - 1
         if not m <= bound_m:
             violated.append("m <= (16 delta'/19) min[n1/8, 4 k2'/163] - 1")
         error = min(1.0, float(mp.sqrt(3) / 2 * mp.mpf(2) ** (-mp.mpf(m) / 4)))
     return FeasibilityReport(error=1.0 if violated else error, violated=tuple(violated))
+
+
+@dataclass(frozen=True)
+class TrevisanParams:
+    """Closed-form seeded-extractor parameters, after the documented rounding.
+
+    Rounding rule: t is the exact value rounded up to the next even integer;
+    a is kept exact (as a real); k is rounded up to an integer; d = a*t^2 is
+    rounded up to the next integer multiple of t.
+    """
+
+    t: int
+    a: float
+    k: int
+    d: int
+    t_exact: float
+    k_exact: float
+
+
+def trevisan_params(n: int, m: int, eps: float) -> TrevisanParams:
+    n, m = checked_index(n, "n"), checked_index(m, "m")
+    if not (n >= m >= 1):
+        raise DomainError(f"need n >= m >= 1, got n={n}, m={m}")
+    eps = checked_real(eps, "eps")
+    if not 0 < eps < 1:
+        raise DomainError(f"need 0 < eps < 1, got {eps}")
+    if m <= math.e:
+        raise DomainError(f"m={m} <= e leaves log(m - e) undefined")
+    with _at_120_bits() as mp:
+        t_exact = 2 * mp.log(2 * mp.mpf(n) * m * m / (mp.mpf(eps) ** 2), 2)
+        t = int(mp.ceil(t_exact))
+        t += t % 2
+        ratio = (mp.log(m - mp.e, 2) - mp.log(t - mp.e, 2)) / (
+            mp.log(mp.e, 2) - mp.log(mp.e - 1, 2)
+        )
+        a = 1 + max(mp.mpf(0), ratio)
+        k_exact = m + 4 * mp.log(mp.mpf(m) / eps, 2) + 6
+        k = int(mp.ceil(k_exact))
+        d_raw = a * t * t
+        d = int(mp.ceil(d_raw / t)) * t
+        return TrevisanParams(
+            t=t, a=float(a), k=k, d=d, t_exact=float(t_exact), k_exact=float(k_exact)
+        )
 
 
 @dataclass(frozen=True)
@@ -399,9 +440,7 @@ def trevisan_composition_plan(
         raise DomainError("errors must lie in (0, 1)")
     k1p, k2p = checked_real(k1p, "entropy k1'"), checked_real(k2p, "entropy k2'")
     seed_need = trevisan_params(n, m_pp, eps_pp).d
-    from mpmath import mp
-
-    with mp.workprec(120):
+    with _at_120_bits() as mp:
         m_inner = (
             mp.mpf(k1p) + k2p + 1 - n - 8 * mp.log(mp.sqrt(3) / (2 * mp.mpf(eps_p)), 2)
         ) / 5

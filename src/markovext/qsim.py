@@ -107,11 +107,13 @@ def tensor(a: DensityOperator, b: DensityOperator) -> DensityOperator:
     return DensityOperator._derived(_kron(a.matrix, b.matrix))
 
 
-def _checked_dims(dims: Sequence[int]) -> List[int]:
-    """`dims` as a list of integer register dimensions, each at least 1."""
+def _checked_dims(dims: Sequence[int], count: Optional[int] = None) -> List[int]:
+    """`dims` as a list of `count` (if given) integer register dimensions, each at least 1."""
     dims = [checked_index(d, "dimension") for d in dims]
     if any(d < 1 for d in dims):
         raise InvalidArgumentError(f"dimensions must be at least 1, got {dims}")
+    if count is not None and len(dims) != count:
+        raise InvalidArgumentError(f"need {count} dimensions, got {dims}")
     return dims
 
 
@@ -146,7 +148,7 @@ def von_neumann_entropy(rho: DensityOperator) -> float:
 
 def conditional_mutual_information(rho: DensityOperator, dims: Tuple[int, int, int]) -> float:
     """I(A:B|C) = H(AC) + H(BC) - H(C) - H(ABC) for a tripartite state."""
-    dA, dB, dC = _checked_dims(dims)
+    dA, dB, dC = _checked_dims(dims, 3)
     if dA * dB * dC != rho.dim:
         raise InvalidArgumentError(f"dims {dims} do not multiply to {rho.dim}")
     rho_ac = partial_trace(rho, [dA, dB, dC], 1)
@@ -416,7 +418,7 @@ def apply_extractor_channel(
     dims = (2^n1, 2^n2, dC). Off-diagonal blocks in the X1 X2 basis beyond
     tolerance raise InvalidArgumentError.
     """
-    d1, d2, dc = _checked_dims(dims)
+    d1, d2, dc = _checked_dims(dims, 3)
     if d1 != 1 << ext.n1 or d2 != 1 << ext.n2:
         raise InvalidArgumentError("extractor dimensions do not match dims")
     if d1 * d2 * dc != rho.dim:
@@ -517,9 +519,9 @@ def channel_monotonicity_check(
     state: CcqMarkovState, ext: ExtractorDescriptor, kraus: Sequence[np.ndarray]
 ) -> MonotonicityCheck:
     """Extractor-output distance to uniform must not grow under a channel on C."""
-    kraus = [numeric_array(K, complex, "Kraus operator") for K in kraus]
+    kraus = numeric_array(kraus, complex, "Kraus operators")
     dc = state.c_dim
-    if any(K.shape != (dc, dc) for K in kraus):
+    if kraus.ndim != 3 or kraus.shape[1:] != (dc, dc):
         raise InvalidArgumentError(f"Kraus operators must be {dc} x {dc} matrices")
     comp = sum(K.conj().T @ K for K in kraus)
     if np.abs(comp - np.eye(dc)).max() > HERMITIAN_TOL:

@@ -8,9 +8,9 @@ are double-precision with a 1e-12 row-sum tolerance.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable
 
 import numpy as np
 
@@ -158,11 +158,11 @@ def statistical_distance_from_uniform(
     Both the joint support and the histogram, one row per value of z and of the
     conditioned inputs and 2^m bins, are refused before allocation beyond the
     enumeration budget."""
-    if isinstance(conditioned_on, str):
+    if isinstance(conditioned_on, str) or not isinstance(conditioned_on, Iterable):
         raise InvalidArgumentError(
             f"conditioned_on must be a collection of register names, got {conditioned_on!r}")
-    cond = set(conditioned_on)
-    if not cond <= {"Z", "X1", "X2"}:
+    cond = list(conditioned_on)
+    if not all(isinstance(r, str) and r in ("Z", "X1", "X2") for r in cond):
         raise InvalidArgumentError(f"unknown conditioning registers: {cond}")
     n1, n2, zc = table.n1, table.n2, table.z_card
     check_budget(n1 + n2 + math.log2(zc), "joint support")

@@ -20,15 +20,14 @@ PUBLIC = {
     "bitfield": ["BitString", "gf_mul"],
     "errors": ["CertificationError", "CompositionError", "ConstructionError", "DomainError",
                "InvalidArgumentError", "MarkovExtError", "ResourceBudgetError"],
-    "extractors": ["ExtractorDescriptor", "ExtractorFamily", "TrevisanParams", "WeakDesign",
-                   "compose", "deor_descriptor", "deor_error", "inner_product_descriptor",
-                   "parity_seeded_descriptor", "trevisan_descriptor", "trevisan_params",
-                   "weak_design_build"],
+    "extractors": ["ExtractorDescriptor", "ExtractorFamily", "WeakDesign", "compose",
+                   "deor_descriptor", "deor_error", "inner_product_descriptor",
+                   "parity_seeded_descriptor", "trevisan_descriptor", "weak_design_build"],
     "paramcalc": ["CompositionPlan", "FeasibilityReport", "SecurityAssessment", "SecurityModel",
-                  "SmoothParams", "assessment", "classical_markov_transfer",
+                  "SmoothParams", "TrevisanParams", "assessment", "classical_markov_transfer",
                   "deor_quantum_corollary", "quantum_markov_transfer", "raz_quantum_feasible",
                   "smooth_transfer", "solve_self_consistent_error", "subnormalized_transfer",
-                  "trevisan_composition_plan"],
+                  "trevisan_composition_plan", "trevisan_params"],
     "sources": ["FlatSource", "MarkovSourceTable", "build_markov_table",
                 "conditional_distance_given_guess", "distinguishing_event_statistic",
                 "hmin_conditional", "random_flat_source", "random_joint",

@@ -113,9 +113,15 @@ _CLASSICAL = SecurityModel.CLASSICAL_MARKOV
     lambda: trevisan_composition_plan(1 << 20, 700000, 700000, 1.5, 256, 2 ** -40),
     lambda: SecurityAssessment("Plain", (1.0, 1.0), 0.5, 1),
     lambda: SecurityAssessment(None, (1.0, 1.0), 0.5, 1),
+    lambda: assessment(SecurityModel.SMOOTH_MARKOV, deor_descriptor(64, 4), (60, 60),
+                       smooth=(0, 0, 0, 0)),
+    lambda: smooth_transfer(quantum_markov_transfer((5, 5), 0.1, 2, 1), None),
+    lambda: smooth_transfer("x", SmoothParams(0, 0, 0, 0)),
+    lambda: smooth_transfer(None, SmoothParams(0, 0, 0, 0)),
 ], ids=["error_1.5", "error_0", "error_negative_0", "negative_threshold", "l1", "plain_l3",
         "subnormalized_l3", "smooth_l3", "quantum_l_negative", "corollary_m0",
-        "composition_eps_1.5", "model_string", "model_none"])
+        "composition_eps_1.5", "model_string", "model_none", "assessment_smooth_tuple",
+        "smooth_none", "smooth_base_string", "smooth_base_none"])
 def test_calculus_refuses_out_of_domain_input(build):
     with pytest.raises(DomainError):
         build()
@@ -535,6 +541,30 @@ def test_only_paramcalc_names_the_solver_a_transfer_or_ulp():
     assert {name: refs for name, refs in found.items() if refs} == {}
 
 
+def _mpmath_uses(path):
+    """(line, what) of each import of mpmath and each reference to `workprec`."""
+    with open(path) as fh:
+        tree = ast.parse(fh.read())
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found.extend((node.lineno, a.name) for a in node.names
+                         if a.name.split(".")[0] == "mpmath")
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "mpmath":
+            found.append((node.lineno, node.module))
+        elif getattr(node, "id", None) == "workprec" or getattr(node, "attr", None) == "workprec":
+            found.append((node.lineno, "workprec"))
+    return found
+
+
+def test_only_paramcalc_imports_mpmath_and_it_sets_the_precision_once():
+    # one context in paramcalc imports mpmath and sets the 120-bit working precision
+    found = {name: _mpmath_uses(os.path.join(SRC, name)) for name in sorted(os.listdir(SRC))
+             if name.endswith(".py")}
+    assert [what for _, what in found.pop("paramcalc.py")] == ["mpmath", "workprec"]
+    assert {name: uses for name, uses in found.items() if uses} == {}
+
+
 def _bisect_200_steps(error_law, k1p, k2p):
     """Reference: the solver as it was, with a fixed count of 200 bisection steps."""
 
@@ -886,6 +916,19 @@ def test_raz_log_of_nonpositive_is_infeasible_not_error():
     # k1' > (1 + 3 delta'/19) n1 makes the third inequality's log argument negative
     rep = raz_quantum_feasible(1 << 16, 1 << 16, 1 << 17, 512, 1, 0.25)
     assert not rep.feasible
+
+
+@pytest.mark.parametrize("n1,n2,violated", [(4096, 0, 2), (0, 4096, 4)], ids=["n2_0", "n1_0"])
+def test_raz_log_of_an_input_length_of_0_violates_its_inequalities(n1, n2, violated):
+    # an input length of 0 puts log 0 in the first two inequalities; at n1 = n2 = 4096 only
+    # the second is violated
+    assert raz_quantum_feasible(4096, 4096, 4000, 4000, 1, 0.5).violated == (
+        "k1' >= (1/2 + delta') n1 + 3 log n1 + log n2",)
+    rep = raz_quantum_feasible(n1, n2, 4000, 4000, 1, 0.5)
+    assert not rep.feasible and rep.error == 1.0
+    assert rep.violated[:2] == ("n1 >= 6 log n1 + 2 log n2",
+                                "k1' >= (1/2 + delta') n1 + 3 log n1 + log n2")
+    assert len(rep.violated) == violated
 
 
 # ---------------------------------------------------------------------------

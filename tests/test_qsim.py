@@ -462,11 +462,13 @@ def _state(**changes):
     lambda: partial_trace(DensityOperator(np.eye(4) / 4), [2 ** 62 + 1, 4], 0),
     lambda: conditional_mutual_information(DensityOperator(np.eye(4) / 4), (2, 2, 2)),
     *[lambda dims=dims: conditional_mutual_information(DensityOperator(np.eye(4) / 4), dims)
-      for dims in [(2.0, 2, 1), (-2, -2, 1)]],
+      for dims in [(2.0, 2, 1), (-2, -2, 1), (2, 2)]],
     lambda: apply_extractor_channel(DensityOperator(np.eye(16) / 16), deor_descriptor(2, 1),
                                     (2, 8, 1)),
     lambda: apply_extractor_channel(DensityOperator(np.eye(16) / 16), deor_descriptor(2, 1),
                                     (4.0, 4, 1)),
+    lambda: apply_extractor_channel(DensityOperator(np.eye(16) / 16), deor_descriptor(2, 1),
+                                    (4, 4)),
     lambda: hmin_cq([0.3 * _ONE, 0.3 * _ONE]),
     lambda: CcqBlock("x", _HALF_I2, [_ONE, 0 * _ONE]),
     lambda: CcqBlock(None, _HALF_I2, [_ONE, 0 * _ONE]),
@@ -503,7 +505,7 @@ def _state(**changes):
         "partial_trace_index_2_of_2", "partial_trace_float_index", "partial_trace_bool_index",
         "partial_trace_float_dims", "partial_trace_negative_dims",
         "partial_trace_dims_past_int64", "cmi_dims", "cmi_float_dims",
-        "cmi_negative_dims", "channel_dims", "channel_dims_float", "hmin_cq_traces_0.6",
+        "cmi_negative_dims", "cmi_two_dims", "channel_dims", "channel_dims_float", "channel_two_dims", "hmin_cq_traces_0.6",
         "string_weight", "null_weight", "huge_weight", "certified_k_strings", "certified_k_nan",
         "certified_k_above_n", "certified_k_past_tolerance", "certified_k_negative",
         "certified_k_bool", "certified_k_scalar", "certified_k_triple",
@@ -1074,8 +1076,10 @@ def test_monotonicity_rejects_incomplete_kraus():
     [[1.0]],
     [1.0],
     [np.eye(2) / 2] * 4,
+    None,
+    5,
 ], ids=["numeric_strings", "bools", "nested_numeric_string", "string_array", "bool_array",
-        "vector", "scalar", "wrong_dimension"])
+        "vector", "scalar", "wrong_dimension", "none", "int"])
 def test_monotonicity_refuses_malformed_kraus_operators(kraus):
     uniform = np.full((4, 1, 1), 0.25)
     state = CcqMarkovState(2, 2, (CcqBlock(1.0, uniform, uniform),), certified_k=(2, 2))

@@ -218,7 +218,7 @@ def test_markov_table_keeps_read_only_copies_of_the_rows_it_checked():
      InvalidArgumentError),
     *[(lambda c=c: statistical_distance_from_uniform(
         deor_descriptor(2, 1), build_markov_table(2, 2, 1, 1, 1, seed=0), c),
-       InvalidArgumentError) for c in ("Z", "X1")],
+       InvalidArgumentError) for c in ("Z", "X1", None, 5, [["Z"]])],
     (lambda: extractor_output_table(deor_descriptor(4, 2), 4, 3), InvalidArgumentError),
     (lambda: extractor_output_table(inner_product_descriptor(14), 14, 14), ResourceBudgetError),
     (lambda: distinguishing_event_statistic(deor_descriptor(3, 2), np.full((8, 8, 64), 1 / 4096)),
@@ -242,7 +242,9 @@ def test_markov_table_keeps_read_only_copies_of_the_rows_it_checked():
     (lambda: random_joint(-1, 2, np.random.default_rng(0)), InvalidArgumentError),
     (lambda: random_flat_source(63, 1, np.random.default_rng(0)), ResourceBudgetError),
 ], ids=["empty_table", "hmin_source_3", "hmin_source_bool", "hmin_source_float",
-        "distance_conditioned_on_str_Z", "distance_conditioned_on_str_X1", "output_table_n",
+        "distance_conditioned_on_str_Z", "distance_conditioned_on_str_X1",
+        "distance_conditioned_on_none", "distance_conditioned_on_int",
+        "distance_conditioned_on_nested_list", "output_table_n",
         "output_table_28_bits", "joint_shape", "flat_negative_n", "flat_bool_n",
         "table_pz_numeric_string", "table_pz_bool", "table_pz_bool_among_floats", "markov_nan_target",
         "markov_infinite_target", "markov_string_target", "markov_float_n1", "markov_bool_z_card",
