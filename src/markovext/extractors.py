@@ -318,20 +318,20 @@ def weak_design_build(m: int, t: int, universe_blocks: Optional[int] = None) -> 
         raise ConstructionError(f"no sound block layout for m={m}, t={t}, blocks={n_blocks}")
 
     per_block = -(-m // n_blocks)
+    c = degree_for(per_block)
     sets = []
     for i in range(m):
         b, idx = divmod(i, per_block)
-        c = degree_for(per_block)
         coeffs = []
-        v = idx
         for _ in range(c):
-            v, r = divmod(v, t)
+            idx, r = divmod(idx, t)
             coeffs.append(r)
+        lead, *rest = reversed(coeffs)
         base = b * t * t
         members = []
         for x in range(t):
-            acc = 0
-            for coef in reversed(coeffs):  # Horner
+            acc = lead
+            for coef in rest:  # Horner from the leading coefficient
                 acc = gf_mul(acc, x, s) ^ coef
             members.append(base + x * t + acc)
         sets.append(frozenset(members))
@@ -346,7 +346,7 @@ def weak_design_build(m: int, t: int, universe_blocks: Optional[int] = None) -> 
 # ---------------------------------------------------------------------------
 
 def _rsh_bit(x: int, n: int, seed: int, s: int) -> int:
-    """Reed-Solomon-Hadamard bit of the n-bit x under a 2s-bit seed, unchecked.
+    """Reed-Solomon-Hadamard bit of the n-bit x (n >= 1) under a 2s-bit seed, unchecked.
 
     The seed splits into a field element alpha (low s bits) and a Hadamard mask
     beta (high s bits); x is parsed as Reed-Solomon coefficients over GF(2^s),
@@ -354,8 +354,9 @@ def _rsh_bit(x: int, n: int, seed: int, s: int) -> int:
     """
     mask = (1 << s) - 1
     alpha, beta = seed & mask, seed >> s
-    acc = 0
-    for j in reversed(range(-(-n // s))):  # Horner on coefficients c_0..c_{L-1}
+    top = -(-n // s) - 1
+    acc = (x >> (top * s)) & mask
+    for j in reversed(range(top)):  # Horner on coefficients c_0..c_top, from c_top
         acc = gf_mul(acc, alpha, s) ^ ((x >> (j * s)) & mask)
     return parity(acc & beta, s)
 

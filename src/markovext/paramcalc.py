@@ -355,9 +355,10 @@ def raz_quantum_feasible(
     with _at_120_bits() as mp:
         # the log of v <= 0 is NaN, which fails every comparison: its inequality is violated
         log = lambda v: mp.log(mp.mpf(v), 2) if v > 0 else mp.nan
-        if not n1 >= 6 * log(n1) + 2 * log(n2):
+        log_n1, log_n2 = log(n1), log(n2)
+        if not n1 >= 6 * log_n1 + 2 * log_n2:
             violated.append("n1 >= 6 log n1 + 2 log n2")
-        if not k1p >= (mp.mpf(1) / 2 + delta_p) * n1 + 3 * log(n1) + log(n2):
+        if not k1p >= (mp.mpf(1) / 2 + delta_p) * n1 + 3 * log_n1 + log_n2:
             violated.append("k1' >= (1/2 + delta') n1 + 3 log n1 + log n2")
         arg = (1 + 3 * mp.mpf(delta_p) / 19) * n1 - k1p
         if not k2p >= mp.mpf(163) / 32 * log(arg):
@@ -387,6 +388,14 @@ class TrevisanParams:
 
 
 def trevisan_params(n: int, m: int, eps: float) -> TrevisanParams:
+    """Trevisan's t, a, k and d for n source bits, m output bits and error eps.
+
+    t = 2 log(2 n m^2 / eps^2), k = m + 4 log(m / eps) + 6 and d = a t^2, rounded
+    as TrevisanParams says. The overlap factor is
+    a = 1 + max(0, (log(m - e) - log(t - e)) / (log e - log(e - 1))), and it is 1
+    exactly when m <= t: log is increasing, so the ratio is <= 0 there, and its four
+    logarithms are taken only when m > t. Needs n >= m > e and 0 < eps < 1.
+    """
     n, m = checked_index(n, "n"), checked_index(m, "m")
     if not (n >= m >= 1):
         raise DomainError(f"need n >= m >= 1, got n={n}, m={m}")
@@ -399,10 +408,11 @@ def trevisan_params(n: int, m: int, eps: float) -> TrevisanParams:
         t_exact = 2 * mp.log(2 * mp.mpf(n) * m * m / (mp.mpf(eps) ** 2), 2)
         t = int(mp.ceil(t_exact))
         t += t % 2
-        ratio = (mp.log(m - mp.e, 2) - mp.log(t - mp.e, 2)) / (
-            mp.log(mp.e, 2) - mp.log(mp.e - 1, 2)
-        )
-        a = 1 + max(mp.mpf(0), ratio)
+        a = mp.mpf(1)
+        if m > t:  # else log(m - e) <= log(t - e), the ratio is <= 0 and a = 1 exactly
+            a += (mp.log(m - mp.e, 2) - mp.log(t - mp.e, 2)) / (
+                mp.log(mp.e, 2) - mp.log(mp.e - 1, 2)
+            )
         k_exact = m + 4 * mp.log(mp.mpf(m) / eps, 2) + 6
         k = int(mp.ceil(k_exact))
         d_raw = a * t * t

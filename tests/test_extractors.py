@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
+from markovext import extractors
 from markovext.bitfield import BitString, gf_mul
 from markovext.errors import (
     CompositionError,
@@ -266,6 +267,28 @@ def test_trevisan_output_bit_locality():
     for j in rnd.sample(outside, 20):
         flipped = BitString(seed_val ^ (1 << j), design.d_universe)
         assert d.extract(x, flipped).value & 1 == base.value & 1
+
+
+def test_gf_products_per_trevisan_build_and_extract(monkeypatch):
+    # Both Horner loops start at the leading coefficient, so a polynomial of degree c - 1
+    # takes c - 1 products: the (8, 3, 0.9) design's 3 sets of 16 members have degree 0,
+    # and its 8-bit x is one coefficient of GF(2^8), so build and extract take none
+    calls = []
+
+    def counted(a, b, n):
+        calls.append(n)
+        return gf_mul(a, b, n)
+
+    monkeypatch.setattr(extractors, "gf_mul", counted)
+    ext = trevisan_descriptor(8, 3, 0.9)
+    assert len(calls) == 0
+    ext.extract(BitString(0xA5, 8), BitString(random.Random(3).randrange(1 << ext.n2), ext.n2))
+    assert len(calls) == 0
+    weak_design_build(20, 4, universe_blocks=1)  # degree 2 over GF(4): 2 products a member
+    assert len(calls) == 20 * 4 * 2
+    calls.clear()
+    _rsh_bit(0xBEEF, 16, 0x1234, 8)  # two coefficients of GF(2^8): 1 product
+    assert calls == [8]
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import ast
 import collections
 import dataclasses
 import functools
+import hashlib
 import math
 import os
 import random
@@ -16,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
-from markovext.errors import DomainError, InvalidArgumentError
+from markovext.errors import DomainError, InvalidArgumentError, MarkovExtError
 from markovext.qsim import BoundCheck, MonotonicityCheck
 from markovext.extractors import (
     compose,
@@ -24,8 +25,10 @@ from markovext.extractors import (
     deor_error,
     inner_product_descriptor,
     parity_seeded_descriptor,
+    WeakDesign,
     trevisan_descriptor,
     trevisan_params,
+    weak_design_build,
 )
 from markovext.paramcalc import (
     CompositionPlan,
@@ -33,6 +36,7 @@ from markovext.paramcalc import (
     SecurityAssessment,
     SecurityModel,
     SmoothParams,
+    TrevisanParams,
     assessment,
     classical_markov_transfer,
     deor_quantum_corollary,
@@ -935,6 +939,22 @@ def test_raz_log_of_an_input_length_of_0_violates_its_inequalities(n1, n2, viola
 # Trevisan composition plan
 # ---------------------------------------------------------------------------
 
+def test_trevisan_params_takes_two_logarithms_when_m_is_at_most_t(monkeypatch):
+    # t and k take one base-2 logarithm each; the overlap factor's four are taken only when
+    # m > t, since for m <= t its ratio is <= 0 and a = 1 exactly
+    logs = []
+    log = mp.log
+    monkeypatch.setattr(mp, "log", lambda *args: logs.append(args) or log(*args))
+    for n, m, eps in [(8, 3, 0.9), (8, 3, 0.75), (1 << 20, 234, 2 ** -40), (64, 16, 0.5)]:
+        logs.clear()
+        p = trevisan_params(n, m, eps)
+        assert m <= p.t and p.a == 1.0
+        assert len(logs) == 2 and all(args[1:] == (2,) for args in logs)
+    logs.clear()
+    p = trevisan_params(1 << 20, 1000, 0.5)
+    assert 1000 > p.t and p.a > 1.0 and len(logs) == 6
+
+
 def test_composition_plan_feasible_case():
     n = 1 << 20
     plan = trevisan_composition_plan(n, 700000, 700000, 2 ** -20, 256, 2 ** -40)
@@ -974,3 +994,66 @@ def test_composition_plan_scan_for_feasible_tuple():
     d = trevisan_params(n, 32, 2 ** -20).d
     assert plan.m_inner >= d
     assert max(0.7 * n, 0.7 * n) >= 32 + 4 * math.log2(32 / 2 ** -20) + 6
+
+
+# ---------------------------------------------------------------------------
+# Bit identity of the Trevisan and Raz calculus
+# ---------------------------------------------------------------------------
+
+def _trevisan_and_raz_outputs():
+    """(name, args, output) over a fixed grid; a refusal's output is its class name."""
+    def run(call, *args):
+        try:
+            return call(*args)
+        except MarkovExtError as e:
+            return type(e).__name__
+
+    for n in (4, 8, 64, 1024, 1 << 20):
+        for m in (3, 4, 5, 8, 16, 31, 64, 100, 256, 512, 1000, 4096):
+            for eps in (0.9, 0.5, 0.1, 2 ** -20, 2 ** -60):
+                yield "trevisan_params", (n, m, eps), run(trevisan_params, n, m, eps)
+    for t in (4, 8, 16, 64, 256):
+        for m in range(1, 41):
+            for blocks in (None, 1, 2, 3):
+                d = run(weak_design_build, m, t, blocks)
+                if isinstance(d, WeakDesign):
+                    d = (d.m, d.t, d.d_universe, tuple(tuple(sorted(st)) for st in d.sets))
+                yield "weak_design_build", (m, t, blocks), d
+    for n1 in (0, 1, 64, 4096, 1 << 16):
+        for n2 in (0, 64, 4096, 1 << 16):
+            for k1p in (0, 40, 4000, 60000, 1 << 17):
+                for k2p in (0, 512, 4000):
+                    for m in (1, 10, 100):
+                        for delta_p in (0.25, 0.5):
+                            args = (n1, n2, k1p, k2p, m, delta_p)
+                            yield "raz_quantum_feasible", args, run(raz_quantum_feasible, *args)
+    # on or next to the boundary of the three inequalities with logarithms, where a log
+    # that is off by a little flips the verdict: 64 = 6 log 64 + 2 log 2^14,
+    # 80 = 0.75 * 64 + 3 log 64 + log 2^14 and 25.46875 = (163/32) log((67/64) 64 - 35)
+    for n1, n2 in ((64, 1 << 14), (64, (1 << 14) + 1), (32, 2), (32, 3)):
+        for k1p in (80, 80 - 2 ** -40, 80 + 2 ** -40):
+            args = (n1, n2, k1p, 0, 1, 0.25)
+            yield "raz_quantum_feasible", args, run(raz_quantum_feasible, *args)
+    for k2p in (25.46875, 25.46875 - 2 ** -40, 25.46875 + 2 ** -40):
+        args = (64, 1 << 14, 35, k2p, 1, 19 / 64)
+        yield "raz_quantum_feasible", args, run(raz_quantum_feasible, *args)
+    for n in (64, 4096, 1 << 20):
+        for k1p in (40, 530000, 700000):
+            for k2p in (40, 700000):
+                for eps_p in (0.1, 2 ** -20):
+                    for m_pp in (4, 256):
+                        for eps_pp in (0.1, 2 ** -40):
+                            args = (n, k1p, k2p, eps_p, m_pp, eps_pp)
+                            yield ("trevisan_composition_plan", args,
+                                   run(trevisan_composition_plan, *args))
+
+
+def test_trevisan_and_raz_outputs_match_their_digest():
+    # pins trevisan_params, weak_design_build, raz_quantum_feasible and
+    # trevisan_composition_plan bit for bit on a grid: every float by its repr
+    h, overlapped = hashlib.sha256(), 0
+    for name, args, out in _trevisan_and_raz_outputs():
+        h.update(f"{name}{args!r}={out!r}\n".encode())
+        overlapped += isinstance(out, TrevisanParams) and out.a > 1
+    assert overlapped >= 20  # m > t: the overlap factor's ratio is evaluated
+    assert h.hexdigest() == "b628f73d545880c5900b24d7ce3050063b9ca89bd3aa5ebf55c9e3176e1f7fb7"
