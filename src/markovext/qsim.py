@@ -10,7 +10,6 @@ cross-check.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
@@ -186,7 +185,7 @@ def _checked_weight(weight) -> float:
 
 
 def _check_trace_sums(sums: np.ndarray) -> None:
-    """Each entry of `sums` is one cq stack's traces over x, summed: it must be 1."""
+    """Each entry of `sums` is the total trace of one cq stack or drawn density: it must be 1."""
     off = np.abs(sums - 1.0) > TRACE_TOL
     if off.any():
         raise InvalidArgumentError(f"cq component traces sum to {float(sums[off][0])}, not 1")
@@ -215,7 +214,7 @@ class CcqBlock:
 
     @classmethod
     def _derived(cls, weight: float, comp1: np.ndarray, comp2: np.ndarray) -> "CcqBlock":
-        """Wrap the parts, stacks made read-only, without the check: `_checked_blocks` ran it."""
+        """Wrap the parts, stacks made read-only, without the check: their caller ran it."""
         comp1.flags.writeable = comp2.flags.writeable = False
         block = object.__new__(cls)
         for name, value in (("weight", weight), ("comp1", comp1), ("comp2", comp2)):
@@ -306,41 +305,19 @@ def assemble(state: CcqMarkovState) -> DensityOperator:
     return DensityOperator._derived(dense.reshape(xs * dc, xs * dc))
 
 
-def _checked_blocks(parts: Sequence[tuple]) -> Tuple[CcqBlock, ...]:
-    """`CcqBlock(w, comp1, comp2)` for each (w, comp1, comp2) in `parts`, with the
-    constructor's checks run on all the stacks in one batched eigensolve.
-
-    Every stack is zero-padded to the largest C dimension, which adds only zero
-    eigenvalues. Used only where the padded stack is bounded: every stack of
-    `from_markov_table` has c = 1, and the generator's budget counts max_c_dim. A caller's
-    c = 1 stack padded to another's c = 64 could be far larger than its input, so
-    `CcqBlock(...)` checks stack by stack.
-    """
-    weights = [_checked_weight(w) for w, _, _ in parts]
-    stacks = [np.asarray(c, dtype=complex) for _, *pair in parts for c in pair]
-    lengths = [len(c) for c in stacks]
-    dim = max(c.shape[-1] for c in stacks)
-    padded = np.zeros((sum(lengths), dim, dim), dtype=complex)
-    starts = [0, *itertools.accumulate(lengths[:-1])]
-    for start, c in zip(starts, stacks):
-        d = c.shape[-1]
-        padded[start : start + len(c), :d, :d] = c
-    padded = _psd_matrices(padded, 3, "cq components")
-    _check_trace_sums(np.add.reduceat(np.trace(padded, axis1=1, axis2=2).real, starts))
-    return tuple(CcqBlock._derived(w, c1, c2)
-                 for w, c1, c2 in zip(weights, stacks[::2], stacks[1::2]))
-
-
 def from_markov_table(table) -> CcqMarkovState:
-    """Embed a classical Markov table as a Markov state with 1-dimensional C-blocks."""
-    blocks = _checked_blocks([
-        (float(w), p1[:, None, None], p2[:, None, None])
-        for w, p1, p2 in zip(table.pz, table.px1_given_z, table.px2_given_z)
-    ])
+    """Embed a classical Markov table as a Markov state with 1-dimensional C-blocks.
+
+    The blocks are not checked again: the table's rows are finite, with no negative
+    entry, and sum to 1 within ROW_SUM_TOL, tighter than TRACE_TOL."""
+    if not isinstance(table, sources.MarkovSourceTable):
+        raise InvalidArgumentError(f"need a MarkovSourceTable, got {type(table).__name__}")
     return CcqMarkovState(
         n1=table.n1,
         n2=table.n2,
-        blocks=blocks,
+        blocks=[CcqBlock._derived(float(w), p1.astype(complex)[:, None, None],
+                                  p2.astype(complex)[:, None, None])
+                for w, p1, p2 in zip(table.pz, table.px1_given_z, table.px2_given_z)],
         certified_k=(sources.hmin_conditional(table, 1), sources.hmin_conditional(table, 2)),
     )
 
@@ -382,7 +359,11 @@ def _one_hot_outputs(ext: ExtractorDescriptor, n1: int, n2: int) -> np.ndarray:
 def _output_blocks(state: CcqMarkovState, ext: ExtractorDescriptor) -> List[np.ndarray]:
     """Per block t, the (M, d_t, d_t) array p(t) sum_{Ext(x1,x2)=y} A_t[x1] (x) B_t[x2];
     refused before the first block when the largest partial sum over x2, or all the
-    blocks together, would not fit the enumeration budget."""
+    blocks together, would not fit the enumeration budget; a state of other lengths than
+    the extractor's inputs is refused first."""
+    if (state.n1, state.n2) != (ext.n1, ext.n2):
+        raise InvalidArgumentError(f"state lengths (n1, n2) = {(state.n1, state.n2)} do not "
+                                   f"match the extractor's {(ext.n1, ext.n2)}")
     largest_c2 = max(b.c2_dim for b in state.blocks)
     sources.check_budget(state.n1 + ext.m + 2 * math.log2(largest_c2), "output partial sum")
     entries = sum((b.c1_dim * b.c2_dim) ** 2 for b in state.blocks)
@@ -443,13 +424,19 @@ def apply_extractor_channel(
 def hmin_cq(components: Sequence[np.ndarray]) -> float:
     """-log2 p_guess(X|C) for a cq state given as subnormalized operators per x.
 
-    Supports |X| = 2 (Helstrom closed form) and classical C (all operators
-    diagonal; averaging identity). Other cases are unsupported.
+    Supports |X| = 1 (p_guess = 1), |X| = 2 (Helstrom closed form) and classical C (all
+    operators diagonal; averaging identity). Other cases are unsupported.
     """
     comps = _psd_matrices(components, 3, "cq components")
-    tr = float(np.trace(comps, axis1=1, axis2=2).real.sum())
-    if abs(tr - 1.0) > 1e-9:
-        raise InvalidArgumentError(f"component traces sum to {tr}, not 1")
+    _check_trace_sums(np.trace(comps, axis1=1, axis2=2).real.sum(keepdims=True))
+    return _hmin_unchecked(comps)
+
+
+def _hmin_unchecked(comps: np.ndarray) -> float:
+    """`hmin_cq` without its input check, for the cq operators of a checked state: PSD by
+    construction, their traces carry both sources' tolerances."""
+    if len(comps) == 1:
+        return 0.0
     if len(comps) == 2:
         eig = np.linalg.eigvalsh(comps[0] - comps[1])
         p_guess = 0.5 * (1.0 + float(np.abs(eig).sum()))
@@ -462,12 +449,12 @@ def hmin_cq(components: Sequence[np.ndarray]) -> float:
 
 
 def certify_hmin(state: CcqMarkovState, source: int) -> float:
-    """Certified H_min(X_i|C): by-construction value if recorded, else hmin_cq."""
+    """Certified H_min(X_i|C): by-construction value if recorded, else `_hmin_unchecked`."""
     if checked_index(source, "source index") not in (1, 2):
         raise InvalidArgumentError("source index must be 1 or 2")
     if state.certified_k is not None:
         return state.certified_k[source - 1]
-    return hmin_cq(_on_c(state, (source,)))
+    return _hmin_unchecked(_on_c(state, (source,)))
 
 
 # ---------------------------------------------------------------------------
@@ -540,6 +527,10 @@ def channel_monotonicity_check(
 # ---------------------------------------------------------------------------
 
 def random_density(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """Random dim x dim density matrix of trace 1 (g g^dagger of a Ginibre g, normalized);
+    refused before the first draw when its dim^2 entries would not fit the budget."""
+    (dim,) = _checked_dims([dim])
+    sources.check_budget(2 * math.log2(dim), "random density")
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     rho = g @ g.conj().T
     return rho / rho.trace().real
@@ -558,6 +549,8 @@ def random_ccq_markov_state(
     C-component does not depend on x, so H_min(X_i|C) = -log2 sum_t p(t)/|S_t,i|.
     Refused before the first draw when the components it could hold, n_blocks
     (2^n1 + 2^n2) matrices of up to max_c_dim^2 entries, exceed the enumeration budget.
+    Each component is 0 or sigma / |S_t,i|, an exact positive rescaling, so one eigensolve
+    of the 2 n_blocks drawn sigma, zero-padded to max_c_dim, checks every component.
     """
     n1, n2 = checked_index(n1, "n1"), checked_index(n2, "n2")
     n_blocks = checked_index(n_blocks, "n_blocks")
@@ -571,13 +564,15 @@ def random_ccq_markov_state(
     sources.check_budget(bits, "random state")
     w = rng.random(n_blocks) + 0.1
     w /= w.sum()
-    parts = []
+    sigmas = np.zeros((n_blocks, 2, max_c_dim, max_c_dim), dtype=complex)
+    blocks = []
     guess1 = guess2 = 0.0
     for t in range(n_blocks):
         d1 = int(rng.integers(1, max_c_dim + 1))
         d2 = int(rng.integers(1, max_c_dim + 1))
         sigma1 = random_density(d1, rng)
         sigma2 = random_density(d2, rng)
+        sigmas[t, 0, :d1, :d1], sigmas[t, 1, :d2, :d2] = sigma1, sigma2
 
         def flat_component(n, sigma):
             size = int(rng.integers(1, (1 << n) + 1))
@@ -589,11 +584,13 @@ def random_ccq_markov_state(
         comp2, s2 = flat_component(n2, sigma2)
         guess1 += w[t] / s1
         guess2 += w[t] / s2
-        parts.append((float(w[t]), comp1, comp2))
+        blocks.append(CcqBlock._derived(float(w[t]), comp1, comp2))
+    sigmas = _psd_matrices(sigmas.reshape(-1, max_c_dim, max_c_dim), 3, "drawn densities")
+    _check_trace_sums(np.trace(sigmas, axis1=1, axis2=2).real)
     return CcqMarkovState(
         n1=n1,
         n2=n2,
-        blocks=_checked_blocks(parts),
+        blocks=blocks,
         certified_k=(-math.log2(guess1), -math.log2(guess2)),
     )
 

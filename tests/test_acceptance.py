@@ -17,17 +17,21 @@ from markovext.extractors import (
     compose,
     deor_descriptor,
     deor_error,
+    inner_product_descriptor,
     parity_seeded_descriptor,
     trevisan_params,
     weak_design_build,
 )
 from markovext.paramcalc import (
+    SecurityModel,
+    assessment,
     deor_quantum_corollary,
     quantum_markov_transfer,
     solve_self_consistent_error,
 )
 from markovext.qsim import (
     channel_monotonicity_check,
+    from_markov_table,
     markov_cmi,
     random_ccq_markov_state,
     random_channel,
@@ -108,6 +112,29 @@ def test_criterion_03_classical_markov_theorem_end_to_end():
     print("[PASS] criterion 3: distance given Z within 3*eps on 200 Markov tables")
 
 
+def test_criterion_03_classical_markov_theorem_below_1():
+    # at n <= 6 the bound is 1.0 on every table above; at n = 8 it is below 1 for these
+    # targets, so the check compares the distance against the theorem itself
+    worst, count = 0.0, 0
+    for z_card in (2, 4):
+        rng = np.random.default_rng(310 + z_card)
+        for ext, low in [(deor_descriptor(8, 1), 7.3), (inner_product_descriptor(8), 7.3),
+                         (deor_descriptor(8, 2), 7.8)]:
+            for _ in range(40):
+                target = float(rng.uniform(low, 8))
+                table = build_markov_table(8, 8, z_card, target, target,
+                                           seed=int(rng.integers(1 << 31)))
+                k = (hmin_conditional(table, 1), hmin_conditional(table, 2))
+                bound = assessment(SecurityModel.CLASSICAL_MARKOV, ext, k).error
+                dist = statistical_distance_from_uniform(ext, table, conditioned_on=("Z",))
+                assert bound < 1.0, f"{ext} at {k}: bound {bound}"
+                assert dist <= bound + 1e-12
+                worst, count = max(worst, dist / bound), count + 1
+    assert count == 240
+    print(f"[PASS] criterion 3 below 1: distance given Z within the classical-Markov bound "
+          f"< 1 on {count} tables at n = 8 (largest distance/bound {worst:.4f})")
+
+
 def test_criterion_04_distinguishing_event_inequality():
     rng = np.random.default_rng(44)
     for i in range(200):
@@ -133,6 +160,26 @@ def test_criterion_05_quantum_markov_bound():
     elapsed = time.monotonic() - t0
     assert elapsed < 300.0
     print(f"[PASS] criterion 5: quantum bound and CMI<=1e-8 on 100 states ({elapsed:.1f}s)")
+
+
+def test_criterion_05_quantum_markov_bound_below_1():
+    # criterion 5's bound is below 1 on 3 of its 100 states; DEOR (n, 1) at n = 8,
+    # k' >= 7.6, and at n = 4, k' = 4, has it below 1 on every state
+    worst, count = 0.0, 0
+    for n, low, states in [(8, 7.6, 30), (4, 4.0, 10)]:
+        ext = deor_descriptor(n, 1)
+        rng = np.random.default_rng(580 + n)
+        for i in range(states):
+            target = float(rng.uniform(low, n))
+            table = build_markov_table(n, n, 2 + 2 * (i % 2), target, target,
+                                       seed=int(rng.integers(1 << 31)))
+            state = from_markov_table(table)
+            chk = verify_quantum_bound(state, ext, *state.certified_k)
+            assert chk.bound < 1.0, f"n = {n}, k' = {state.certified_k}: bound {chk.bound}"
+            assert chk.holds, f"n = {n}: {chk.distance} > {chk.bound}"
+            worst, count = max(worst, chk.distance / chk.bound), count + 1
+    print(f"[PASS] criterion 5 below 1: quantum-Markov bound < 1 held on {count} table states "
+          f"at n = 8 and 4 (largest distance/bound {worst:.4f})")
 
 
 def test_criterion_06_trace_distance_contractivity():

@@ -231,9 +231,9 @@ def _on_c_by_kron(state, source):
     (2, 2, 2, 2), (1, 3, 3, 3), (3, 1, 4, 3), (0, 2, 2, 2), (2, 3, 1, 3), (3, 3, 3, 2),
 ])
 def test_assemble_matches_the_pairwise_kron_loop(n1, n2, blocks, max_c_dim, monkeypatch):
-    # certify_hmin hands its stack to hmin_cq, which refuses |X| > 2 with quantum C
+    # certify_hmin hands its stack to _hmin_unchecked, which refuses |X| > 2 with quantum C
     stacks = []
-    monkeypatch.setattr(qsim, "hmin_cq", lambda comps: stacks.append(comps) or 0.0)
+    monkeypatch.setattr(qsim, "_hmin_unchecked", lambda comps: stacks.append(comps) or 0.0)
     dims_seen = set()
     for seed in range(8):
         state = random_ccq_markov_state(n1, n2, blocks, max_c_dim, np.random.default_rng(seed))
@@ -259,13 +259,14 @@ def test_assemble_of_a_classical_table_matches_the_pairwise_kron_loop():
 
 
 def _counting_eigvalsh(monkeypatch):
-    """Replace np.linalg.eigvalsh by a wrapper; the returned list grows by one per call."""
+    """Replace np.linalg.eigvalsh by a wrapper; the returned list grows by one per call,
+    by the shape of its input."""
     calls = []
     eigvalsh = np.linalg.eigvalsh
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return eigvalsh(*args, **kwargs)
+    def counting(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return eigvalsh(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counting)
     return calls
@@ -325,6 +326,20 @@ def test_random_state_refuses_an_over_budget_state_before_drawing_it():
         random_ccq_markov_state(20, 20, 2, 4, _NoDraws())
 
 
+@pytest.mark.parametrize("dim", [0, -1, 2.0, True, "2"])
+def test_random_density_refuses_a_dimension_that_is_not_a_positive_integer(dim):
+    # 0 drew an empty (0, 0) array, -1 escaped as numpy's ValueError and 2.0 as TypeError
+    with pytest.raises(InvalidArgumentError):
+        random_density(dim, _NoDraws())
+
+
+def test_random_density_refuses_an_over_budget_matrix_before_drawing_it():
+    with pytest.raises(ResourceBudgetError):  # 2^28 entries
+        random_density(1 << 14, _NoDraws())
+    with pytest.raises(AssertionError):  # 2^26 entries: in budget, so it goes on to draw
+        random_density(1 << 13, _NoDraws())
+
+
 def test_classical_embedding_matches_sources_distance():
     table = build_markov_table(3, 3, 2, 2, 2, seed=13)
     state = from_markov_table(table)
@@ -346,14 +361,16 @@ def test_generated_state_matches_its_digest():
 
 
 def test_generated_blocks_are_checked_in_one_eigensolve(monkeypatch):
+    """The generator checks the 2 n_blocks sigma it draws, padded to max_c_dim, in one
+    eigensolve; a table-built state relies on its table's checks and takes none."""
     calls = _counting_eigvalsh(monkeypatch)
     for n_blocks in (1, 2, 5, 16):
         calls.clear()
         random_ccq_markov_state(2, 3, n_blocks, 4, np.random.default_rng(n_blocks))
-        assert len(calls) == 1
+        assert calls == [(2 * n_blocks, 4, 4)]
     calls.clear()
     from_markov_table(build_markov_table(3, 2, 4, 1, 1, seed=0))
-    assert len(calls) == 1
+    assert calls == []
 
 
 def test_generated_blocks_pass_the_public_check():
@@ -404,6 +421,18 @@ def test_table_blocks_equal_the_per_block_checked_ones():
             for got, ref in [(b.comp1, want.comp1), (b.comp2, want.comp2)]:
                 assert got.shape == ref.shape and got.dtype == ref.dtype
                 assert got.tobytes() == ref.tobytes() and not got.flags.writeable
+
+
+def test_table_embedding_takes_only_a_checked_table():
+    # from_markov_table relies on the table's checks, so it takes nothing else
+    table = build_markov_table(1, 1, 1, 1, 1, seed=0)
+    unchecked = dataclasses.make_dataclass("Rows", ["pz", "px1_given_z", "px2_given_z"])(
+        table.pz, -table.px1_given_z, table.px2_given_z)
+    with pytest.raises(InvalidArgumentError):
+        from_markov_table(unchecked)
+    block = from_markov_table(table).blocks[0]
+    for comp, rows in [(block.comp1, table.px1_given_z), (block.comp2, table.px2_given_z)]:
+        assert not np.shares_memory(comp, rows)
 
 
 def test_blocks_are_held_as_a_tuple():
@@ -777,6 +806,31 @@ def test_hmin_cq_unsupported_case():
         hmin_cq(comps)
 
 
+def test_hmin_cq_refuses_traces_beyond_the_block_tolerance():
+    # CcqBlock's rule: a sum 1 + 5e-10 passed hmin_cq's own 1e-9 tolerance
+    for total in (1.0 + 5 * TRACE_TOL, 1.0 - 5 * TRACE_TOL):
+        comps = [total / 2 * _ket(2, 0), total / 2 * _ket(2, 1)]
+        with pytest.raises(InvalidArgumentError):
+            CcqBlock(1.0, comps, [_ONE])
+        with pytest.raises(InvalidArgumentError):
+            hmin_cq(comps)
+    assert hmin_cq([(0.5 + TRACE_TOL / 4) * _ket(2, 0), 0.5 * _ket(2, 1)]) == \
+        pytest.approx(0.0, abs=1e-9)
+
+
+def test_hmin_of_a_single_source_value_is_0():
+    # p_guess is 1 whatever C holds; a non-diagonal component raised CertificationError
+    plus = 0.5 * np.array([[1, 1], [1, 1]], dtype=complex)
+    assert hmin_cq([plus]) == 0.0
+    assert hmin_cq([np.diag([0.25, 0.75])]) == 0.0
+    block = CcqBlock(1.0, [plus], [_ket(2, 0), 0 * _ket(2, 0)])
+    state = CcqMarkovState(0, 1, (block,))
+    assert certify_hmin(state, 1) == 0.0
+    assert certify_hmin(state, 2) == pytest.approx(0.0, abs=1e-12)
+    generated = random_ccq_markov_state(0, 1, 3, 3, np.random.default_rng(1))
+    assert certify_hmin(dataclasses.replace(generated, certified_k=None), 1) == 0.0
+
+
 def test_generated_states_have_correct_certified_entropy():
     for seed in range(10):
         state = random_ccq_markov_state(2, 2, 2, 2, np.random.default_rng(seed))
@@ -827,6 +881,28 @@ def test_verify_quantum_bound_rejects_uncertified_claim():
     ext = deor_descriptor(3, 2)
     with pytest.raises(CertificationError):
         verify_quantum_bound(state, ext, state.certified_k[0] + 0.5, state.certified_k[1])
+
+
+def test_oracles_refuse_a_state_of_other_lengths_than_the_extractor(monkeypatch):
+    # a 1-bit state with a 2-bit extractor was refused as "extractor dimensions do not
+    # match the table", though no table is involved
+    state = random_ccq_markov_state(1, 1, 2, 2, np.random.default_rng(0))
+    short_x2 = random_ccq_markov_state(2, 1, 1, 1, np.random.default_rng(0))
+    ext = deor_descriptor(2, 1)
+    both = r"\(1, 1\).*\(2, 2\)"
+    with pytest.raises(InvalidArgumentError, match=both):
+        verify_quantum_bound(state, ext, *state.certified_k)
+    with pytest.raises(InvalidArgumentError, match=both):
+        channel_monotonicity_check(state, ext, [np.eye(state.c_dim)])
+
+    def no_budget(bits, what):
+        raise AssertionError(f"asked the budget for {what}")
+
+    monkeypatch.setattr(sources, "check_budget", no_budget)  # refused before any budget check
+    with pytest.raises(InvalidArgumentError, match=both):
+        qsim._output_blocks(state, ext)
+    with pytest.raises(InvalidArgumentError, match=r"\(2, 1\).*\(2, 2\)"):
+        qsim._output_blocks(short_x2, ext)
 
 
 @pytest.mark.parametrize("k", ["1", None, True, math.nan, 10 ** 400],
